@@ -20,7 +20,6 @@ join-window/staleness budgets.
 never scrape the tables.
 """
 
-import json
 import os
 
 from repro.analysis import print_table
@@ -34,6 +33,7 @@ from repro.serving import (
     WorkloadConfig,
     clear_probe_cache,
 )
+from _bench import dump_reports
 
 DATASET = "IB"
 MODEL = "GCN"
@@ -79,18 +79,6 @@ def _row(policy, report):
     }
 
 
-def _maybe_dump(tag, reports):
-    path = os.environ.get("REPRO_BENCH_JSON")
-    if not path:
-        return
-    payload = {policy: report.to_dict(include_records=False)
-               for policy, (_, report) in reports.items()}
-    mode = "a" if os.path.exists(path) else "w"
-    with open(path, mode) as handle:
-        json.dump({tag: payload}, handle, default=float)
-        handle.write("\n")
-
-
 def test_overlap_beats_fifo_when_saturated(benchmark):
     reports = benchmark.pedantic(
         lambda: {p: _serve(p, SATURATED, utilization=3.0)
@@ -100,7 +88,7 @@ def test_overlap_beats_fifo_when_saturated(benchmark):
     print_table([_row(p, rep) for p, (_, rep) in reports.items()],
                 title=f"batch formation, saturated fleet "
                       f"(zipf {SKEW}, {NUM_REQUESTS} requests)")
-    _maybe_dump("saturated", reports)
+    dump_reports("saturated", {p: r for p, (_, r) in reports.items()})
     fifo = reports["fifo"][1]
     overlap = reports["overlap"][1]
     assert all(rep.completed == NUM_REQUESTS for _, rep in reports.values())
@@ -120,7 +108,8 @@ def test_continuous_fills_underfilled_batches(benchmark):
     print_table([_row(p, rep) for p, (_, rep) in reports.items()],
                 title="batch formation, short-timeout fleet "
                       "(underfilled batches)")
-    _maybe_dump("short-timeout", reports)
+    dump_reports("short-timeout",
+                 {p: r for p, (_, r) in reports.items()})
     fifo = reports["fifo"][1]
     sim, continuous = reports["continuous"]
     assert continuous.batching.late_joins > 0

@@ -24,7 +24,6 @@ so machine noise largely cancels.
 numbers, which CI uploads as ``BENCH_core_speed.json``.
 """
 
-import json
 import os
 import time
 
@@ -34,6 +33,7 @@ from repro.analysis import print_table
 from repro.graphs import from_csc, power_law_graph
 from repro.serving.sampler import SubgraphSampler
 from repro.serving.cache import LRUCache
+from _bench import dump_json
 
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 NUM_VERTICES = 8_000 if SMOKE else 50_000
@@ -107,16 +107,6 @@ def _time_pipeline(graph, targets):
     return best
 
 
-def _maybe_dump(tag, rows):
-    path = os.environ.get("REPRO_BENCH_JSON")
-    if not path:
-        return
-    mode = "a" if os.path.exists(path) else "w"
-    with open(path, mode) as handle:
-        json.dump({tag: rows}, handle, default=float)
-        handle.write("\n")
-
-
 def test_core_speed(benchmark):
     csc, obj = _graphs()
     targets = _targets(BATCH)
@@ -143,7 +133,7 @@ def test_core_speed(benchmark):
         f"core speed: CSC vs object "
         f"(V={NUM_VERTICES}, E={NUM_EDGES}, hops={NUM_HOPS}, "
         f"fanout={FANOUT}, batch={BATCH})"))
-    _maybe_dump("core_speed", {
+    dump_json("core_speed", {
         "graph": {"num_vertices": NUM_VERTICES, "num_edges": NUM_EDGES,
                   "feature_length": FEATURE_LENGTH, "skew": SKEW},
         "shape": {"num_hops": NUM_HOPS, "fanout": FANOUT, "batch": BATCH},

@@ -24,7 +24,6 @@ on total busy chip-seconds.
 never scrape the tables.
 """
 
-import json
 import os
 
 from repro.analysis import print_table
@@ -35,6 +34,7 @@ from repro.serving import (
     fleet_spec_for_mix,
     run_multi_tenant,
 )
+from _bench import dump_reports
 
 #: Requests per tenant.  120 is the floor, smoke included: shorter
 #: streams form so few batches per profile bucket that the comparison
@@ -98,18 +98,6 @@ def _oracle_row(aware):
     }
 
 
-def _maybe_dump(reports):
-    path = os.environ.get("REPRO_BENCH_JSON")
-    if not path:
-        return
-    payload = {label: report.to_dict(include_records=False)
-               for label, report in reports.items()}
-    mode = "a" if os.path.exists(path) else "w"
-    with open(path, mode) as handle:
-        json.dump({"hetero": payload}, handle, default=float)
-        handle.write("\n")
-
-
 def test_shape_aware_beats_least_loaded_on_mixed_fleet(benchmark):
     reports = benchmark.pedantic(
         lambda: {label: _serve(mix, dispatch)
@@ -120,7 +108,7 @@ def test_shape_aware_beats_least_loaded_on_mixed_fleet(benchmark):
     rows.append(_oracle_row(reports["mixed/shape-aware"]))
     print_table(rows, title=f"heterogeneous fleets: two-tenant zipf-{SKEW} "
                             f"workload, {NUM_REQUESTS} requests/tenant")
-    _maybe_dump(reports)
+    dump_reports("hetero", reports)
     oblivious = reports["mixed/least-loaded"]
     aware = reports["mixed/shape-aware"]
     assert all(rep.completed == 2 * NUM_REQUESTS for rep in reports.values())

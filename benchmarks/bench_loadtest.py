@@ -16,12 +16,12 @@ trajectory as JSON (the same payload as ``python -m repro loadtest``), so
 harnesses never scrape the table.
 """
 
-import json
 import os
 
 from repro.analysis import print_table
 from repro.serving import LoadTestConfig, run_loadtest
 from repro.serving.loadtest import _monotone_knees
+from _bench import dump_json
 
 DATASET = "IB"
 MODEL = "GCN"
@@ -32,16 +32,6 @@ NUM_REQUESTS = 768
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 REL_TOL = 0.25 if SMOKE else 0.1
 MAX_BISECTIONS = 4 if SMOKE else 12
-
-
-def _maybe_dump(report):
-    path = os.environ.get("REPRO_BENCH_JSON")
-    if not path:
-        return
-    mode = "a" if os.path.exists(path) else "w"
-    with open(path, mode) as handle:
-        json.dump({"loadtest": report.to_dict()}, handle, default=float)
-        handle.write("\n")
 
 
 def test_knee_scaling(benchmark):
@@ -55,7 +45,7 @@ def test_knee_scaling(benchmark):
                 title=f"SLO knee vs chip count ({MODEL} on {DATASET}, "
                       f"{NUM_REQUESTS} requests/chip, attainment >= "
                       f"{config.slo_target:g})")
-    _maybe_dump(report)
+    dump_json("loadtest", report.to_dict())
     # every measurement completed its whole stream (open-loop, no shedding)
     for sweep in report.sweeps:
         for point in sweep["points"]:

@@ -12,7 +12,6 @@ actually behaving differently).
 full machine-readable reports, which CI uploads as ``BENCH_serving.json``.
 """
 
-import json
 import os
 
 from repro.analysis import print_table
@@ -22,6 +21,7 @@ from repro.serving import (
     FleetConfig,
     run_serving,
 )
+from _bench import dump_reports
 
 DATASET = "IB"
 MODEL = "GCN"
@@ -48,18 +48,6 @@ def _row(label_key, label, report):
     }
 
 
-def _maybe_dump(tag, reports):
-    path = os.environ.get("REPRO_BENCH_JSON")
-    if not path:
-        return
-    payload = {label: report.to_dict(include_records=False)
-               for label, report in reports.items()}
-    mode = "a" if os.path.exists(path) else "w"
-    with open(path, mode) as handle:
-        json.dump({tag: payload}, handle, default=float)
-        handle.write("\n")
-
-
 def test_dispatch_policies(benchmark):
     reports = benchmark.pedantic(
         lambda: {d: _serve(dispatch=d) for d in DISPATCH_POLICIES},
@@ -67,7 +55,7 @@ def test_dispatch_policies(benchmark):
     )
     print_table([_row("dispatch", d, r) for d, r in reports.items()],
                 title="serving: dispatch-policy comparison")
-    _maybe_dump("dispatch", reports)
+    dump_reports("dispatch", reports)
     splits = {}
     for dispatch, report in reports.items():
         # every request completes exactly once
@@ -90,7 +78,7 @@ def test_batching_policies(benchmark):
     )
     print_table([_row("batching", b, r) for b, r in reports.items()],
                 title="serving: batching-policy comparison")
-    _maybe_dump("batching", reports)
+    dump_reports("batching", reports)
     for report in reports.values():
         assert report.completed == NUM_REQUESTS
         assert report.p50_latency_s <= report.p95_latency_s <= report.p99_latency_s

@@ -16,7 +16,6 @@ Two tables on identical seeded zipf traffic (see ``docs/sharding.md``):
 never scrape the tables.
 """
 
-import json
 import os
 
 from repro.analysis import print_table
@@ -27,6 +26,7 @@ from repro.serving import (
     clear_shard_plan_cache,
     run_serving,
 )
+from _bench import dump_reports
 
 DATASET = "IB"
 MODEL = "GCN"
@@ -60,18 +60,6 @@ def _row(tag, report):
     }
 
 
-def _maybe_dump(tag, reports):
-    path = os.environ.get("REPRO_BENCH_JSON")
-    if not path:
-        return
-    payload = {name: report.to_dict(include_records=False)
-               for name, report in reports.items()}
-    mode = "a" if os.path.exists(path) else "w"
-    with open(path, mode) as handle:
-        json.dump({tag: payload}, handle, default=float)
-        handle.write("\n")
-
-
 def test_shard_scaling(benchmark):
     reports = benchmark.pedantic(
         lambda: {f"{n}-shard": _serve(n, "locality") for n in SHARD_COUNTS},
@@ -80,7 +68,7 @@ def test_shard_scaling(benchmark):
     print_table([_row(tag, rep) for tag, rep in reports.items()],
                 title=f"shard scaling, locality partitioner "
                       f"(zipf {SKEW}, {NUM_REQUESTS} requests)")
-    _maybe_dump("scaling", reports)
+    dump_reports("scaling", reports)
     assert all(rep.completed == NUM_REQUESTS for rep in reports.values())
     # a 1-shard group bypasses the exchange model entirely
     one = reports["1-shard"].sharding
@@ -100,7 +88,7 @@ def test_locality_beats_hash(benchmark):
     print_table([_row(tag, rep) for tag, rep in reports.items()],
                 title=f"partitioner comparison, 4-shard group "
                       f"(zipf {SKEW}, {NUM_REQUESTS} requests)")
-    _maybe_dump("partitioners", reports)
+    dump_reports("partitioners", reports)
     hash_report = reports["hash"]
     locality_report = reports["locality"]
     # the headline: clustering neighbours on one chip wins the cut AND

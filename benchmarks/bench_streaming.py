@@ -19,12 +19,12 @@ update stream* (see ``docs/streaming.md``):
 never scrape the tables.
 """
 
-import json
 import os
 
 from repro.analysis import print_table
 from repro.models.model_zoo import clear_workloads_cache
 from repro.serving import FleetConfig, clear_probe_cache, run_serving
+from _bench import dump_reports
 
 DATASET = "IB"
 MODEL = "GCN"
@@ -75,18 +75,6 @@ def _row(tag, report):
     return row
 
 
-def _maybe_dump(tag, reports):
-    path = os.environ.get("REPRO_BENCH_JSON")
-    if not path:
-        return
-    payload = {name: report.to_dict(include_records=False)
-               for name, report in reports.items()}
-    mode = "a" if os.path.exists(path) else "w"
-    with open(path, mode) as handle:
-        json.dump({tag: payload}, handle, default=float)
-        handle.write("\n")
-
-
 def test_invalidation_policy_comparison(benchmark):
     def _sweep():
         reports = {policy: _serve(policy)
@@ -101,7 +89,7 @@ def test_invalidation_policy_comparison(benchmark):
     print_table([_row(tag, rep) for tag, rep in reports.items()],
                 title=f"invalidation policy comparison (zipf {SKEW}, "
                       f"{NUM_REQUESTS} requests, {UPDATE_RATE:.0%} updates)")
-    _maybe_dump("policies", reports)
+    dump_reports("policies", reports)
     assert all(rep.completed == NUM_REQUESTS for rep in reports.values())
     targeted, flush, none = (reports[k] for k in ("targeted", "flush",
                                                   "none"))
@@ -136,7 +124,7 @@ def test_update_rate_scaling(benchmark):
     print_table([_row(tag, rep) for tag, rep in reports.items()],
                 title=f"targeted invalidation vs. update rate (zipf {SKEW}, "
                       f"{NUM_REQUESTS} requests)")
-    _maybe_dump("rates", reports)
+    dump_reports("rates", reports)
     assert all(rep.completed == NUM_REQUESTS for rep in reports.values())
     stats = [reports[f"rate={rate}"].consistency for rate in RATES]
     # more churn, more updates applied, more invalidation work...

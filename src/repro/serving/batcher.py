@@ -119,7 +119,7 @@ class Batcher:
 
     Subclasses override :meth:`next_deadline` (flush triggers) and/or
     :meth:`flush` (formation policies, :mod:`repro.serving.batching`).  The
-    base class keeps ``_pending`` in arrival order (the event loops feed it
+    base class keeps ``_pending`` in arrival order (the event loop feeds it
     arrivals in nondecreasing time), which every deadline policy relies on.
     ``late_joins`` / ``late_join_rejects`` stay zero except under the
     ``continuous`` formation policy.
@@ -134,7 +134,7 @@ class Batcher:
     _next_batch_id: int = field(default=0, repr=False)
 
     #: Observability hub (:class:`repro.serving.observe.Instrumentation`);
-    #: the event loops set it per run, ``None`` means uninstrumented.  A
+    #: the event loop sets it per run, ``None`` means uninstrumented.  A
     #: ClassVar so the default costs nothing per instance and formation
     #: stays untouched when observability is off.
     instrumentation: ClassVar[Optional[object]] = None
@@ -217,7 +217,7 @@ class Batcher:
         Returns the joined batch (its ``requests`` now include ``request``)
         or ``None`` when the policy does not support late joins (every
         policy except ``continuous``) or no open batch is eligible.  The
-        event loops call this *before* :meth:`add` on every admitted
+        event loop calls this *before* :meth:`add` on every admitted
         cache-missing arrival.
         """
         return None
@@ -234,7 +234,7 @@ class Batcher:
 
 
 class SizeCappedBatcher(Batcher):
-    """Flush only on the size cap (the event loops drain leftovers at EOS).
+    """Flush only on the size cap (the event loop drains leftovers at EOS).
 
     Deterministic: batches are the arrival-order prefix groups of the
     request stream, independent of wall-clock time.

@@ -86,9 +86,9 @@ def resolve_signature_hops(overlap_k: Optional[int], num_hops: int) -> int:
     serving hop depth.
 
     The single source of the signature-depth rule -- the CLI's
-    ``--overlap-k``, :attr:`FleetConfig.signature_hops` and both event
-    loops' signature functions all resolve through here, so single- and
-    multi-tenant runs can never drift onto different depths.  One hop is
+    ``--overlap-k``, :attr:`FleetConfig.signature_hops` and every tenant's
+    signature function resolve through here, so single- and multi-tenant
+    runs can never drift onto different depths.  One hop is
     the default: direct neighbourhoods predict fused-subgraph shrinkage
     well and keep signatures cheap.
     """
@@ -101,8 +101,8 @@ def make_signature_fn(sampler, num_hops: int, fanout: int,
 
     Signatures honour per-request degrade overrides (a degraded request is
     grouped by the neighbourhood it will actually sample) at the depth
-    :func:`resolve_signature_hops` resolves from ``overlap_k``.  Shared by
-    the single-tenant fleet and every tenant runtime.
+    :func:`resolve_signature_hops` resolves from ``overlap_k``.  Each
+    :class:`~repro.serving.fleet.TenantRuntime` binds one.
     """
     sig_hops = resolve_signature_hops(overlap_k, num_hops)
 
@@ -263,7 +263,7 @@ class ContinuousBatcher(OverlapBatcher):
 
     A batch emitted by :meth:`flush` stays *open* until a chip starts
     serving it or its join window expires.  On every admitted cache-missing
-    arrival the event loops offer the request via :meth:`try_join` before
+    arrival the event loop offers the request via :meth:`try_join` before
     falling back to normal accumulation; the request joins the eligible
     open batch with the highest signature similarity.  ``min_overlap``
     binds joins exactly as it binds group growth, so a batch formed under

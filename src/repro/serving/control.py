@@ -30,9 +30,9 @@ three levers:
   co-batched neighbours cannot be saved twice (see :meth:`ControlPlane.admit`).
 
 The :class:`ControlPlane` is deliberately passive and simulator-agnostic: the
-event loops call :meth:`ControlPlane.admit` on each arrival and
-:meth:`ControlPlane.tick` once per control interval, and execute the returned
-decisions themselves (they own the chips and the event heap).  Everything is
+event loop calls :meth:`ControlPlane.admit` on each arrival and
+:meth:`ControlPlane.tick` once per control interval, and executes the returned
+decisions itself (it owns the chips and the event heap).  Everything is
 deterministic -- the control plane draws no randomness -- so elastic runs
 reproduce bit-for-bit under a fixed seed.
 """
@@ -154,7 +154,7 @@ class ControlConfig:
 
     @property
     def active(self) -> bool:
-        """True when any lever is armed (the loops skip all hooks otherwise)."""
+        """True when any lever is armed (the loop skips all hooks otherwise)."""
         return self.autoscale is not None or self.admission or self.degrade
 
 
@@ -488,7 +488,7 @@ class ControlPlane:
         self._buckets: Dict[str, TokenBucket] = {}
         self._ladders: Dict[str, List[DegradeLevel]] = {}
         #: Observability hub (:class:`repro.serving.observe.Instrumentation`);
-        #: set by the event loops per run, ``None`` means uninstrumented.
+        #: set by the event loop per run, ``None`` means uninstrumented.
         self.instrumentation = None
 
     # ------------------------------------------------------------------ #
@@ -550,8 +550,8 @@ class ControlPlane:
         when armed.
 
         ``overlap_ratio`` is the data plane's measured fused-subgraph dedup
-        ratio (see :class:`~repro.serving.stats.BatchingStats`); the loops
-        pass it only under the overlap-aware formation policies, 0.0
+        ratio (see :class:`~repro.serving.stats.BatchingStats`); the loop
+        passes it only under the overlap-aware formation policies, 0.0
         otherwise.  It *damps* the ladder's expected savings: a rung that
         halves the fanout shrinks a request's standalone neighbourhood by
         ``cost_scale``, but the fraction of that neighbourhood already

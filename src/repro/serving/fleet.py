@@ -1,18 +1,30 @@
 """Multi-accelerator fleet simulation driven by a discrete-event clock.
 
 The fleet is ``num_chips`` independent :class:`~repro.core.simulator.HyGCNSimulator`
-instances, each with a FIFO dispatch queue.  The event loop advances a
-simulated clock over three event kinds:
+instances.  One event loop (:class:`_FleetSimulator`) serves both front
+ends: :class:`ServingSimulator` runs one anonymous tenant, and
+:class:`~repro.serving.tenancy.MultiTenantSimulator` runs several.  Each
+tenant's sampler, batcher, result cache and probe-derived time scales live
+in a :class:`TenantRuntime`.  The loop advances a simulated clock over
+three main event kinds:
 
-* ``arrival``    -- a request enters: either answered by the result cache,
-  late-joined into a formed-but-unstarted batch (``continuous`` formation,
-  :mod:`repro.serving.batching`) or handed to the batcher (which may emit
-  a batch immediately on its size cap);
+* ``arrival``    -- a request enters: either answered by its tenant's result
+  cache, late-joined into a formed-but-unstarted batch (``continuous``
+  formation, :mod:`repro.serving.batching`) or handed to the tenant's
+  batcher (which may emit a batch immediately on its size cap);
 * ``flush``      -- a batching-policy deadline fired (timeout / SLO budget);
   formation policies may emit an overlap group and keep the rest pending,
   so the loop re-arms the flush timer after every emission;
 * ``completion`` -- a chip finished a batch: its requests complete, the
-  result cache is populated, and the next queued batch starts.
+  result cache is populated, and the chip takes its next batch.
+
+The two front ends differ only in *when a formed batch is bound to a
+chip*, which a small dispatch stage decides:
+
+* **push** (:class:`ServingSimulator`) -- a dispatch policy binds the batch
+  to a chip the moment it forms, onto that chip's private FIFO;
+* **pull** (multi-tenant) -- batches wait in the :class:`WFQScheduler`
+  and a chip takes the next one in fair-share order when it frees up.
 
 A batch's *service time* is the simulated execution time reported by
 :class:`~repro.core.stats.SimulationReport` for the **deduped fused
@@ -37,12 +49,10 @@ Dispatch policies:
   the batch's profile bucket; falls back to least-loaded while any
   candidate shape is still cold for that bucket.
 
-This module also hosts :class:`WFQScheduler`, the weighted-fair-queueing
-stage that multi-tenant serving (:mod:`repro.serving.tenancy`) inserts
-between per-tenant batch formation and the chips: deficit round-robin over
-per-tenant backlog queues, with each batch's cost being its estimated fused
-service time, so chip-time (not batch count) is what gets shared in
-proportion to tenant weights.
+:class:`WFQScheduler` is the pull stage's weighted fair queueing: deficit
+round-robin over per-tenant backlog queues, with each batch's cost being
+its estimated fused service time, so chip-time (not batch count) is what
+gets shared in proportion to tenant weights.
 
 With a :class:`~repro.serving.control.ControlConfig` armed the fleet becomes
 *elastic*: chips move through a warming -> active -> draining -> retired
@@ -59,7 +69,7 @@ from collections import deque
 
 import numpy as np
 from dataclasses import dataclass, field, replace
-from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Deque, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..core.config import HyGCNConfig
 from ..core.simulator import HyGCNSimulator
@@ -70,7 +80,6 @@ from ..models.model_zoo import build_model
 from .batcher import Batch
 from .batching import (
     ALL_BATCH_POLICIES,
-    BATCH_POLICIES,
     build_batch_policy,
     make_signature_fn,
     resolve_signature_hops,
@@ -92,9 +101,12 @@ from .stats import (
     BatchingStats,
     ChipStats,
     ConsistencyStats,
+    ControlStats,
     HeteroStats,
     RequestRecord,
     ServingReport,
+    ShardingStats,
+    percentile,
 )
 from .streaming import StreamState, UpdateStream, generate_update_stream, \
     parse_update_mix
@@ -105,6 +117,7 @@ __all__ = [
     "FleetConfig",
     "Chip",
     "ServingSimulator",
+    "TenantRuntime",
     "WFQScheduler",
     "run_serving",
     "clear_probe_cache",
@@ -119,7 +132,8 @@ _ARRIVAL, _FLUSH, _COMPLETION, _CONTROL, _CHIP_READY, _METRICS, _UPDATE = \
 
 logger = logging.getLogger("repro.serving.fleet")
 
-#: EWMA weight for the per-request cost estimate the control plane consumes.
+#: EWMA weight of the running cost/overlap estimates (per request for the
+#: control plane, per fused vertex for the WFQ stage's batch prices).
 _COST_EWMA_ALPHA = 0.3
 
 #: Adaptive defaults, as multiples of the probe-batch service time: a batch
@@ -278,7 +292,8 @@ class Chip:
         self.hw = hw
         self.shape = shape
         self.simulator = HyGCNSimulator(hw)
-        self.queue: Deque[Tuple[Batch, float]] = deque()
+        #: push dispatch only: ``(batch, tenant runtime)`` awaiting service
+        self.queue: Deque[Tuple[Batch, "TenantRuntime"]] = deque()
         self.current: Optional[Batch] = None
         self.feature_cache = LRUCache(feature_cache_size)
         self.stats = ChipStats(chip_id=chip_id, shape=shape)
@@ -604,16 +619,14 @@ def probe_batch_service_time_s(hw: HyGCNConfig, sampler, model,
 class FleetScaler:
     """Executes the control plane's sizing decisions on a chip roster.
 
-    Shared by the single- and multi-tenant event loops so warm-up,
-    drain-before-remove and timeline accounting cannot drift between them.
-    The loops stay in charge of their own event heaps (``schedule_ready``
-    pushes the loop's ``_CHIP_READY`` event) and of which active chip a
-    scale-in should drain (``drain_victim`` -- single-tenant chips hold
-    private queues, multi-tenant chips pull from the shared WFQ stage).
+    The event loop stays in charge of its event heap (``schedule_ready``
+    pushes the loop's ``_CHIP_READY`` event), and the dispatch stage picks
+    which active chip a scale-in should drain (``drain_victim`` -- push
+    chips hold private queues, pull chips take from the shared WFQ stage).
 
     On a heterogeneous fleet a :class:`~repro.serving.hetero.ShapeChooser`
-    decides *which shape* each scale-up commissions (the loops' drain
-    victims already consult it on the way down); homogeneous fleets pass
+    decides *which shape* each scale-up commissions (and drains on the way
+    down); homogeneous fleets pass
     ``None`` and every new chip takes the fleet's base shape.
     """
 
@@ -797,11 +810,334 @@ class WFQScheduler:
         self._credited = False
 
 
-class ServingSimulator:
-    """Discrete-event simulation of online inference over a chip fleet.
+class TenantRuntime:
+    """Everything one tenant owns at run time: graph, model, sampler,
+    batcher, result cache, probe-calibrated time scales, cost models and
+    accounting.
+
+    The single-tenant front end (:class:`ServingSimulator`) runs one
+    anonymous runtime (``name=""``) whose ``config`` is the
+    :class:`FleetConfig` itself; multi-tenant serving
+    (:class:`~repro.serving.tenancy.MultiTenantSimulator`) runs one per
+    :class:`~repro.serving.tenancy.TenantConfig`.  Both configs carry the
+    per-tenant knobs read here (``num_hops``, ``fanout``, ``batch_policy``,
+    ``max_batch_size``, ``batch_timeout_s``, ``slo_s``, ``cache_size``);
+    the overlap and continuous-batching knobs are fleet-level.
+
+    ``priced`` arms the WFQ batch-cost model, which prices a batch by its
+    **deduped fused size**
+    (:meth:`~repro.serving.sampler.SubgraphSampler.fused_size`) times an
+    EWMA of observed service seconds per fused vertex, seeded from the
+    probe batch -- so a batch of heavily-overlapping requests is billed
+    for the union it actually executes, and an overlap-aware tenant cannot
+    be overcharged (nor cheat) relative to a FIFO tenant.  Only the pull
+    dispatch stage prices batches; seeding the model samples the probe
+    targets, so push-dispatched runs leave it off.
+    """
+
+    def __init__(self, name: str, config, fleet: FleetConfig, graph: Graph,
+                 model, dataset_name: str, seed: int, priced: bool = True):
+        self.name = name
+        self.config = config
+        self.seed = seed
+        self.graph = graph
+        self.model = model
+        self.dataset_name = dataset_name
+        self.weight = getattr(config, "weight", 1.0)
+        self._fleet = fleet
+        self.sampler = SubgraphSampler(graph, num_hops=config.num_hops,
+                                       fanout=config.fanout, seed=seed)
+        self.result_cache = LRUCache(config.cache_size)
+        #: Feature/halo-cache key of a vertex: ``(tenant, vertex)``, so ids
+        #: aliasing across tenants' graphs never share an entry (``None``
+        #: = the vertex id itself, for the anonymous single tenant).
+        self.cache_key = (lambda v: (name, v)) if name else None
+        #: Probe-batch service time per chip shape (memoised globally).
+        self.probe_by_shape: Dict[str, float] = {
+            shape: probe_batch_service_time_s(
+                hw, self.sampler, model, dataset_name, config.max_batch_size,
+                graph.num_vertices, seed)
+            for shape, hw in fleet.distinct_shapes().items()}
+        # the slowest shape's probe: adaptive SLOs and timeouts must hold
+        # wherever a batch lands (a homogeneous fleet has a single probe)
+        self.probe_service_s = max(self.probe_by_shape.values())
+        self.probe_batch_size = min(config.max_batch_size, graph.num_vertices)
+        self.slo_s = config.slo_s if config.slo_s is not None \
+            else _SLO_SERVICE_MULTIPLE * self.probe_service_s
+        self.batch_timeout_s = config.batch_timeout_s \
+            if config.batch_timeout_s is not None \
+            else _TIMEOUT_SERVICE_MULTIPLE * self.probe_service_s
+        self.join_window_s = fleet.join_window_s \
+            if fleet.join_window_s is not None else self.batch_timeout_s
+        self.staleness_s = fleet.staleness_s \
+            if fleet.staleness_s is not None else 0.5 * self.slo_s
+        self.overlap_aware = config.batch_policy in ("overlap", "continuous")
+        self._cost_per_vertex_seed_s: Optional[float] = None
+        #: Per-(shape, bucket) service-rate model, seeded from the
+        #: per-shape probes (``None`` unless the fleet tracks shapes).
+        #: Rates are model/dataset-specific, so tenants never share one.
+        self.shape_scorer: Optional[ShapeScorer] = None
+        self.profile_fn = None
+        track_shapes = fleet.heterogeneous or fleet.dispatch == "shape-aware"
+        if priced or track_shapes:
+            probe_fused, probe_naive = self.sampler.fused_size(
+                (int(t), config.num_hops, config.fanout)
+                for t in probe_targets(graph.num_vertices,
+                                       config.max_batch_size, seed))
+            if priced:
+                self._cost_per_vertex_seed_s = \
+                    self.probe_service_s / max(probe_fused, 1)
+            if track_shapes:
+                self.profile_fn = make_profile_fn(self.sampler,
+                                                  graph.feature_length)
+                self.shape_scorer = ShapeScorer()
+                bucket = BatchProfile(
+                    est_fused_vertices=probe_fused,
+                    est_naive_vertices=probe_naive,
+                    batch_size=self.probe_batch_size,
+                    feature_length=graph.feature_length).bucket
+                for shape, probe_s in self.probe_by_shape.items():
+                    self.shape_scorer.seed(shape, bucket,
+                                           probe_s / max(probe_fused, 1))
+        #: Bound by the fleet: the sharded-execution driver and the
+        #: streaming applier, or ``None`` when those are off.
+        self.shard_executor: Optional[ShardExecutor] = None
+        self.stream: Optional[StreamState] = None
+        self.reset()
+
+    def reset(self) -> None:
+        """Start a run: fresh batcher, batching stats, cost EWMAs and
+        accounting.  The sampler memo, result cache and shape rates
+        persist across runs."""
+        cfg = self.config
+        fleet = self._fleet
+        self.batcher = build_batch_policy(
+            cfg.batch_policy, max_batch_size=cfg.max_batch_size,
+            timeout_s=self.batch_timeout_s, slo_s=self.slo_s,
+            signature_fn=make_signature_fn(
+                self.sampler, cfg.num_hops, cfg.fanout,
+                overlap_k=fleet.overlap_k) if self.overlap_aware else None,
+            min_overlap=fleet.min_overlap, pool_factor=fleet.pool_factor,
+            join_window_s=self.join_window_s, staleness_s=self.staleness_s,
+            tenant=self.name)
+        self.batching = BatchingStats(policy=cfg.batch_policy)
+        self.overlap_ewma = 0.0
+        # admission-control cost: EWMA of service seconds per request
+        # (duplicates included -- backlog accounting is per request)
+        self.cost_per_request_s = self.probe_service_s / self.probe_batch_size
+        self.cost_per_vertex_s = self._cost_per_vertex_seed_s
+        self.busy_s = 0.0
+        self.contended_busy_s = 0.0
+        self.arrivals_left = 0
+        self.queued_batches = 0  # batches waiting in the WFQ stage
+        self.scheduled_flush: Optional[float] = None
+
+    def service_time_s(self, chip: Chip, batch: Batch, now: float) -> float:
+        """Simulated execution time of ``batch`` on ``chip`` (see
+        :func:`fused_batch_service_time_s`).
+
+        On a sharded fleet (>1 shard) the batch executes across the whole
+        chip group instead (:meth:`ShardExecutor.service_time_s`); a
+        one-shard group takes the single-chip path verbatim, which is what
+        makes its report bit-for-bit identical to an unsharded run.
+        """
+        reuse_discount = self._fleet.reuse_discount
+        if self.shard_executor is not None \
+                and self.shard_executor.plan.num_shards > 1:
+            return self.shard_executor.service_time_s(
+                batch, reuse_discount=reuse_discount, now=now)
+        return fused_batch_service_time_s(
+            chip, self.sampler, self.model, batch,
+            dataset_name=self.dataset_name, reuse_discount=reuse_discount,
+            cache_key=self.cache_key, stream=self.stream, now=now)
+
+    def estimate_cost_s(self, batch: Batch) -> float:
+        """Estimated fused service time: EWMA seconds/vertex x fused size.
+
+        The fused size is the deduped union of the batch members' sampled
+        neighbourhoods (memoised lookups, no graph built), so overlapping
+        batches are priced at the work they will actually do.
+        """
+        fused, _ = self.sampler.fused_size(
+            (r.target_vertex, r.degrade_hops, r.degrade_fanout)
+            for r in batch.requests)
+        return self.cost_per_vertex_s * max(fused, 1)
+
+    def observe_service(self, batch: Batch, service_s: float) -> None:
+        """Fold a measured batch service into the batcher, the batching
+        stats and the cost EWMAs.
+
+        ``batch.fused_vertices`` was stamped by the service model just
+        before this call, so the per-vertex EWMA tracks the measured fused
+        size, not a re-estimate.
+        """
+        self.batcher.observe_service_time(service_s)
+        self.batching.observe_batch(batch)
+        a = _COST_EWMA_ALPHA
+        if self.cost_per_vertex_s is not None and batch.fused_vertices > 0:
+            self.cost_per_vertex_s = a * (service_s / batch.fused_vertices) \
+                + (1 - a) * self.cost_per_vertex_s
+        self.overlap_ewma = a * batch.overlap_ratio \
+            + (1 - a) * self.overlap_ewma
+        self.cost_per_request_s = a * (service_s / batch.size) \
+            + (1 - a) * self.cost_per_request_s
+
+    @property
+    def demanding(self) -> bool:
+        """True while the tenant still has work that wants chip time."""
+        return (self.arrivals_left > 0 or self.batcher.pending_count > 0
+                or self.queued_batches > 0)
+
+
+# --------------------------------------------------------------------------- #
+# Dispatch stages: when a formed batch is bound to a chip
+# --------------------------------------------------------------------------- #
+class _PushStage:
+    """Bind each batch to a chip the moment it forms (single-tenant serving).
+
+    A :data:`DISPATCH_POLICIES` policy picks among the schedulable chips,
+    the batch joins that chip's private FIFO and starts at once if the chip
+    is idle.  A chip that frees up serves its own queue (a draining chip
+    finishes it before retiring).  ``peak_backlog`` is the deepest chip
+    queue seen, in requests.
+    """
+
+    def __init__(self, policy, chips: List[Chip]):
+        self.policy = policy
+        self.chips = chips
+        #: the event loop's ``(chip, runtime, batch, now) -> service_s``
+        self.start = None
+        self.peak_backlog = 0
+        #: shape-aware dispatchers (they count bucket demand as they
+        #: select, and their counters feed :class:`HeteroStats`)
+        self.shape_aware = [policy] \
+            if isinstance(policy, _ShapeAwareDispatch) else []
+        for dispatcher in self.shape_aware:
+            # counters are per run; the scorer's learned rates persist
+            dispatcher.scored = dispatcher.fallback = 0
+
+    def submit(self, rt: TenantRuntime, batch: Batch, now: float) -> None:
+        chip = self.policy.select([c for c in self.chips if c.schedulable],
+                                  batch)
+        chip.queue.append((batch, rt))
+        self.peak_backlog = max(self.peak_backlog,
+                                sum(b.size for b, _ in chip.queue))
+        if not chip.busy:
+            self._start_next(chip, now)
+
+    def pump(self, now: float, freed: Optional[Chip] = None) -> None:
+        if freed is not None and freed.queue:
+            self._start_next(freed, now)
+
+    def _start_next(self, chip: Chip, now: float) -> None:
+        batch, rt = chip.queue.popleft()
+        self.start(chip, rt, batch, now)
+
+    def on_join(self, rt: TenantRuntime, batch: Batch) -> None:
+        """A late join deepened some chip's queue in place."""
+        depth = max((sum(b.size for b, _ in c.queue) for c in self.chips),
+                    default=0)
+        self.peak_backlog = max(self.peak_backlog, depth)
+
+    def in_flight_batches(self) -> int:
+        return sum(len(c.queue) + (1 if c.busy else 0) for c in self.chips)
+
+    def drain_victim(self, actives: List[Chip]) -> Chip:
+        # the emptiest queue, so the least work gets stranded
+        return min(actives, key=lambda c: (c.outstanding_requests, -c.chip_id))
+
+
+class _PullStage:
+    """Free chips pull the next batch from the WFQ stage (multi-tenant).
+
+    Formed batches wait per tenant in the deficit-round-robin
+    :class:`WFQScheduler`, priced at their estimated fused service time;
+    whenever a chip is idle it takes the next batch in fair-share order.
+    Shape-oblivious fleets take the first idle chip in chip-id order (with
+    zero outstanding work everywhere this *is* least-loaded);
+    ``shape_aware`` places the batch with a per-tenant
+    :class:`_ShapeAwareDispatch` over the idle chips -- no backlog there,
+    so it scores pure service time under the tenant's learned rates, and
+    falls back to first-idle while any candidate shape is cold.
+    ``peak_backlog`` counts WFQ-queued batches.
+    """
+
+    def __init__(self, scheduler: WFQScheduler, chips: List[Chip],
+                 runtimes: Dict[str, TenantRuntime], shape_aware: bool):
+        self.scheduler = scheduler
+        self.chips = chips
+        self.runtimes = runtimes
+        #: the event loop's ``(chip, runtime, batch, now) -> service_s``
+        self.start = None
+        self.peak_backlog = 0
+        self._placers = {
+            name: _ShapeAwareDispatch(rt.shape_scorer, rt.profile_fn)
+            for name, rt in runtimes.items()} if shape_aware else {}
+        self.shape_aware = list(self._placers.values())
+
+    def submit(self, rt: TenantRuntime, batch: Batch, now: float) -> None:
+        self.scheduler.enqueue(rt.name, batch, rt.estimate_cost_s(batch))
+        rt.queued_batches += 1
+        self.peak_backlog = max(self.peak_backlog,
+                                self.scheduler.pending_batches)
+
+    def pump(self, now: float, freed: Optional[Chip] = None) -> None:
+        """Release WFQ batches onto idle chips until one side runs dry."""
+        scheduler = self.scheduler
+        while scheduler.pending_batches:
+            idle = [c for c in self.chips if c.schedulable and not c.busy]
+            if not idle:
+                return
+            # WFQ promises weight shares only while every tenant contends
+            contended = all(rt.demanding for rt in self.runtimes.values())
+            name, batch, _ = scheduler.next_batch()
+            rt = self.runtimes[name]
+            rt.queued_batches -= 1
+            placer = self._placers.get(name)
+            chip = placer.select(idle, batch) if placer is not None \
+                else idle[0]
+            service_s = self.start(chip, rt, batch, now)
+            if contended:
+                rt.contended_busy_s += service_s
+
+    def on_join(self, rt: TenantRuntime, batch: Batch) -> None:
+        """Reprice a still-queued batch so DRR bills the post-join size."""
+        self.scheduler.reprice(rt.name, batch.batch_id,
+                               rt.estimate_cost_s(batch))
+
+    def in_flight_batches(self) -> int:
+        return self.scheduler.pending_batches \
+            + sum(1 for c in self.chips if c.busy)
+
+    def drain_victim(self, actives: List[Chip]) -> Chip:
+        # chips hold no private queues here, so prefer an idle chip,
+        # newest first
+        idle = [c for c in actives if not c.busy]
+        return max(idle or actives, key=lambda c: c.chip_id)
+
+
+class _Served(NamedTuple):
+    """What one pass of the event loop hands back to its front end."""
+
+    records: List[RequestRecord]
+    span_s: float
+    avg_in_flight: float
+    control: Optional[ControlStats]
+
+
+# --------------------------------------------------------------------------- #
+# The event loop
+# --------------------------------------------------------------------------- #
+class _FleetSimulator:
+    """The chip fleet and the one discrete-event loop that serves it.
+
+    Subclassed by the two front ends, which differ only in how many tenant
+    runtimes they build and which dispatch stage they hand :meth:`_serve`:
+    :class:`ServingSimulator` pushes, :class:`~repro.serving.tenancy.\
+    MultiTenantSimulator` pulls.
 
     Passing a :class:`~repro.serving.control.ControlConfig` with any lever
-    armed makes the run *elastic*: the event loop consults a fresh
+    armed makes the run *elastic*: the loop consults a fresh
     :class:`~repro.serving.control.ControlPlane` on every cache-missing
     arrival (admission / degradation) and at every control interval
     (autoscaling between ``min_chips`` and ``max_chips``, with warm-up and
@@ -809,339 +1145,194 @@ class ServingSimulator:
     ``num_chips`` clamped into the autoscaler's band.
     """
 
-    def __init__(self, graph: Graph, model, config: Optional[FleetConfig] = None,
-                 dataset_name: Optional[str] = None,
-                 control: Optional[ControlConfig] = None,
-                 observe=None, capture=None, updates=None):
-        self.config = config or FleetConfig()
-        #: Streaming-update hook (:class:`repro.serving.streaming.UpdateStream`)
-        #: or ``None``; arming it wraps the graph in a mutable
-        #: :class:`~repro.graphs.delta.DeltaGraph` and interleaves the
-        #: stream's events with query traffic.  ``updates.events`` may
-        #: still be empty at construction (the end-to-end driver fills
-        #: them once the arrival rate is calibrated); they are read at
-        #: :meth:`run`.
-        self.updates = updates
-        if updates is not None and not isinstance(graph, DeltaGraph):
-            graph = DeltaGraph(graph, compact_every=updates.compact_every)
+    def __init__(self, fleet: FleetConfig, runtimes: Dict[str, TenantRuntime],
+                 control: Optional[ControlConfig], observe, capture, updates):
+        self.fleet = fleet
+        self.runtimes = runtimes
         #: Observability hub (:class:`repro.serving.observe.Instrumentation`)
         #: or ``None``; hooks are guarded so an uninstrumented run executes
         #: no observability code.
         self.observe = observe
         #: Request-trace capture hub (:class:`repro.serving.trace.TraceWriter`)
-        #: or ``None``.  Records every *offered* request at its arrival
-        #: event -- before the cache lookup and before the control plane's
-        #: admission/degradation gate -- so a capture replays bit-for-bit.
+        #: or ``None``.  Records every *offered* request (tenant tag
+        #: included) at its arrival event -- before the cache lookup and
+        #: before the control plane's admission/degradation gate -- so a
+        #: capture replays bit-for-bit.
         self.capture = capture
-        self.graph = graph
-        self.model = model
-        self.dataset_name = dataset_name or graph.name
-        cfg = self.config
+        #: Streaming-update hook (:class:`repro.serving.streaming.UpdateStream`)
+        #: or ``None``; the front ends wrap every served graph in a mutable
+        #: :class:`~repro.graphs.delta.DeltaGraph` when it is armed.
+        #: ``updates.events`` may still be empty at construction (the
+        #: end-to-end drivers fill them once arrival rates are calibrated);
+        #: they are read when a run starts.
+        self.updates = updates
         self.control_config = control if control is not None and control.active \
             else None
-        self.sampler = SubgraphSampler(graph, num_hops=cfg.num_hops,
-                                       fanout=cfg.fanout, seed=cfg.seed)
-        initial_chips = cfg.num_chips
+        initial_chips = fleet.num_chips
         if self.control_config is not None \
                 and self.control_config.autoscale is not None:
             # only the autoscaler's band constrains the fleet; admission/
             # degrade-only control leaves the configured size untouched
             initial_chips = max(self.control_config.min_chips,
                                 min(self.control_config.max_chips,
-                                    cfg.num_chips))
-        roster = cfg.chip_roster()
+                                    initial_chips))
+        roster = fleet.chip_roster()
         # a min-chips band wider than the spec cycles the roster
         self.chips = [Chip(i, roster[i % len(roster)][1],
-                           cfg.feature_cache_size,
+                           fleet.feature_cache_size,
                            shape=roster[i % len(roster)][0])
                       for i in range(initial_chips)]
-        self._next_chip_id = initial_chips
-        self._shapes = cfg.distinct_shapes()
-        self.result_cache = LRUCache(cfg.cache_size)
-        #: Sharded-execution driver (:mod:`repro.serving.sharding`), or
-        #: ``None`` on an unsharded fleet.  Chip 0 is the group leader and
-        #: stays ``active``; the other chips become non-schedulable
-        #: ``member`` chips serving sub-batches off the leader's clock.
-        self.shard_executor: Optional[ShardExecutor] = None
-        if cfg.sharding is not None:
+        self._shapes = fleet.distinct_shapes()
+        # shape tracking: a mixed roster always accounts shapes; the
+        # shape-aware policy additionally scores with them (and works on a
+        # homogeneous fleet, where it degenerates to least-loaded)
+        self._track_shapes = fleet.heterogeneous \
+            or fleet.dispatch == "shape-aware"
+        #: Sharded-execution stats (``None`` on an unsharded fleet).  Every
+        #: tenant's executor folds into this one object, because the chip
+        #: group is shared fleet state.
+        self.sharding_stats: Optional[ShardingStats] = None
+        if fleet.sharding is not None:
             if self.control_config is not None:
                 raise ValueError(
                     "sharded execution cannot be combined with the elastic "
                     "control plane (a chip group cannot scale mid-run)")
-            plan = shard_plan_for(graph, cfg.sharding)
+            sharding = fleet.sharding
+            # the group leader (chip 0) is the only schedulable chip; the
+            # members execute sub-batches off the leader's clock
             for chip in self.chips[1:]:
                 chip.state = "member"
-            self.shard_executor = ShardExecutor(
-                plan, self.chips, self.sampler, self.model,
-                self.dataset_name, cfg.sharding,
-                feature_bytes=graph.feature_length
-                * graph.features.dtype.itemsize)
-        # shape tracking: a mixed roster always accounts shapes; the
-        # shape-aware policy additionally scores with them (and works on a
-        # homogeneous fleet, where it degenerates to least-loaded)
-        self._track_shapes = cfg.heterogeneous or cfg.dispatch == "shape-aware"
-        #: The per-(shape, bucket) service-rate model (None when untracked);
-        #: seeded from the per-shape probe batches at the start of each run.
-        self.scorer: Optional[ShapeScorer] = \
-            ShapeScorer() if self._track_shapes else None
-        self._profile_fn = make_profile_fn(self.sampler,
-                                           graph.feature_length) \
-            if self._track_shapes else None
-        self._dispatch = _build_dispatch(cfg.dispatch, graph.num_vertices,
-                                         initial_chips, scorer=self.scorer,
-                                         profile_fn=self._profile_fn)
-        self._probe_by_shape: Dict[str, float] = {}
-        #: The control plane of the most recent :meth:`run` (None when fixed).
-        self.control: Optional[ControlPlane] = None
-        #: The batcher of the most recent :meth:`run` (None before a run);
-        #: tests replay ``ContinuousBatcher.join_log`` through it to prove
-        #: the late-join budgets held.
-        self.batcher = None
-        #: Streaming applier / consistency tracker, or ``None`` on a
-        #: static run (see :mod:`repro.serving.streaming`).
-        self.stream: Optional[StreamState] = None
+            self.sharding_stats = ShardingStats(
+                num_shards=sharding.num_shards,
+                partitioner=sharding.partitioner)
+            # one halo-cache list for the whole fleet, keyed like the
+            # feature caches; capacity is sized by the largest feature
+            # vector so no tenant over-fits it
+            feature_bytes = {
+                name: rt.graph.feature_length * rt.graph.features.dtype.itemsize
+                for name, rt in runtimes.items()}
+            capacity = int(sharding.halo_cache_mb * (1 << 20)
+                           / max(max(feature_bytes.values()), 1))
+            halo_caches = [LRUCache(capacity)
+                           for _ in range(sharding.num_shards)]
+            for name, rt in runtimes.items():
+                rt.shard_executor = ShardExecutor(
+                    shard_plan_for(rt.graph, sharding), self.chips,
+                    rt.sampler, rt.model, rt.dataset_name, sharding,
+                    feature_bytes=feature_bytes[name],
+                    stats=self.sharding_stats, halo_caches=halo_caches,
+                    key_fn=rt.cache_key)
+        #: Consistency stats of a mutating run (``None`` when static); every
+        #: tenant serves its own graph, so each gets its own
+        #: :class:`~repro.serving.streaming.StreamState`, but they all fold
+        #: into this one object.
         self.consistency: Optional[ConsistencyStats] = None
         if updates is not None:
             self.consistency = ConsistencyStats(
                 policy=updates.policy,
                 budget_versions=updates.staleness_budget_versions)
-            self.stream = StreamState(
-                graph, self.sampler, updates, self.consistency,
-                result_cache=self.result_cache, chips=self.chips,
-                shard_executor=self.shard_executor, observe=observe)
+            for rt in runtimes.values():
+                rt.stream = StreamState(
+                    rt.graph, rt.sampler, updates, self.consistency,
+                    result_cache=rt.result_cache, chips=self.chips,
+                    feature_key=rt.cache_key,
+                    shard_executor=rt.shard_executor, observe=observe)
+        #: The control plane of the most recent run (None when fixed).
+        self.control: Optional[ControlPlane] = None
 
-    # ------------------------------------------------------------------ #
-    # Adaptive time scales
-    # ------------------------------------------------------------------ #
-    def probe_service_for_shape(self, shape: str) -> float:
-        """Probe-batch service time on one chip shape (memoised per shape)."""
-        cached = self._probe_by_shape.get(shape)
-        if cached is None:
-            cfg = self.config
-            cached = probe_batch_service_time_s(
-                self._shapes[shape], self.sampler, self.model,
-                self.dataset_name, cfg.max_batch_size,
-                self.graph.num_vertices, cfg.seed)
-            self._probe_by_shape[shape] = cached
-        return cached
-
-    @property
-    def probe_service_time_s(self) -> float:
-        """Service time of one full batch of uniformly-drawn distinct targets.
-
-        Computed once per shape and reused to calibrate the arrival rate and
-        to resolve the adaptive timeout / SLO defaults.  On a heterogeneous
-        fleet this is the **slowest** shape's probe time, so adaptive
-        timeouts and SLOs stay meetable no matter where a batch lands; a
-        homogeneous fleet reduces to the single probe it always ran.
-        """
-        return max(self.probe_service_for_shape(shape)
-                   for shape in self._shapes)
-
-    @property
-    def slo_s(self) -> float:
-        """The latency SLO: configured value, or a multiple of the probe service."""
-        if self.config.slo_s is not None:
-            return self.config.slo_s
-        return _SLO_SERVICE_MULTIPLE * self.probe_service_time_s
-
-    @property
-    def batch_timeout_s(self) -> float:
-        """Timeout-flush budget: configured, or a multiple of the probe service."""
-        if self.config.batch_timeout_s is not None:
-            return self.config.batch_timeout_s
-        return _TIMEOUT_SERVICE_MULTIPLE * self.probe_service_time_s
-
-    @property
-    def join_window_s(self) -> float:
-        """Continuous-batching join window: configured, or the batch timeout."""
-        if self.config.join_window_s is not None:
-            return self.config.join_window_s
-        return self.batch_timeout_s
-
-    @property
-    def staleness_s(self) -> float:
-        """Continuous-batching staleness budget: configured, or half the SLO."""
-        if self.config.staleness_s is not None:
-            return self.config.staleness_s
-        return 0.5 * self.slo_s
-
-    def _signature_fn(self):
-        """``request -> minhash signature`` bound to this fleet's sampler
-        (see :func:`repro.serving.batching.make_signature_fn`)."""
-        cfg = self.config
-        return make_signature_fn(self.sampler, cfg.num_hops, cfg.fanout,
-                                 overlap_k=cfg.overlap_k)
-
-    def _seed_scorer(self) -> None:
-        """Prime the shape scorer from the per-shape probe batches.
-
-        The probe batch has one well-defined profile bucket; each shape's
-        measured probe time over the probe's fused size seeds that bucket's
-        rate, so the first real batch of the common regime can already be
-        scored.  Other buckets stay cold until traffic warms them (the
-        dispatcher falls back to least-loaded there).  Idempotent: seeds
-        never clobber rates a previous run learned.
-        """
-        cfg = self.config
-        targets = probe_targets(self.graph.num_vertices, cfg.max_batch_size,
-                                cfg.seed)
-        fused, naive = self.sampler.fused_size(
-            (int(t), None, None) for t in targets)
-        bucket = BatchProfile(est_fused_vertices=fused,
-                              est_naive_vertices=naive,
-                              batch_size=len(targets),
-                              feature_length=self.graph.feature_length).bucket
-        for shape in self._shapes:
-            self.scorer.seed(shape, bucket,
-                             self.probe_service_for_shape(shape)
-                             / max(fused, 1))
-
-    # ------------------------------------------------------------------ #
-    # Service-time model
-    # ------------------------------------------------------------------ #
-    def batch_service_time_s(self, chip: Chip, batch: Batch,
-                             account: bool = True,
-                             now: float = 0.0) -> float:
-        """Simulated execution time of the fused subgraph batch on ``chip``
-        (see :func:`fused_batch_service_time_s`).
-
-        On a sharded fleet (>1 shard) the batch executes across the whole
-        chip group instead (:meth:`ShardExecutor.service_time_s`); a
-        one-shard group takes this single-chip path verbatim, which is what
-        makes its report bit-for-bit identical to an unsharded run.
-        """
-        if self.shard_executor is not None \
-                and self.shard_executor.plan.num_shards > 1:
-            return self.shard_executor.service_time_s(
-                batch, reuse_discount=self.config.reuse_discount,
-                account=account, now=now)
-        return fused_batch_service_time_s(
-            chip, self.sampler, self.model, batch,
-            dataset_name=self.dataset_name,
-            reuse_discount=self.config.reuse_discount, account=account,
-            stream=self.stream, now=now)
-
-    def calibrate_rate(self, utilization_target: float = 0.7) -> float:
-        """Arrival rate that loads the fleet to ``utilization_target``.
-
-        A probe batch of ``max_batch_size`` distinct uniformly-drawn targets is
-        simulated once per chip shape; the fleet's aggregate request
-        throughput at full utilisation sums each chip's
-        ``max_batch_size / service_time`` over the configured roster (which
-        for a homogeneous fleet is the familiar
-        ``num_chips * max_batch_size / service_time``).  Targets above 1
-        deliberately overload the fleet (a queueing-study regime).
-        """
-        if not 0 < utilization_target:
-            raise ValueError("utilization_target must be positive")
-        cfg = self.config
-        batch_size = min(cfg.max_batch_size, self.graph.num_vertices)
-        capacity_rps = sum(
-            batch_size / max(self.probe_service_for_shape(shape), 1e-12)
-            for shape, _ in cfg.chip_roster())
-        return utilization_target * capacity_rps
-
-    # ------------------------------------------------------------------ #
-    # Event loop
-    # ------------------------------------------------------------------ #
-    def run(self, requests: Sequence[Request],
-            rate_rps: float = 0.0) -> ServingReport:
-        """Serve ``requests`` (sorted by arrival) and return the report."""
-        cfg = self.config
-        report = ServingReport(
-            model_name=getattr(self.model, "name", self.model.__class__.__name__),
-            dataset_name=self.dataset_name,
-            num_chips=len(self.chips),
-            batch_policy=cfg.batch_policy,
-            dispatch_policy=cfg.dispatch,
-            rate_rps=rate_rps,
-            slo_s=self.slo_s,
-        )
-        if not requests:
-            report.chips = [chip.stats for chip in self.chips]
-            return report
-
-        batcher = build_batch_policy(
-            cfg.batch_policy, max_batch_size=cfg.max_batch_size,
-            timeout_s=self.batch_timeout_s, slo_s=self.slo_s,
-            signature_fn=self._signature_fn()
-            if cfg.batch_policy in ("overlap", "continuous") else None,
-            min_overlap=cfg.min_overlap, pool_factor=cfg.pool_factor,
-            join_window_s=self.join_window_s, staleness_s=self.staleness_s)
-        self.batcher = batcher
+    def _serve(self, requests: Sequence[Request], stage,
+               hetero: Optional[HeteroStats]) -> _Served:
+        """Serve ``requests`` (sorted by arrival) through ``stage``."""
+        fleet = self.fleet
+        chips = self.chips
+        runtimes = self.runtimes
         observe = self.observe
-        if observe is not None:
-            batcher.instrumentation = observe
-        batching_stats = BatchingStats(policy=cfg.batch_policy)
-        overlap_aware = cfg.batch_policy in ("overlap", "continuous")
-        overlap_ewma = 0.0
-        hetero_stats: Optional[HeteroStats] = None
-        if self._track_shapes:
-            self._seed_scorer()
-            hetero_stats = HeteroStats(dispatch_policy=cfg.dispatch)
-            if isinstance(self._dispatch, _ShapeAwareDispatch):
-                # counters are per run; the scorer's learned rates persist
-                self._dispatch.scored = self._dispatch.fallback = 0
+        capture = self.capture
+        # the single-tenant front end's anonymous runtime takes every
+        # request and update, whatever its tenant tag
+        anonymous = runtimes.get("")
+        for rt in runtimes.values():
+            rt.reset()
+            if observe is not None:
+                rt.batcher.instrumentation = observe
+
         events: List[Tuple[float, int, int, object]] = []
         seq = 0
         for request in requests:
-            heapq.heappush(events, (request.arrival_time_s, seq, _ARRIVAL, request))
+            rt = anonymous or runtimes.get(request.tenant)
+            if rt is None:
+                raise ValueError(f"request tagged with unknown tenant "
+                                 f"{request.tenant!r}")
+            rt.arrivals_left += 1
+            heapq.heappush(events, (request.arrival_time_s, seq, _ARRIVAL,
+                                    request))
             seq += 1
-        if self.stream is not None:
+        if self.updates is not None:
+            # updates enter the same heap; requests pushed first, so a
+            # request at the identical timestamp wins the tie (a query
+            # races an update: the query is served, then the graph moves)
             for event in self.updates.events:
-                heapq.heappush(events, (event.arrival_time_s, seq,
-                                        _UPDATE, event))
+                if anonymous is None and event.tenant not in runtimes:
+                    raise ValueError(f"update tagged with unknown tenant "
+                                     f"{event.tenant!r}")
+                heapq.heappush(events, (event.arrival_time_s, seq, _UPDATE,
+                                        event))
                 seq += 1
-        arrivals_left = len(requests)
-        dispatch_meta: Dict[int, float] = {}      # batch_id -> dispatch time
-        start_meta: Dict[int, float] = {}         # batch_id -> service start time
-        scheduled_flush: Optional[float] = None
 
+        records: List[RequestRecord] = []
+        # (tenant, batch_id) -> when the batch formed / started service
+        dispatched_at: Dict[Tuple[str, int], float] = {}
+        started_at: Dict[Tuple[str, int], float] = {}
         # time-weighted in-flight integral for the avg queue-pressure metric
         in_flight = 0
-        t0 = requests[0].arrival_time_s
+        t0 = requests[0].arrival_time_s if requests else 0.0
         last_t = t0
         in_flight_area = 0.0
+        for chip in chips:
+            chip.added_s = t0
+            chip.ready_s = t0
 
         # ---------------- control plane (elastic runs only) --------------- #
         control: Optional[ControlPlane] = None
         scaler: Optional[FleetScaler] = None
-        probe_batch = min(cfg.max_batch_size, self.graph.num_vertices)
-        cost_per_request_s = self.probe_service_time_s / probe_batch
         backlog_cost_s = 0.0
         request_cost_s: Dict[int, float] = {}
         arrivals_interval = completions_interval = 0
         violations_interval = shed_interval = 0
         busy_snapshot_s = 0.0
-        for chip in self.chips:
-            chip.added_s = t0
-            chip.ready_s = t0
-        if self.control_config is not None:
+        # fleet-wide per-request cost EWMA for the sizing policies
+        fleet_cost_per_request_s = float(np.mean(
+            [rt.cost_per_request_s for rt in runtimes.values()]))
+        if self.control_config is not None and requests:
             control = ControlPlane(self.control_config)
-            control.bind(
-                [TenantBinding(name="", slo_s=self.slo_s, num_hops=cfg.num_hops,
-                               fanout=cfg.fanout)],
-                initial_chips=len(self.chips),
-                probe_service_s=self.probe_service_time_s,
-                capacity_per_chip_rps=probe_batch
-                / max(self.probe_service_time_s, 1e-12))
-            self.control = control
             if observe is not None:
                 control.instrumentation = observe
+            control.bind(
+                [TenantBinding(
+                    name=rt.name, slo_s=rt.slo_s,
+                    num_hops=rt.config.num_hops, fanout=rt.config.fanout,
+                    weight=rt.weight,
+                    capacity_per_chip_rps=rt.probe_batch_size
+                    / max(rt.probe_service_s, 1e-12))
+                 for rt in runtimes.values()],
+                initial_chips=len(chips),
+                probe_service_s=min(rt.probe_service_s
+                                    for rt in runtimes.values()),
+                capacity_per_chip_rps=1.0
+                / max(fleet_cost_per_request_s, 1e-12))
+            self.control = control
             heapq.heappush(events, (t0 + control.control_interval_s, seq,
                                     _CONTROL, None))
             seq += 1
 
             def new_chip(shape: Optional[str] = None) -> Chip:
                 if shape is None:
-                    shape, hw = cfg.base_shape, cfg.hw
+                    shape, hw = fleet.base_shape, fleet.hw
                 else:
                     hw = self._shapes[shape]
-                chip = Chip(self._next_chip_id, hw,
-                            cfg.feature_cache_size, shape=shape)
-                self._next_chip_id += 1
-                return chip
+                # chips are never removed from the roster, so ids stay dense
+                return Chip(len(chips), hw, fleet.feature_cache_size,
+                            shape=shape)
 
             def schedule_ready(chip: Chip) -> None:
                 nonlocal seq
@@ -1152,39 +1343,46 @@ class ServingSimulator:
             if len(self._shapes) > 1:
                 chooser = ShapeChooser(
                     self.control_config.scale_shape, self._shapes,
-                    scorers=[self.scorer] if self.scorer is not None else [])
+                    scorers=[rt.shape_scorer for rt in runtimes.values()
+                             if rt.shape_scorer is not None])
             scaler = FleetScaler(
-                self.chips, control, new_chip, schedule_ready,
-                # drain the shape the demand needs least (heterogeneous),
-                # else the emptiest queue so the least work gets stranded
-                drain_victim=chooser.retire_victim if chooser is not None
-                else lambda actives: min(
-                    actives,
-                    key=lambda c: (c.outstanding_requests, -c.chip_id)),
+                chips, control, new_chip, schedule_ready,
+                # heterogeneous scale-downs drain the shape the demand
+                # needs least; homogeneous ones ask the dispatch stage
+                chooser.retire_victim if chooser is not None
+                else stage.drain_victim,
                 shape_chooser=chooser)
 
         # ---------------- metrics scraping (instrumented runs) ------------ #
         metrics_interval_s = 0.0
-        if observe is not None and observe.wants_metrics:
+        if observe is not None and observe.wants_metrics and requests:
             from .observe import METRICS_PROBE_MULTIPLE
             metrics_interval_s = observe.metrics_interval_s \
                 if observe.metrics_interval_s is not None \
-                else METRICS_PROBE_MULTIPLE * self.probe_service_time_s
+                else METRICS_PROBE_MULTIPLE * min(
+                    rt.probe_service_s for rt in runtimes.values())
             heapq.heappush(events, (t0 + metrics_interval_s, seq,
                                     _METRICS, None))
             seq += 1
 
         def metrics_snapshot(now: float) -> Dict:
             gauges: Dict = {
-                "repro_queue_depth": batcher.pending_count,
+                "repro_queue_depth": sum(rt.batcher.pending_count
+                                         for rt in runtimes.values()),
                 "repro_in_flight_requests": in_flight,
-                "repro_in_flight_batches": sum(
-                    len(c.queue) + (1 if c.busy else 0)
-                    for c in self.chips),
-                "repro_overlap_ratio_ewma": overlap_ewma,
+                "repro_in_flight_batches": stage.in_flight_batches(),
             }
-            if self.shard_executor is not None:
-                shard_stats = self.shard_executor.stats
+            if anonymous is not None:
+                gauges["repro_overlap_ratio_ewma"] = anonymous.overlap_ewma
+            else:
+                for name, rt in runtimes.items():
+                    labels = (("tenant", name),)
+                    gauges[("repro_tenant_queue_depth", labels)] = \
+                        rt.batcher.pending_count
+                    gauges[("repro_overlap_ratio_ewma", labels)] = \
+                        rt.overlap_ewma
+            if self.sharding_stats is not None:
+                shard_stats = self.sharding_stats
                 gauges["repro_halo_hit_rate"] = shard_stats.halo_hit_rate
                 gauges["repro_halo_bytes_moved"] = shard_stats.halo_bytes_moved
                 gauges["repro_shard_load_imbalance"] = \
@@ -1192,80 +1390,76 @@ class ServingSimulator:
             elapsed = now - t0
             if elapsed > 0:
                 for shape in self._shapes:
-                    members = [c for c in self.chips if c.shape == shape]
+                    members = [c for c in chips if c.shape == shape]
                     busy = sum(c.stats.busy_s for c in members)
                     gauges[("repro_busy_fraction", (("shape", shape),))] = \
                         busy / (elapsed * len(members)) if members else 0.0
             return gauges
 
-        def schedulable_chips() -> List[Chip]:
-            return [chip for chip in self.chips if chip.schedulable]
-
-        def schedule_flush(now: float) -> None:
-            nonlocal scheduled_flush, seq
-            deadline = batcher.next_deadline(now)
-            if deadline is not None and deadline != scheduled_flush:
-                heapq.heappush(events, (max(deadline, now), seq, _FLUSH, None))
-                seq += 1
-                scheduled_flush = deadline
-
-        def dispatch(batch: Batch, now: float) -> None:
+        def schedule_flush(rt: TenantRuntime, now: float) -> None:
             nonlocal seq
-            chip = self._dispatch.select(schedulable_chips(), batch)
-            chip.queue.append((batch, now))
-            dispatch_meta[batch.batch_id] = now
-            depth = sum(b.size for b, _ in chip.queue)
-            report.max_queue_depth = max(report.max_queue_depth, depth)
-            if not chip.busy:
-                start_service(chip, now)
+            deadline = rt.batcher.next_deadline(now)
+            if deadline is not None and deadline != rt.scheduled_flush:
+                heapq.heappush(events, (max(deadline, now), seq, _FLUSH, rt))
+                seq += 1
+                rt.scheduled_flush = deadline
 
-        def start_service(chip: Chip, now: float) -> None:
-            nonlocal seq, cost_per_request_s, overlap_ewma
-            batch, _ = chip.queue.popleft()
+        def submit(rt: TenantRuntime, batch: Batch, now: float) -> None:
+            dispatched_at[(rt.name, batch.batch_id)] = now
+            stage.submit(rt, batch, now)
+
+        def start(chip: Chip, rt: TenantRuntime, batch: Batch,
+                  now: float) -> float:
+            nonlocal seq, fleet_cost_per_request_s
             # seal before costing: a batch being served can take no joins,
             # and the service time must cover its final membership
-            batcher.on_service_start(batch)
+            rt.batcher.on_service_start(batch)
             chip.current = batch
-            start_meta[batch.batch_id] = now
-            if self.stream is not None:
+            started_at[(rt.name, batch.batch_id)] = now
+            if rt.stream is not None:
                 # differential consistency check at the moment of service:
                 # observation only, so it cannot change simulated timings
-                self.stream.check_batch(batch, now)
-            service_s = self.batch_service_time_s(chip, batch, now=now)
-            if hetero_stats is not None:
+                rt.stream.check_batch(batch, now)
+            service_s = rt.service_time_s(chip, batch, now)
+            if hetero is not None:
                 account_batch_service(
-                    self.scorer, hetero_stats, batch, self._profile_fn,
+                    rt.shape_scorer, hetero, batch, rt.profile_fn,
                     chip.shape, service_s,
-                    {c.shape for c in self.chips if c.state == "active"},
-                    # shape-aware dispatch already counted demand at
-                    # selection time; oblivious dispatch counts it here
-                    note_demand=not isinstance(self._dispatch,
-                                               _ShapeAwareDispatch))
-            batcher.observe_service_time(service_s)
-            batching_stats.observe_batch(batch)
-            overlap_ewma = _COST_EWMA_ALPHA * batch.overlap_ratio \
-                + (1 - _COST_EWMA_ALPHA) * overlap_ewma
-            observed = service_s / batch.size
-            cost_per_request_s = _COST_EWMA_ALPHA * observed \
-                + (1 - _COST_EWMA_ALPHA) * cost_per_request_s
+                    {c.shape for c in chips if c.state == "active"},
+                    note_demand=not stage.shape_aware)
+            rt.observe_service(batch, service_s)
+            a = _COST_EWMA_ALPHA
+            fleet_cost_per_request_s = a * (service_s / batch.size) \
+                + (1 - a) * fleet_cost_per_request_s
             chip.stats.busy_s += service_s
+            rt.busy_s += service_s
             heapq.heappush(events, (now + service_s, seq, _COMPLETION, chip))
             seq += 1
             # the service observation may have tightened an SLO-aware
             # deadline for requests already pending -- re-arm the timer
-            schedule_flush(now)
+            schedule_flush(rt, now)
+            return service_s
+
+        stage.start = start
+        pump = stage.pump
+
+        def running() -> bool:  # periodic events re-arm while true
+            return in_flight > 0 or any(rt.arrivals_left > 0
+                                        for rt in runtimes.values())
 
         def complete(chip: Chip, now: float) -> None:
             nonlocal in_flight, backlog_cost_s
             nonlocal completions_interval, violations_interval
             batch = chip.current
+            rt = runtimes[batch.tenant]
             chip.current = None
             chip.stats.batches_served += 1
             chip.stats.requests_served += batch.size
-            dispatched = dispatch_meta.pop(batch.batch_id)
-            started = start_meta.pop(batch.batch_id)
+            key = (rt.name, batch.batch_id)
+            dispatched = dispatched_at.pop(key)
+            started = started_at.pop(key)
             for request in batch.requests:
-                report.records.append(RequestRecord(
+                records.append(RequestRecord(
                     request_id=request.request_id,
                     target_vertex=request.target_vertex,
                     arrival_time_s=request.arrival_time_s,
@@ -1277,35 +1471,34 @@ class ServingSimulator:
                     cache_hit=False,
                     chip_id=chip.chip_id,
                     batch_id=batch.batch_id,
+                    tenant=rt.name,
                     degrade_level=request.degrade_level,
                 ))
                 # degraded answers are lower fidelity: keep them out of the
                 # result cache so later hits never silently inherit the loss
                 if request.degrade_level == 0:
-                    self.result_cache.put(request.target_vertex, now)
-                    if self.stream is not None:
-                        self.stream.register_result(request.target_vertex,
-                                                    now)
+                    rt.result_cache.put(request.target_vertex, now)
+                    if rt.stream is not None:
+                        rt.stream.register_result(request.target_vertex, now)
                 in_flight -= 1
                 completions_interval += 1
-                if now - request.arrival_time_s > self.slo_s:
+                if now - request.arrival_time_s > rt.slo_s:
                     violations_interval += 1
                 backlog_cost_s -= request_cost_s.pop(request.request_id, 0.0)
             if observe is not None:
                 observe.on_batch_complete(now, chip, batch, dispatched,
                                           started)
                 observe.on_shard_batch_complete(now, batch, started)
-            if chip.queue:
-                start_service(chip, now)
-            elif chip.state == "draining":
+            if chip.state == "draining" and not chip.queue:
                 scaler.retire(chip, now)
+            pump(now, chip)
 
         def control_tick(now: float) -> None:
             nonlocal seq, busy_snapshot_s
             nonlocal arrivals_interval, completions_interval
             nonlocal violations_interval, shed_interval
             active, warming, draining = scaler.counts()
-            busy_total_s = sum(c.stats.busy_s for c in self.chips)
+            busy_total_s = sum(c.stats.busy_s for c in chips)
             interval_s = control.control_interval_s
             utilization = (busy_total_s - busy_snapshot_s) \
                 / (interval_s * max(1, active))
@@ -1322,15 +1515,16 @@ class ServingSimulator:
                 violations=violations_interval,
                 shed=shed_interval,
                 utilization=min(1.0, utilization),
-                cost_per_request_s=cost_per_request_s,
-                slo_s=self.slo_s,
+                cost_per_request_s=fleet_cost_per_request_s,
+                # the tightest tenant SLO anchors the fleet delay signal
+                slo_s=min(rt.slo_s for rt in runtimes.values()),
             )
             target = control.tick(obs)
             scaler.scale_to(target, now)
             busy_snapshot_s = busy_total_s
             arrivals_interval = completions_interval = 0
             violations_interval = shed_interval = 0
-            if arrivals_left > 0 or in_flight > 0:
+            if running():
                 heapq.heappush(events, (now + interval_s, seq, _CONTROL, None))
                 seq += 1
 
@@ -1341,7 +1535,7 @@ class ServingSimulator:
                 # float accounting (and hence the report) stays bit-for-bit
                 # identical to an uninstrumented run
                 observe.scrape(now, metrics_snapshot(now))
-                if arrivals_left > 0 or in_flight > 0:
+                if running():
                     heapq.heappush(events, (now + metrics_interval_s, seq,
                                             _METRICS, None))
                     seq += 1
@@ -1349,16 +1543,17 @@ class ServingSimulator:
             in_flight_area += in_flight * (now - last_t)
             last_t = now
             if kind == _ARRIVAL:
-                arrivals_left -= 1
-                arrivals_interval += 1
                 request: Request = payload
-                if self.capture is not None:
-                    self.capture.record(request)
-                if self.result_cache.get(request.target_vertex) is not None:
-                    if self.stream is not None:
-                        self.stream.on_result_hit(request.target_vertex, now)
-                    done = now + cfg.cache_hit_latency_s
-                    report.records.append(RequestRecord(
+                rt = anonymous or runtimes[request.tenant]
+                rt.arrivals_left -= 1
+                arrivals_interval += 1
+                if capture is not None:
+                    capture.record(request)
+                if rt.result_cache.get(request.target_vertex) is not None:
+                    if rt.stream is not None:
+                        rt.stream.on_result_hit(request.target_vertex, now)
+                    done = now + fleet.cache_hit_latency_s
+                    records.append(RequestRecord(
                         request_id=request.request_id,
                         target_vertex=request.target_vertex,
                         arrival_time_s=request.arrival_time_s,
@@ -1366,17 +1561,19 @@ class ServingSimulator:
                         service_start_s=done,
                         completion_time_s=done,
                         cache_hit=True,
+                        tenant=rt.name,
                     ))
                     if observe is not None:
-                        observe.on_cache_hit(now, request, done)
+                        observe.on_cache_hit(now, request, done,
+                                             tenant=rt.name)
                 else:
                     admitted = True
                     if control is not None:
-                        est_delay_s = backlog_cost_s \
-                            / max(1, len(schedulable_chips()))
+                        active_count = sum(1 for c in chips if c.schedulable)
+                        est_delay_s = backlog_cost_s / max(1, active_count)
                         decision = control.admit(
-                            "", now, est_delay_s, cost_per_request_s,
-                            overlap_ratio=overlap_ewma if overlap_aware
+                            rt.name, now, est_delay_s, rt.cost_per_request_s,
+                            overlap_ratio=rt.overlap_ewma if rt.overlap_aware
                             else 0.0)
                         admitted = decision.admitted
                         if not admitted:
@@ -1388,7 +1585,7 @@ class ServingSimulator:
                                 degrade_hops=decision.num_hops,
                                 degrade_fanout=decision.fanout)
                         if admitted:
-                            cost = cost_per_request_s * decision.cost_scale
+                            cost = rt.cost_per_request_s * decision.cost_scale
                             request_cost_s[request.request_id] = cost
                             backlog_cost_s += cost
                     if admitted:
@@ -1396,78 +1593,239 @@ class ServingSimulator:
                         # continuous batching: a formed-but-unstarted batch
                         # may absorb the request outright (its completion
                         # will cover it); otherwise accumulate as usual
-                        joined = batcher.try_join(request, now)
+                        joined = rt.batcher.try_join(request, now)
                         if joined is not None:
-                            # the join deepened some chip's queue in place
-                            depth = max((sum(b.size for b, _ in c.queue)
-                                         for c in self.chips), default=0)
-                            report.max_queue_depth = max(
-                                report.max_queue_depth, depth)
+                            stage.on_join(rt, joined)
                         else:
-                            batch = batcher.add(request, now)
+                            batch = rt.batcher.add(request, now)
                             if batch is not None:
-                                dispatch(batch, now)
+                                submit(rt, batch, now)
+                                pump(now)
                             # re-arm in every case: formation policies can
                             # emit a subset and leave a deadline pending
-                            schedule_flush(now)
-                if arrivals_left == 0 and batcher.pending_count \
-                        and batcher.next_deadline(now) is None:
-                    # end of stream under a pure size cap: drain the remainder
-                    for leftover in batcher.drain(now):
-                        dispatch(leftover, now)
+                            schedule_flush(rt, now)
+                if rt.arrivals_left == 0 and rt.batcher.pending_count \
+                        and rt.batcher.next_deadline(now) is None:
+                    # end of this tenant's stream under a pure size cap:
+                    # drain the remainder
+                    for leftover in rt.batcher.drain(now):
+                        submit(rt, leftover, now)
+                    pump(now)
             elif kind == _FLUSH:
-                scheduled_flush = None
-                batch = batcher.flush_due(now)
+                rt = payload
+                rt.scheduled_flush = None
+                batch = rt.batcher.flush_due(now)
                 if batch is not None:
-                    dispatch(batch, now)
-                schedule_flush(now)
+                    submit(rt, batch, now)
+                    pump(now)
+                schedule_flush(rt, now)
             elif kind == _COMPLETION:
                 complete(payload, now)
             elif kind == _UPDATE:
                 # recorded before application, mirroring request capture at
                 # arrival, so a captured trace replays the offered stream
-                if self.capture is not None:
-                    self.capture.record_update(payload)
-                self.stream.apply(now, payload)
+                if capture is not None:
+                    capture.record_update(payload)
+                (anonymous or runtimes[payload.tenant]).stream.apply(
+                    now, payload)
             elif kind == _CONTROL:
                 control_tick(now)
             else:  # _CHIP_READY
-                scaler.mark_ready(payload, now)
+                if scaler.mark_ready(payload, now):
+                    pump(now)
 
-        if observe is not None and observe.wants_metrics:
+        if observe is not None and observe.wants_metrics and requests:
             # closing scrape (outside the loop, so it cannot perturb the
             # integral): even a run shorter than the interval gets >= 1 row
             observe.scrape(last_t, metrics_snapshot(last_t))
-        span = last_t - t0
-        report.avg_in_flight = in_flight_area / span if span > 0 else 0.0
+        span_s = last_t - t0
+        for rt in runtimes.values():
+            rt.batching.late_join_rejects = rt.batcher.late_join_rejects
+        if hetero is not None:
+            for chip in chips:
+                hetero.shape_counts[chip.shape] = \
+                    hetero.shape_counts.get(chip.shape, 0) + 1
+            hetero.scored_batches = sum(d.scored for d in stage.shape_aware)
+            hetero.fallback_batches = sum(d.fallback
+                                          for d in stage.shape_aware)
+            for rt in runtimes.values():
+                if rt.shape_scorer is not None:
+                    prefix = f"{rt.name}/" if rt.name else ""
+                    hetero.rates.update(
+                        {prefix + key: rate for key, rate
+                         in rt.shape_scorer.snapshot().items()})
+        if self.sharding_stats is not None:
+            latencies = [r.latency_s for r in records]
+            self.sharding_stats.p50_s = percentile(latencies, 50)
+            self.sharding_stats.p95_s = percentile(latencies, 95)
+            self.sharding_stats.p99_s = percentile(latencies, 99)
+        if self.consistency is not None:
+            for rt in runtimes.values():
+                rt.stream.finalize()
+            self.consistency.p99_s = percentile(
+                [r.latency_s for r in records], 99)
+        return _Served(
+            records=records, span_s=span_s,
+            avg_in_flight=in_flight_area / span_s if span_s > 0 else 0.0,
+            control=control.finalize(last_t, chips)
+            if control is not None else None)
+
+
+class ServingSimulator(_FleetSimulator):
+    """Discrete-event simulation of online inference over a chip fleet.
+
+    The one-tenant front end of the fleet's event loop: a single anonymous
+    :class:`TenantRuntime` serves ``graph`` with ``model``, and formed
+    batches are *pushed* onto per-chip queues by the configured
+    :data:`DISPATCH_POLICIES` policy.  See :class:`_FleetSimulator` for the
+    elastic control plane.
+    """
+
+    def __init__(self, graph: Graph, model, config: Optional[FleetConfig] = None,
+                 dataset_name: Optional[str] = None,
+                 control: Optional[ControlConfig] = None,
+                 observe=None, capture=None, updates=None):
+        cfg = config or FleetConfig()
+        if updates is not None and not isinstance(graph, DeltaGraph):
+            graph = DeltaGraph(graph, compact_every=updates.compact_every)
+        runtime = TenantRuntime("", cfg, cfg, graph, model,
+                                dataset_name or graph.name, cfg.seed,
+                                priced=False)
+        super().__init__(cfg, {"": runtime}, control, observe, capture,
+                         updates)
+        self.config = cfg
+        #: The one tenant's run-time state (sampler, caches, time scales).
+        self.runtime = runtime
+        #: The per-(shape, bucket) service-rate model (None when untracked).
+        self.scorer = runtime.shape_scorer
+        self.probe_service_time_s = runtime.probe_service_s
+        self.slo_s = runtime.slo_s
+        self.join_window_s = runtime.join_window_s
+        self.staleness_s = runtime.staleness_s
+        self._dispatch = _build_dispatch(
+            cfg.dispatch, graph.num_vertices, len(self.chips),
+            scorer=runtime.shape_scorer, profile_fn=runtime.profile_fn)
+
+    @property
+    def batcher(self):
+        """The batcher of the current (or most recent) run; tests replay
+        ``ContinuousBatcher.join_log`` through it to prove the late-join
+        budgets held."""
+        return self.runtime.batcher
+
+    def calibrate_rate(self, utilization_target: float = 0.7) -> float:
+        """Arrival rate that loads the fleet to ``utilization_target``.
+
+        A probe batch of ``max_batch_size`` distinct uniformly-drawn targets is
+        simulated once per chip shape; the fleet's aggregate request
+        throughput at full utilisation sums each chip's
+        ``max_batch_size / service_time`` over the configured roster (which
+        for a homogeneous fleet is the familiar
+        ``num_chips * max_batch_size / service_time``).  Targets above 1
+        deliberately overload the fleet (a queueing-study regime).
+        """
+        if not 0 < utilization_target:
+            raise ValueError("utilization_target must be positive")
+        rt = self.runtime
+        capacity_rps = sum(
+            rt.probe_batch_size / max(rt.probe_by_shape[shape], 1e-12)
+            for shape, _ in self.config.chip_roster())
+        return utilization_target * capacity_rps
+
+    def run(self, requests: Sequence[Request],
+            rate_rps: float = 0.0) -> ServingReport:
+        """Serve ``requests`` (sorted by arrival) and return the report."""
+        cfg = self.config
+        rt = self.runtime
+        report = ServingReport(
+            model_name=getattr(rt.model, "name", rt.model.__class__.__name__),
+            dataset_name=rt.dataset_name,
+            num_chips=len(self.chips),
+            batch_policy=cfg.batch_policy,
+            dispatch_policy=cfg.dispatch,
+            rate_rps=rate_rps,
+            slo_s=rt.slo_s,
+        )
+        if not requests:
+            report.chips = [chip.stats for chip in self.chips]
+            return report
+        stage = _PushStage(self._dispatch, self.chips)
+        hetero = HeteroStats(dispatch_policy=cfg.dispatch) \
+            if self._track_shapes else None
+        served = self._serve(requests, stage, hetero)
         logger.info("served %d requests on %d chips in %.6f s simulated",
-                    len(requests), len(self.chips), span)
+                    len(requests), len(self.chips), served.span_s)
+        report.records = served.records
+        report.max_queue_depth = stage.peak_backlog
+        report.avg_in_flight = served.avg_in_flight
         report.chips = [chip.stats for chip in self.chips]
-        report.cache = self.result_cache.stats
-        batching_stats.late_join_rejects = batcher.late_join_rejects
-        report.batching = batching_stats
-        if hetero_stats is not None:
-            for chip in self.chips:
-                hetero_stats.shape_counts[chip.shape] = \
-                    hetero_stats.shape_counts.get(chip.shape, 0) + 1
-            if isinstance(self._dispatch, _ShapeAwareDispatch):
-                hetero_stats.scored_batches = self._dispatch.scored
-                hetero_stats.fallback_batches = self._dispatch.fallback
-            hetero_stats.rates = self.scorer.snapshot()
-            report.hetero = hetero_stats
-        if self.shard_executor is not None:
-            shard_stats = self.shard_executor.stats
-            shard_stats.p50_s = report.p50_latency_s
-            shard_stats.p95_s = report.p95_latency_s
-            shard_stats.p99_s = report.p99_latency_s
-            report.sharding = shard_stats
-        if control is not None:
-            report.control = control.finalize(last_t, self.chips)
-        if self.stream is not None:
-            self.stream.finalize()
-            self.consistency.p99_s = report.p99_latency_s
-            report.consistency = self.consistency
+        report.cache = rt.result_cache.stats
+        report.batching = rt.batching
+        report.hetero = hetero
+        report.sharding = self.sharding_stats
+        report.control = served.control
+        report.consistency = self.consistency
         return report
+
+
+# --------------------------------------------------------------------------- #
+# End-to-end drivers' shared streaming/capture plumbing
+# --------------------------------------------------------------------------- #
+#: Capture-metadata keys describing the offered update process.
+_UPDATE_PROVENANCE = ("update_rate", "update_mix", "invalidation",
+                      "staleness_budget")
+
+
+def _arm_update_stream(updates, update_rate: float, replay,
+                      invalidation: str, staleness_budget: int):
+    """``(updates, fill)``: the update stream a run arms, and whether its
+    events are still to be generated.
+
+    The stream object must exist before the simulator (it wraps the
+    graphs and rebinds the caches), but its events need the resolved
+    arrival rates -- so a driver creates it empty here and fills
+    ``updates.events`` after calibration / replay resolution (``fill``).
+    A replayed trace that carries updates arms the stream with the
+    capturing run's policy, which is part of what made its report.
+    """
+    if update_rate < 0:
+        raise ValueError("update_rate must be >= 0")
+    if updates is not None:
+        return updates, False
+    replayed = replay is not None and replay.num_updates > 0
+    if not (update_rate > 0 or replayed):
+        return None, False
+    if replayed:
+        invalidation = replay.meta.get("invalidation", invalidation)
+        staleness_budget = int(replay.meta.get("staleness_budget",
+                                               staleness_budget))
+    return UpdateStream(events=(), policy=invalidation,
+                        staleness_budget_versions=staleness_budget), True
+
+
+def _stamp_capture(capture, meta: Dict, updates, update_rate: float,
+                  update_mix: Optional[str], replay,
+                  provenance: Tuple[str, ...] = _UPDATE_PROVENANCE) -> None:
+    """Stamp everything ``serve --replay`` / ``trace-stats`` need into
+    ``capture.meta`` before serving begins.
+
+    Re-capturing a replay keeps the original workload's ``provenance``
+    keys (the offered process, not the replay mechanism), so the new trace
+    file is byte-identical to the one replayed.
+    """
+    capture.meta.update(meta)
+    if updates is not None:
+        capture.meta.update({
+            "update_rate": update_rate,
+            "invalidation": updates.policy,
+            "staleness_budget": updates.staleness_budget_versions,
+        })
+        if update_mix:
+            capture.meta["update_mix"] = update_mix
+    if replay is not None:
+        for key in provenance:
+            if key in replay.meta:
+                capture.meta[key] = replay.meta[key]
 
 
 def run_serving(
@@ -1517,27 +1875,10 @@ def run_serving(
     the replayed report is bit-for-bit identical to the captured run's.
     """
     config = config or FleetConfig()
-    if update_rate < 0:
-        raise ValueError("update_rate must be >= 0")
+    updates, fill_update_events = _arm_update_stream(
+        updates, update_rate, replay, invalidation, staleness_budget)
     graph = load_dataset(dataset, seed=seed)
     model = build_model(model_name, input_length=graph.feature_length)
-    # streaming updates: the stream object must exist before the simulator
-    # (it wraps the graph and rebinds the caches), but its events need the
-    # resolved arrival rate -- so they are filled in below, after
-    # calibration / replay resolution, and read at run() time
-    fill_update_events = False
-    if updates is None:
-        replayed_updates = replay is not None and replay.num_updates > 0
-        if update_rate > 0 or replayed_updates:
-            if replayed_updates:
-                # the capturing run's policy is part of what made its
-                # report; replay it bit-for-bit unless it never stamped one
-                invalidation = replay.meta.get("invalidation", invalidation)
-                staleness_budget = int(replay.meta.get(
-                    "staleness_budget", staleness_budget))
-            updates = UpdateStream(events=(), policy=invalidation,
-                                   staleness_budget_versions=staleness_budget)
-            fill_update_events = True
     simulator = ServingSimulator(graph, model, config, dataset_name=dataset,
                                  control=control, observe=observe,
                                  capture=capture, updates=updates)
@@ -1576,33 +1917,16 @@ def run_serving(
                 num_updates=int(round(update_rate * num_requests)),
                 rate_ups=update_rate * rate_rps, mix=mix, seed=seed)
     if capture is not None:
-        # everything `serve --replay` / `trace-stats` needs to reproduce
-        # and characterise this run, stamped before serving begins
-        capture.meta.update({
+        _stamp_capture(capture, {
             "kind": "serve", "dataset": dataset, "model": model_name,
             "num_hops": config.num_hops, "fanout": config.fanout,
             "seed": seed, "popularity_skew": popularity_skew,
             "arrival": arrival, "rate_rps": rate_rps,
             "num_chips": config.num_chips,
             "slo_s": simulator.slo_s,
-        })
-        if updates is not None:
-            capture.meta.update({
-                "update_rate": update_rate,
-                "invalidation": updates.policy,
-                "staleness_budget": updates.staleness_budget_versions,
-            })
-            if update_mix:
-                capture.meta["update_mix"] = update_mix
-        if replay is not None:
-            # re-capturing a replay keeps the original workload's
-            # provenance (the offered process, not the replay mechanism),
-            # so the new trace file is byte-identical to the one replayed
-            for key in ("arrival", "popularity_skew", "seed",
-                        "update_rate", "update_mix", "invalidation",
-                        "staleness_budget"):
-                if key in replay.meta:
-                    capture.meta[key] = replay.meta[key]
+        }, updates, update_rate, update_mix, replay,
+            provenance=("arrival", "popularity_skew", "seed")
+            + _UPDATE_PROVENANCE)
     workload = WorkloadConfig(num_requests=num_requests, rate_rps=rate_rps,
                               arrival=arrival, popularity_skew=popularity_skew,
                               peak_factor=peak_factor, seed=seed)

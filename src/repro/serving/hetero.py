@@ -437,8 +437,8 @@ def make_profile_fn(sampler, feature_length: int):
 
     Honours per-request degrade overrides (a degraded request is profiled
     at the shape it will actually sample), exactly like the service-time
-    model does.  Shared by the single-tenant fleet and every tenant
-    runtime.
+    model does.  Each :class:`~repro.serving.fleet.TenantRuntime` that
+    tracks shapes binds one.
     """
     def profile(batch) -> BatchProfile:
         fused, naive = sampler.fused_size(
@@ -532,9 +532,8 @@ def account_batch_service(scorer: ShapeScorer, stats, batch, profile_fn,
                           active_shapes, note_demand: bool) -> None:
     """Fold one measured batch service into the shape books.
 
-    The single- and multi-tenant event loops both call this right after
-    simulating a batch's service time, so the bookkeeping cannot drift
-    between them: stamp the batch's profile if missing, count demand
+    The event loop calls this right after simulating a batch's service
+    time: stamp the batch's profile if missing, count demand
     (``note_demand=True`` under shape-*oblivious* dispatch — the
     shape-aware dispatcher already counted it at selection time), charge
     ``stats.misdispatch_s`` with the time lost versus the oracle-best

@@ -4,10 +4,10 @@ The serving subsystem's end-of-run report (:mod:`repro.serving.stats`)
 answers *what happened on average*; this module answers *where one request
 spent its time* and *how fleet state evolved mid-run*.  Three pieces:
 
-* :class:`Instrumentation` -- the hub both event loops
-  (:mod:`repro.serving.fleet`, :mod:`repro.serving.tenancy`) thread their
-  lifecycle hooks through.  It is **opt-in**: the loops hold ``observe =
-  None`` by default and guard every hook with an ``is not None`` check, so
+* :class:`Instrumentation` -- the hub the fleet's event loop
+  (:mod:`repro.serving.fleet`, single- and multi-tenant alike) threads its
+  lifecycle hooks through.  It is **opt-in**: the loop holds ``observe =
+  None`` by default and guards every hook with an ``is not None`` check, so
   an uninstrumented run executes no observability code at all.  All
   timestamps are **seconds of simulated time** (the discrete-event clock),
   never wall time -- instrumenting a run does not perturb it, and the
@@ -30,7 +30,7 @@ spent its time* and *how fleet state evolved mid-run*.  Three pieces:
 * Metrics.  A :class:`MetricsRegistry` of Counter / Gauge / Histogram
   (fixed buckets) instruments.  Counters are bumped by the hooks
   (admission drops, scale events, late joins, ...); gauges are sampled by
-  the event loops at a configurable simulated-time interval
+  the event loop at a configurable simulated-time interval
   (``--metrics-interval-ms``) via :meth:`Instrumentation.scrape`, which
   appends one row to a JSONL time series.
   :meth:`Instrumentation.write_metrics` writes the JSONL plus a
@@ -261,7 +261,7 @@ class MetricsRegistry:
 # The instrumentation hub
 # --------------------------------------------------------------------------- #
 class Instrumentation:
-    """Collects spans and metrics from the serving event loops.
+    """Collects spans and metrics from the serving event loop.
 
     Construct one and pass it as the ``observe`` argument of
     :class:`~repro.serving.fleet.ServingSimulator` /
@@ -321,7 +321,7 @@ class Instrumentation:
         self.events.append({"ph": "M", "name": "thread_name",
                             "pid": pid, "tid": tid, "args": {"name": name}})
 
-    # -- lifecycle hooks (called by the event loops) ------------------- #
+    # -- lifecycle hooks (called by the event loop) -------------------- #
     def on_batch_formed(self, now: float, batch) -> None:
         """A batcher emitted a batch (``Batcher.flush`` and friends)."""
         self.registry.counter(
@@ -397,17 +397,17 @@ class Instrumentation:
                        {"tenant": tenant} if tenant else None)
 
     def on_batch_complete(self, now: float, chip, batch,
-                          dispatched_s: float, started_s: float,
-                          tenant: str = "") -> None:
+                          dispatched_s: float, started_s: float) -> None:
         """A chip finished serving ``batch``; emit its span tree.
 
-        Called from the loops' completion handlers with the same
+        Called from the loop's completion handler with the same
         ``dispatched`` / ``started`` timestamps the
         :class:`~repro.serving.stats.RequestRecord` is built from, so the
         per-request phase spans (batching -> queue -> service) sum to the
         recorded latency exactly.
         """
         registry = self.registry
+        tenant = batch.tenant
         tenant_labels = {"tenant": tenant} if tenant else None
         registry.counter("repro_requests_completed_total",
                          "Requests served to completion",
@@ -430,7 +430,7 @@ class Instrumentation:
                           f"chip {chip_id}" + (f" ({shape})" if shape else ""))
         args = {
             "batch_id": batch.batch_id, "size": batch.size,
-            "tenant": tenant or batch.tenant,
+            "tenant": tenant,
             "late_joins": batch.late_joins,
             "overlap_ratio": batch.overlap_ratio,
             "fused_vertices": batch.fused_vertices,
@@ -446,8 +446,8 @@ class Instrumentation:
             # batching wait ends at its own arrival
             dispatch_s = max(dispatched_s, request.arrival_time_s)
             common = {"batch_id": batch.batch_id, "chip_id": chip_id}
-            if tenant or batch.tenant:
-                common["tenant"] = tenant or batch.tenant
+            if tenant:
+                common["tenant"] = tenant
             tid = request.request_id
             self._span("batching", "request", request.arrival_time_s,
                        dispatch_s, PID_REQUESTS, tid, dict(common))

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -200,10 +200,10 @@ class ShardExecutor:
     """Drives one batch across the chip group and accounts the exchange.
 
     One executor per (run, tenant): it owns the plan and the sampler/model
-    binding, while the per-chip halo caches may be shared across tenants
-    (the multi-tenant path passes one cache list for the whole fleet and a
-    ``key_fn`` mapping vertex ids to ``(tenant, vertex)`` keys, mirroring
-    the feature-cache convention).
+    binding, while ``stats`` and the per-chip ``halo_caches`` are fleet-wide
+    and shared across tenants (``key_fn`` maps vertex ids to
+    ``(tenant, vertex)`` keys, mirroring the feature-cache convention;
+    ``None`` keys by vertex id).
 
     The executor never touches the event loop: the fleet calls
     :meth:`service_time_s` exactly where the unsharded path calls
@@ -213,9 +213,8 @@ class ShardExecutor:
 
     def __init__(self, plan: ShardPlan, chips: Sequence, sampler, model,
                  dataset_name: str, config: ShardingConfig,
-                 feature_bytes: int, stats: Optional[ShardingStats] = None,
-                 halo_caches: Optional[List[LRUCache]] = None,
-                 key_fn=None):
+                 feature_bytes: int, stats: ShardingStats,
+                 halo_caches: List[LRUCache], key_fn=None):
         if len(chips) < plan.num_shards:
             raise ValueError(
                 f"chip group of {len(chips)} cannot host {plan.num_shards} "
@@ -228,16 +227,11 @@ class ShardExecutor:
         self.config = config
         #: bytes of one vertex's feature vector (feature_length * itemsize).
         self.feature_bytes = int(feature_bytes)
-        self.stats = stats if stats is not None else ShardingStats(
-            num_shards=plan.num_shards, partitioner=plan.partitioner)
+        self.stats = stats
         if not self.stats.shard_busy_s:
             self.stats.shard_busy_s = [0.0] * plan.num_shards
             self.stats.shard_requests = [0] * plan.num_shards
         self.stats.fold_plan(plan)
-        if halo_caches is None:
-            capacity = int(config.halo_cache_mb * (1 << 20)
-                           / max(self.feature_bytes, 1))
-            halo_caches = [LRUCache(capacity) for _ in range(plan.num_shards)]
         self.halo_caches = halo_caches
         self._key_fn = key_fn if key_fn is not None else (lambda v: v)
         #: armed by :class:`~repro.serving.streaming.StreamState` on

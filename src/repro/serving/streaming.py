@@ -2,7 +2,7 @@
 
 The production graphs the paper's serving story targets (fraud, recsys,
 knowledge graphs) mutate continuously while queries are in flight.  This
-module supplies everything the event loops need to serve such a workload
+module supplies everything the event loop needs to serve such a workload
 *consistently*:
 
 * :class:`UpdateEvent` -- one graph mutation with its own arrival time,
@@ -12,7 +12,7 @@ module supplies everything the event loops need to serve such a workload
   configurable kind mix (see :func:`parse_update_mix`), memoised
   process-wide so policy-comparison sweeps replay the identical stream;
 * :class:`UpdateStream` -- the duck-typed ``updates=`` opt-in object both
-  event loops accept (``updates=None`` keeps existing runs untouched);
+  event loop accepts (``updates=None`` keeps existing runs untouched);
 * :class:`StreamState` -- the per-run applier / invalidator / consistency
   tracker.  It owns the *invalidation matrix*: which of the five derived
   caches (result cache, per-chip feature caches, sampler sample/signature
@@ -288,7 +288,7 @@ class StreamState:
         return self.stream.staleness_budget_versions
 
     # ------------------------------------------------------------------ #
-    # Update application (the event loops' _UPDATE handler)
+    # Update application (the event loop's _UPDATE handler)
     # ------------------------------------------------------------------ #
     def apply(self, now: float, event: UpdateEvent) -> int:
         """Apply one update, run the invalidation matrix, return the number

@@ -4,11 +4,11 @@ The observability layer (:mod:`repro.serving.observe`) answers *where a
 request spent its time*; this module answers *what traffic the fleet was
 offered* -- and makes that stream a first-class, replayable artifact:
 
-* :class:`TraceWriter` -- the capture hub both event loops
-  (:mod:`repro.serving.fleet`, :mod:`repro.serving.tenancy`) thread their
+* :class:`TraceWriter` -- the capture hub the fleet's event loop
+  (:mod:`repro.serving.fleet`, single- and multi-tenant alike) threads its
   arrival hook through, same duck-typed opt-in pattern as
-  :class:`~repro.serving.observe.Instrumentation`: the loops hold
-  ``capture = None`` by default and guard the single hook with an
+  :class:`~repro.serving.observe.Instrumentation`: the loop holds
+  ``capture = None`` by default and guards the single hook with an
   ``is not None`` check, so an uncaptured run executes no capture code.
   The hook fires on every *offered* request at its arrival event -- before
   the cache lookup and before the control plane's admission/degradation
@@ -265,7 +265,7 @@ class RequestTrace:
 
 
 class TraceWriter:
-    """Capture hub the event loops thread their arrival hook through.
+    """Capture hub the event loop threads its arrival hook through.
 
     Duck-typed exactly like :class:`~repro.serving.observe.Instrumentation`:
     pass one as ``capture=`` to :func:`~repro.serving.fleet.run_serving` /
