@@ -13,7 +13,7 @@ interval it:
 4. accumulates partial results in the Aggregation Buffer.
 
 The output is a list of :class:`IntervalAggregation` transactions carrying the
-compute-cycle cost, the DRAM requests and the buffer traffic of each interval;
+compute-cycle cost, the DRAM transfers and the buffer traffic of each interval;
 the Coordinator composes them with the Combination Engine's transactions.
 """
 
@@ -28,7 +28,7 @@ from ..graphs.graph import Graph
 from ..graphs.partition import IntervalShardPartition, partition_graph
 from ..graphs.sampling import NeighborSampler
 from ..hw.buffer import DoubleBuffer
-from ..hw.dram import MemoryRequest
+from ..hw.dram import Transfer
 from ..models.layers import LayerWorkload
 from .config import HyGCNConfig
 from .sparsity import SparsityEliminator, SparsityReport
@@ -50,12 +50,8 @@ class IntervalAggregation:
     input_feature_bytes: int
     edge_bytes: int
     aggregation_buffer_bytes: int
-    dram_requests: List[MemoryRequest] = field(default_factory=list)
+    dram_transfers: List[Transfer] = field(default_factory=list)
     sparsity: Optional[SparsityReport] = None
-
-    @property
-    def dram_bytes(self) -> int:
-        return sum(r.num_bytes for r in self.dram_requests)
 
 
 class AggregationEngine:
@@ -106,12 +102,11 @@ class AggregationEngine:
         tasks: List[IntervalAggregation] = []
 
         for interval in partition.intervals:
-            edges = self._interval_edges(graph, interval.start, interval.stop)
-            num_edges = int(edges.shape[0])
+            sources = self._interval_sources(graph, interval.start, interval.stop)
+            num_edges = int(sources.size)
             baseline_rows = graph.num_vertices
             if cfg.enable_sparsity_elimination:
-                report = eliminator.eliminate(edges[:, 0] if num_edges else [],
-                                              graph.num_vertices,
+                report = eliminator.eliminate(sources, graph.num_vertices,
                                               baseline_rows=baseline_rows)
                 loaded_rows = report.loaded_rows
             else:
@@ -125,8 +120,16 @@ class AggregationEngine:
             # --- DRAM traffic -------------------------------------------------
             input_bytes = loaded_rows * bytes_per_feature_row
             edge_bytes = num_edges * bytes_per_edge
-            requests = self._build_requests(report, loaded_rows, bytes_per_feature_row,
-                                            edge_bytes)
+            # the edge array streams sequentially from the CSC structure; input
+            # features load as one run per effectual window, or one run over
+            # all rows when sparsity elimination is off
+            transfers = [("edges", 0, edge_bytes)]
+            if report is not None:
+                transfers += [("input_features", w.start * bytes_per_feature_row,
+                               w.num_rows * bytes_per_feature_row)
+                              for w in report.windows]
+            else:
+                transfers.append(("input_features", 0, input_bytes))
 
             # --- on-chip buffer traffic --------------------------------------
             # the double buffer holds one interval's edges at a time
@@ -152,56 +155,14 @@ class AggregationEngine:
                 input_feature_bytes=input_bytes,
                 edge_bytes=edge_bytes,
                 aggregation_buffer_bytes=agg_buffer_bytes,
-                dram_requests=requests,
+                dram_transfers=transfers,
                 sparsity=report,
             ))
         return tasks
 
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _interval_edges(graph: Graph, start: int, stop: int) -> np.ndarray:
-        """All (src, dst) edges whose destination lies in ``[start, stop)``."""
+    def _interval_sources(graph: Graph, start: int, stop: int) -> np.ndarray:
+        """Source vertex of every edge whose destination lies in ``[start, stop)``."""
         csc = graph.csc
-        lo, hi = csc.indptr[start], csc.indptr[stop]
-        srcs = csc.indices[lo:hi]
-        if srcs.size == 0:
-            return np.empty((0, 2), dtype=np.int64)
-        lengths = np.diff(csc.indptr[start:stop + 1])
-        dsts = np.repeat(np.arange(start, stop), lengths)
-        return np.stack([srcs, dsts], axis=1)
-
-    def _build_requests(
-        self,
-        report: Optional[SparsityReport],
-        loaded_rows: int,
-        bytes_per_feature_row: int,
-        edge_bytes: int,
-    ) -> List[MemoryRequest]:
-        """DRAM requests for one interval: the edge list plus feature windows."""
-        granularity = self.config.hbm.row_buffer_bytes
-        requests: List[MemoryRequest] = []
-        # Edge array: streamed sequentially from the CSC structure.
-        requests.extend(_chunk_requests("edges", 0, edge_bytes, granularity))
-        # Input features: one contiguous run per effectual window (or one big
-        # run covering all rows when sparsity elimination is off).
-        if report is not None:
-            for window in report.windows:
-                start = window.start * bytes_per_feature_row
-                size = window.num_rows * bytes_per_feature_row
-                requests.extend(_chunk_requests("input_features", start, size, granularity))
-        elif loaded_rows:
-            requests.extend(_chunk_requests(
-                "input_features", 0, loaded_rows * bytes_per_feature_row, granularity))
-        return requests
-
-
-def _chunk_requests(stream: str, base_address: int, total_bytes: int,
-                    granularity: int) -> List[MemoryRequest]:
-    """Split a contiguous transfer into row-buffer-sized DRAM requests."""
-    requests = []
-    offset = 0
-    while offset < total_bytes:
-        chunk = min(granularity, total_bytes - offset)
-        requests.append(MemoryRequest(stream, base_address + offset, chunk))
-        offset += chunk
-    return requests
+        return csc.indices[csc.indptr[start]:csc.indptr[stop]]

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 from typing import List, Sequence
 
 from ..hw.buffer import ScratchpadBuffer
-from ..hw.dram import MemoryRequest
+from ..hw.dram import Transfer
 from ..models.layers import LayerWorkload
-from .aggregation_engine import IntervalAggregation, _chunk_requests
+from .aggregation_engine import IntervalAggregation
 from .config import HyGCNConfig, PipelineMode
 from .systolic import SystolicArrayModel
 
@@ -39,11 +39,7 @@ class IntervalCombination:
     weight_buffer_read_bytes: int
     output_buffer_bytes: int
     activation_ops: int
-    dram_requests: List[MemoryRequest] = field(default_factory=list)
-
-    @property
-    def dram_bytes(self) -> int:
-        return sum(r.num_bytes for r in self.dram_requests)
+    dram_transfers: List[Transfer] = field(default_factory=list)
 
 
 class CombinationEngine:
@@ -83,7 +79,6 @@ class CombinationEngine:
         mlp = workload.combination.mlp
         weights_resident = self.weights_fit_on_chip(workload)
         weight_bytes_total = self.mlp_weight_bytes(workload)
-        granularity = cfg.hbm.row_buffer_bytes
         out_bytes_per_vertex = workload.out_feature_length * cfg.bytes_per_value
         tasks: List[IntervalCombination] = []
 
@@ -105,16 +100,12 @@ class CombinationEngine:
             fetch_weights = (i == 0) or not weights_resident
             weight_dram = weight_bytes_total if fetch_weights else 0
             output_dram = vertices * out_bytes_per_vertex
-            requests = []
-            if weight_dram:
-                requests.extend(_chunk_requests("weights", 0, weight_dram, granularity))
-            requests.extend(_chunk_requests(
-                "output_features",
-                agg.interval_index * out_bytes_per_vertex * max(vertices, 1),
-                output_dram, granularity))
-            for request in requests:
-                if request.stream == "output_features":
-                    request.is_write = True
+            transfers = [
+                ("weights", 0, weight_dram),
+                ("output_features",
+                 agg.interval_index * out_bytes_per_vertex * max(vertices, 1),
+                 output_dram),
+            ]
 
             # --- on-chip buffer traffic --------------------------------------
             self.weight_buffer.allocate("mlp", min(weight_bytes_total, cfg.weight_buffer_bytes))
@@ -134,6 +125,6 @@ class CombinationEngine:
                 weight_buffer_read_bytes=weight_buffer_reads,
                 output_buffer_bytes=2 * output_dram,
                 activation_ops=activation_ops,
-                dram_requests=requests,
+                dram_transfers=transfers,
             ))
         return tasks

@@ -16,17 +16,17 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from ..graphs.graph import Graph
 from ..hw.buffer import BufferStats
-from ..hw.dram import DRAMStats, MemoryRequest
+from ..hw.dram import DRAMStats, Transfer
 from ..hw.energy import EnergyModel
 from ..models.base import GCNModel
 from ..models.diffpool import DiffPoolModel
 from ..models.layers import LayerWorkload
 from ..models.model_zoo import workloads_for
-from .aggregation_engine import AggregationEngine, IntervalAggregation, _chunk_requests
+from .aggregation_engine import AggregationEngine, IntervalAggregation
 from .combination_engine import CombinationEngine, IntervalCombination
 from .config import HyGCNConfig, PipelineMode
 from .coordinator import Coordinator, IntervalTiming
-from .memory_handler import MemoryAccessHandler
+from .memory_handler import AccessBatchResult, MemoryAccessHandler
 from .stats import LayerReport, SimulationReport
 
 __all__ = ["HyGCNSimulator"]
@@ -56,6 +56,7 @@ class HyGCNSimulator:
             model_name=getattr(model, "name", model.__class__.__name__),
             dataset_name=dataset_name or graph.name,
             clock_ghz=self.config.clock_ghz,
+            peak_bytes_per_cycle=self.config.hbm.peak_bandwidth_bytes_per_cycle,
         )
         for workload in workloads:
             report.layers.append(self.run_workload(workload))
@@ -79,7 +80,7 @@ class HyGCNSimulator:
         cooperative = cfg.pipeline_mode == PipelineMode.ENERGY
         comb_tasks = combination_engine.process_layer(workload, agg_tasks, cooperative)
         if cfg.pipeline_mode == PipelineMode.NONE:
-            self._add_spill_requests(workload, agg_tasks, comb_tasks)
+            self._add_spill_transfers(workload, agg_tasks, comb_tasks)
         coordinator.record_buffer_traffic(workload, agg_tasks)
 
         timings, stream_bytes, dram_stats = self._service_memory(
@@ -129,6 +130,7 @@ class HyGCNSimulator:
             baseline_feature_rows=baseline_rows,
             num_intervals=len(agg_tasks),
             buffer_overflows=overflow,
+            peak_bytes_per_cycle=cfg.hbm.peak_bandwidth_bytes_per_cycle,
         )
 
     # ------------------------------------------------------------------ #
@@ -140,10 +142,10 @@ class HyGCNSimulator:
         agg_tasks: Sequence[IntervalAggregation],
         comb_tasks: Sequence[IntervalCombination],
     ):
-        """Service DRAM requests interval by interval and attribute cycles.
+        """Service DRAM transfers interval by interval and attribute cycles.
 
-        In the pipelined modes the aggregation requests of interval ``i``
-        arrive concurrently with the combination requests of interval ``i-1``
+        In the pipelined modes the aggregation transfers of interval ``i``
+        arrive concurrently with the combination transfers of interval ``i-1``
         (that is exactly the contention the access coordination addresses); in
         the non-pipelined mode the two engines never overlap, so their batches
         are serviced separately.
@@ -155,37 +157,30 @@ class HyGCNSimulator:
         stream_bytes: Dict[str, int] = {}
         total_stats = DRAMStats()
 
-        def account(requests: Sequence[MemoryRequest]) -> None:
-            for request in requests:
-                stream_bytes[request.stream] = stream_bytes.get(request.stream, 0) \
-                    + request.num_bytes
+        def service(transfers: List[Transfer]) -> AccessBatchResult:
+            nonlocal total_stats
+            result = memory.service_batch(transfers)
+            total_stats = total_stats.merge(result.stats)
+            for stream, num_bytes in result.bytes_by_stream.items():
+                stream_bytes[stream] = stream_bytes.get(stream, 0) + num_bytes
+            return result
 
         if pipelined:
             for step in range(num_intervals + 1):
-                batch: List[MemoryRequest] = []
+                batch: List[Transfer] = []
                 if step < num_intervals:
-                    batch.extend(agg_tasks[step].dram_requests)
+                    batch.extend(agg_tasks[step].dram_transfers)
                 if step > 0:
-                    batch.extend(comb_tasks[step - 1].dram_requests)
-                if not batch:
-                    continue
-                account(batch)
-                result = memory.service_batch(batch)
-                total_stats = total_stats.merge(result.stats)
+                    batch.extend(comb_tasks[step - 1].dram_transfers)
+                result = service(batch)
                 if step < num_intervals:
                     agg_dram[step] += result.cycles_for(_AGGREGATION_STREAMS)
                 if step > 0:
                     comb_dram[step - 1] += result.cycles_for(_COMBINATION_STREAMS)
         else:
             for i in range(num_intervals):
-                account(agg_tasks[i].dram_requests)
-                result = memory.service_batch(agg_tasks[i].dram_requests)
-                total_stats = total_stats.merge(result.stats)
-                agg_dram[i] = result.total_cycles
-                account(comb_tasks[i].dram_requests)
-                result = memory.service_batch(comb_tasks[i].dram_requests)
-                total_stats = total_stats.merge(result.stats)
-                comb_dram[i] = result.total_cycles
+                agg_dram[i] = service(agg_tasks[i].dram_transfers).total_cycles
+                comb_dram[i] = service(comb_tasks[i].dram_transfers).total_cycles
 
         timings = [
             IntervalTiming(
@@ -197,27 +192,18 @@ class HyGCNSimulator:
         ]
         return timings, stream_bytes, total_stats
 
-    def _add_spill_requests(
+    def _add_spill_transfers(
         self,
         workload: LayerWorkload,
         agg_tasks: Sequence[IntervalAggregation],
         comb_tasks: Sequence[IntervalCombination],
     ) -> None:
         """Without the inter-engine pipeline, aggregated features round-trip DRAM."""
-        cfg = self.config
-        granularity = cfg.hbm.row_buffer_bytes
-        bytes_per_vertex = workload.combination.mlp.input_size * cfg.bytes_per_value
+        bytes_per_vertex = workload.combination.mlp.input_size * self.config.bytes_per_value
         for agg, comb in zip(agg_tasks, comb_tasks):
             spill = agg.num_vertices * bytes_per_vertex
-            if spill <= 0:
-                continue
-            write_back = _chunk_requests("output_features",
-                                         agg.interval_index * spill, spill, granularity)
-            for request in write_back:
-                request.is_write = True
-            agg.dram_requests.extend(write_back)
-            comb.dram_requests.extend(_chunk_requests(
-                "input_features", agg.interval_index * spill, spill, granularity))
+            agg.dram_transfers.append(("output_features", agg.interval_index * spill, spill))
+            comb.dram_transfers.append(("input_features", agg.interval_index * spill, spill))
 
     def _run_diffpool_matmuls(self, model: DiffPoolModel, graph: Graph) -> LayerReport:
         """Account the three Eq. 8 matrix multiplications on the Combination Engine."""
@@ -262,4 +248,5 @@ class HyGCNSimulator:
             loaded_feature_rows=0,
             baseline_feature_rows=0,
             num_intervals=1,
+            peak_bytes_per_cycle=cfg.hbm.peak_bandwidth_bytes_per_cycle,
         )

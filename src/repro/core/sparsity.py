@@ -96,15 +96,12 @@ class SparsityEliminator:
             # Sliding: the window's top row lands on the next effectual row.
             win_start = int(rows[i])
             win_end_excl = min(win_start + height, num_rows)
-            # All effectual rows covered by this (pre-shrink) window.
+            # All effectual rows covered by this (pre-shrink) window; the next
+            # window's search starts below its pre-shrink bottom row.
             j = int(np.searchsorted(rows, win_end_excl, side="left"))
             covered_last = int(rows[j - 1])
             # Shrinking: pull the bottom up to the last effectual row.
             windows.append(EffectualWindow(win_start, covered_last + 1))
-            # The next window's search starts below the pre-shrink bottom row.
-            next_row_pos = win_start + height
-            while j < len(rows) and rows[j] < next_row_pos:  # pragma: no cover - defensive
-                j += 1
             i = j
         return windows
 

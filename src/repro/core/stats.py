@@ -13,10 +13,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..hw.dram import DRAMStats
+from ..hw.dram import DRAMStats, HBMConfig
 from ..hw.energy import EnergyBreakdown
 
 __all__ = ["LayerReport", "SimulationReport"]
+
+_DEFAULT_PEAK_BYTES_PER_CYCLE = HBMConfig().peak_bandwidth_bytes_per_cycle
+
+
+def _utilization(dram_bytes: int, peak_bytes_per_cycle: int, cycles: int) -> float:
+    """Moved bytes over what peak bandwidth could move in ``cycles``, capped at 1."""
+    if cycles == 0:
+        return 0.0
+    return min(1.0, dram_bytes / (peak_bytes_per_cycle * cycles))
 
 
 @dataclass
@@ -40,6 +49,8 @@ class LayerReport:
     baseline_feature_rows: int
     num_intervals: int
     buffer_overflows: int = 0
+    #: peak bandwidth of the simulated chip's HBM stack
+    peak_bytes_per_cycle: int = _DEFAULT_PEAK_BYTES_PER_CYCLE
 
     @property
     def dram_bytes(self) -> int:
@@ -48,10 +59,7 @@ class LayerReport:
     @property
     def bandwidth_utilization(self) -> float:
         """Fraction of peak HBM bandwidth used over the layer's execution time."""
-        if self.total_cycles == 0:
-            return 0.0
-        from ..hw.dram import HBMConfig
-        return self.dram_stats.bandwidth_utilization(HBMConfig(), self.total_cycles)
+        return _utilization(self.dram_bytes, self.peak_bytes_per_cycle, self.total_cycles)
 
 
 @dataclass
@@ -62,6 +70,8 @@ class SimulationReport:
     dataset_name: str
     layers: List[LayerReport] = field(default_factory=list)
     clock_ghz: float = 1.0
+    #: peak bandwidth of the simulated chip's HBM stack
+    peak_bytes_per_cycle: int = _DEFAULT_PEAK_BYTES_PER_CYCLE
 
     # ------------------------------------------------------------------ #
     # Totals
@@ -113,11 +123,8 @@ class SimulationReport:
     @property
     def bandwidth_utilization(self) -> float:
         """DRAM bandwidth utilisation over the whole execution."""
-        cycles = self.total_cycles
-        if cycles == 0:
-            return 0.0
-        from ..hw.dram import HBMConfig
-        return self.dram_stats.bandwidth_utilization(HBMConfig(), cycles)
+        return _utilization(self.total_dram_bytes, self.peak_bytes_per_cycle,
+                            self.total_cycles)
 
     @property
     def avg_sparsity_reduction(self) -> float:

@@ -13,14 +13,27 @@ effects the evaluation depends on:
 * channel/bank-level parallelism: the coordinator remaps addresses so the low
   bits select channel and bank, letting independent streams proceed in
   parallel.
+
+The engines hand over *transfers* -- contiguous ``(stream, address,
+num_bytes)`` runs such as one edge array or one effectual feature window.
+:meth:`HBMModel.split` is the only place a transfer is cut into
+row-buffer-sized requests, and :meth:`HBMModel.service` services a whole
+ordered batch of requests as arrays.  Each stream owns a disjoint address
+region, numbered in order of first service.  The coordinated map takes
+channel and bank from the low bits of the row-buffer block; the naive map
+of the no-coordination ablation pins each stream to one channel.  Open
+rows persist across :meth:`~HBMModel.service` calls, so one model carries
+the row-buffer state of a whole layer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
-__all__ = ["HBMConfig", "MemoryRequest", "DRAMStats", "HBMModel"]
+import numpy as np
+
+__all__ = ["HBMConfig", "DRAMStats", "HBMModel", "Transfer"]
 
 
 @dataclass(frozen=True)
@@ -51,28 +64,6 @@ class HBMConfig:
     def peak_bandwidth_gbps(self) -> float:
         """Peak bandwidth in GB/s assuming a 1 GHz accelerator clock."""
         return self.peak_bandwidth_bytes_per_cycle  # bytes/ns == GB/s
-
-
-@dataclass
-class MemoryRequest:
-    """One off-chip access issued by a buffer's fill/drain engine.
-
-    ``stream`` identifies the logical data stream (``edges``, ``input_features``,
-    ``weights``, ``output_features``), which the memory handler uses for its
-    priority ordering; ``address`` is a byte address in the flat physical
-    space of that stream.
-    """
-
-    stream: str
-    address: int
-    num_bytes: int
-    is_write: bool = False
-
-    def __post_init__(self) -> None:
-        if self.num_bytes <= 0:
-            raise ValueError("num_bytes must be positive")
-        if self.address < 0:
-            raise ValueError("address must be non-negative")
 
 
 @dataclass
@@ -118,6 +109,13 @@ class DRAMStats:
         )
 
 
+#: One contiguous off-chip transfer: ``(stream, byte address, num_bytes)``.
+#: ``stream`` names the buffer's logical data stream (``edges``,
+#: ``input_features``, ``weights``, ``output_features``); the address lies in
+#: that stream's own flat space.
+Transfer = Tuple[str, int, int]
+
+
 class HBMModel:
     """Transaction-level HBM stack with open-row policy.
 
@@ -134,91 +132,103 @@ class HBMModel:
         #: each stream is confined to a channel subset, modelling the naive
         #: address map used in the no-coordination ablation.
         self.interleave_low_bits = interleave_low_bits
-        self._open_rows = [
-            [-1] * self.config.banks_per_channel
-            for _ in range(self.config.num_channels)
-        ]
-        #: distinct streams get distinct high-order address regions so rows
-        #: from different streams never alias.
+        #: open row per bank, indexed by ``channel * banks_per_channel + bank``
+        self._open_rows = np.full(
+            self.config.num_channels * self.config.banks_per_channel, -1,
+            dtype=np.int64)
+        #: stream -> region index, in order of first service; distinct
+        #: streams get distinct high-order address regions so rows from
+        #: different streams never alias.
         self._stream_regions = {}
 
     # ------------------------------------------------------------------ #
-    def _stream_base(self, stream: str) -> int:
-        if stream not in self._stream_regions:
-            # 1 TiB per stream keeps regions disjoint for any realistic input.
-            self._stream_regions[stream] = len(self._stream_regions) * (1 << 40)
-        return self._stream_regions[stream]
+    def split(self, addresses: Sequence[int], num_bytes: Sequence[int]
+              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Cut contiguous transfers into row-buffer-sized requests.
 
-    def _map_address(self, request: MemoryRequest) -> tuple:
-        """Map a request to (channel, bank, row)."""
+        Returns ``(transfer, address, num_bytes)`` arrays with one entry per
+        request, in transfer order; ``transfer`` indexes the transfer each
+        request belongs to.  An empty transfer yields no request.
+        """
+        granularity = self.config.row_buffer_bytes
+        addresses = np.asarray(addresses, dtype=np.int64)
+        num_bytes = np.asarray(num_bytes, dtype=np.int64)
+        counts = -(-np.maximum(num_bytes, 0) // granularity)
+        transfer = np.repeat(np.arange(num_bytes.size), counts)
+        offset = (np.arange(transfer.size)
+                  - (np.cumsum(counts) - counts)[transfer]) * granularity
+        return (transfer, addresses[transfer] + offset,
+                np.minimum(granularity, num_bytes[transfer] - offset))
+
+    def service(self, streams: Sequence[str], stream_of: np.ndarray,
+                addresses: np.ndarray, num_bytes: np.ndarray) -> DRAMStats:
+        """Service requests in the order given and return the aggregate statistics.
+
+        Request ``i`` belongs to stream ``streams[stream_of[i]]`` and moves
+        ``num_bytes[i]`` bytes from ``addresses[i]``.  ``streams`` lists the
+        batch's streams in order of first service, so new streams take their
+        address regions in that order.
+        """
         cfg = self.config
-        address = self._stream_base(request.stream) + request.address
-        block = address // cfg.row_buffer_bytes
+        count = int(num_bytes.size)
+        if not count:
+            return DRAMStats()
+        for stream in streams:
+            self._stream_regions.setdefault(stream, len(self._stream_regions))
+        region = np.array([self._stream_regions[s] for s in streams],
+                          dtype=np.int64)[stream_of]
+        # 1 TiB per stream keeps regions disjoint for any realistic input.
+        block = ((region << 40) + addresses) // cfg.row_buffer_bytes
+        banks = cfg.banks_per_channel
         if self.interleave_low_bits:
             channel = block % cfg.num_channels
-            bank = (block // cfg.num_channels) % cfg.banks_per_channel
-            row = block // (cfg.num_channels * cfg.banks_per_channel)
+            bank = (block // cfg.num_channels) % banks
+            row = block // (cfg.num_channels * banks)
         else:
             # Naive map: the stream id picks the channel, so concurrent streams
             # collide on a few channels and banks see frequent row conflicts.
-            stream_index = list(self._stream_regions).index(request.stream)
-            channel = stream_index % cfg.num_channels
-            bank = block % cfg.banks_per_channel
-            row = block // cfg.banks_per_channel
-        return channel, bank, row
+            channel = region % cfg.num_channels
+            bank = block % banks
+            row = block // banks
 
-    # ------------------------------------------------------------------ #
-    def service(self, requests: Sequence[MemoryRequest]) -> DRAMStats:
-        """Service ``requests`` in order and return the aggregate statistics."""
-        cfg = self.config
-        stats = DRAMStats()
-        channel_busy = [0] * cfg.num_channels
-        for request in requests:
-            channel, bank, row = self._map_address(request)
-            open_row = self._open_rows[channel][bank]
-            transfer = -(-request.num_bytes // cfg.channel_bytes_per_cycle)
-            if open_row == row:
-                latency = cfg.cas_cycles + transfer
-                stats.row_hits += 1
-            else:
-                latency = (cfg.precharge_cycles + cfg.activate_cycles
-                           + cfg.cas_cycles + transfer)
-                stats.row_misses += 1
-                self._open_rows[channel][bank] = row
-            channel_busy[channel] += latency
-            stats.requests += 1
-            stats.bytes_transferred += request.num_bytes
-            stats.energy_pj += request.num_bytes * 8 * cfg.energy_pj_per_bit
-        stats.busy_cycles = max(channel_busy) if channel_busy else 0
-        stats.total_channel_cycles = sum(channel_busy)
-        return stats
+        # A request hits when its row is the one its bank has open: the row
+        # of the bank's previous request, or for the bank's first request the
+        # row left open by earlier calls.  Group requests by bank, keeping
+        # service order within each bank.
+        bank_of = channel * banks + bank
+        order = np.argsort(bank_of, kind="stable")
+        bank_of = bank_of[order]
+        row = row[order]
+        starts = np.empty(count, dtype=bool)
+        starts[0] = True
+        np.not_equal(bank_of[1:], bank_of[:-1], out=starts[1:])
+        previous = np.empty(count, dtype=np.int64)
+        previous[1:] = row[:-1]
+        previous[starts] = self._open_rows[bank_of[starts]]
+        hit = row == previous
+        # after the batch each bank holds the row of its last request open
+        ends = np.empty(count, dtype=bool)
+        ends[:-1] = starts[1:]
+        ends[-1] = True
+        self._open_rows[bank_of[ends]] = row[ends]
 
-    def service_stream(self, stream: str, total_bytes: int,
-                       access_granularity: int = 64,
-                       sequential: bool = True,
-                       is_write: bool = False) -> DRAMStats:
-        """Convenience helper: service ``total_bytes`` of one stream.
-
-        ``sequential`` requests walk consecutive addresses (high row-buffer
-        locality); non-sequential requests stride by one row buffer per access
-        (every access misses), which approximates the random neighbour-feature
-        gathers of the Aggregation phase without sparsity optimisations.
-        """
-        if total_bytes <= 0:
-            return DRAMStats()
-        requests = []
-        stride = access_granularity if sequential else self.config.row_buffer_bytes
-        address = 0
-        remaining = total_bytes
-        while remaining > 0:
-            chunk = min(access_granularity, remaining)
-            requests.append(MemoryRequest(stream, address, chunk, is_write=is_write))
-            address += stride
-            remaining -= chunk
-        return self.service(requests)
+        transfer = -(-num_bytes[order] // cfg.channel_bytes_per_cycle)
+        latency = cfg.cas_cycles + transfer + np.where(
+            hit, 0, cfg.precharge_cycles + cfg.activate_cycles)
+        channel_busy = np.zeros(cfg.num_channels, dtype=np.int64)
+        np.add.at(channel_busy, bank_of // banks, latency)
+        hits = int(np.count_nonzero(hit))
+        return DRAMStats(
+            requests=count,
+            bytes_transferred=int(num_bytes.sum()),
+            row_hits=hits,
+            row_misses=count - hits,
+            busy_cycles=int(channel_busy.max()),
+            total_channel_cycles=int(channel_busy.sum()),
+            # a sequential sum in service order, as a per-request loop adds it
+            energy_pj=float(np.cumsum(num_bytes * 8 * cfg.energy_pj_per_bit)[-1]),
+        )
 
     def reset(self) -> None:
         """Close all rows (e.g. between independent experiments)."""
-        for channel in self._open_rows:
-            for bank in range(len(channel)):
-                channel[bank] = -1
+        self._open_rows.fill(-1)

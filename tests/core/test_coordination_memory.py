@@ -14,7 +14,6 @@ from repro.core import (
     MemoryAccessHandler,
     PipelineMode,
 )
-from repro.hw import MemoryRequest
 from repro.graphs import erdos_renyi_graph
 from repro.models import build_gcn, build_graphsage
 
@@ -23,19 +22,28 @@ def gcn_workload(graph, hidden=32):
     return build_gcn(graph.feature_length, hidden_sizes=(hidden,)).workloads(graph)[0]
 
 
+def serviced_streams(handler, batch):
+    """The stream of every request ``handler`` sends to its HBM model, in order."""
+    seen = []
+    service = handler.hbm.service
+
+    def spy(streams, stream_of, addresses, num_bytes):
+        seen.extend(streams[code] for code in stream_of)
+        return service(streams, stream_of, addresses, num_bytes)
+
+    handler.hbm.service = spy
+    handler.service_batch(batch)
+    return seen
+
+
 class TestMemoryAccessHandler:
     def make_interleaved_batch(self, per_stream=32, chunk=2048):
-        batch = []
-        for i in range(per_stream):
-            for stream in ACCESS_PRIORITY:
-                batch.append(MemoryRequest(stream, i * chunk, chunk))
-        return batch
+        return [(stream, i * chunk, chunk)
+                for i in range(per_stream) for stream in ACCESS_PRIORITY]
 
     def test_priority_ordering(self):
         handler = MemoryAccessHandler(HyGCNConfig(enable_memory_coordination=True))
-        batch = self.make_interleaved_batch()
-        ordered = handler._order_requests(batch)
-        streams = [r.stream for r in ordered]
+        streams = serviced_streams(handler, self.make_interleaved_batch())
         # all edges come before all input features, etc.
         boundaries = [streams.index(s) for s in ACCESS_PRIORITY]
         assert boundaries == sorted(boundaries)
@@ -46,10 +54,11 @@ class TestMemoryAccessHandler:
 
     def test_uncoordinated_round_robin(self):
         handler = MemoryAccessHandler(HyGCNConfig(enable_memory_coordination=False))
-        batch = self.make_interleaved_batch(per_stream=4)
-        ordered = handler._order_requests(batch)
-        # the first four requests are one from each stream
-        assert {r.stream for r in ordered[:4]} == set(ACCESS_PRIORITY)
+        # one transfer of two rows per stream, streams listed in reverse
+        batch = [(stream, 0, 4096) for stream in reversed(ACCESS_PRIORITY)]
+        streams = serviced_streams(handler, batch)
+        # one request from each stream per turn, in order of first appearance
+        assert streams == 2 * list(reversed(ACCESS_PRIORITY))
 
     def test_coordination_improves_service_time(self):
         coordinated = MemoryAccessHandler(HyGCNConfig(enable_memory_coordination=True))
@@ -77,13 +86,12 @@ class TestMemoryAccessHandler:
         assert result.total_cycles == 0
         assert result.cycles_by_stream == {}
 
-    def test_total_stats_accumulate_and_reset(self):
+    def test_open_rows_persist_across_batches(self):
         handler = MemoryAccessHandler(HyGCNConfig())
-        handler.service_batch(self.make_interleaved_batch(per_stream=4))
-        assert handler.total_stats.bytes_transferred > 0
-        assert 0.0 < handler.bandwidth_utilization(10**6) <= 1.0
-        handler.reset()
-        assert handler.total_stats.bytes_transferred == 0
+        first = handler.service_batch([("edges", 0, 8192)])
+        again = handler.service_batch([("edges", 0, 8192)])
+        assert first.stats.row_hits == 0
+        assert again.stats.row_misses == 0
 
 
 class TestCoordinator:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import HyGCNConfig, HyGCNSimulator, PipelineMode
 from repro.graphs import community_graph, load_dataset, power_law_graph
+from repro.hw import HBMConfig
 from repro.models import MODEL_NAMES, build_diffpool, build_gcn, build_model
 
 
@@ -149,3 +150,18 @@ class TestRunModel:
         gcn = sim.run_model(build_model("GCN", input_length=g.feature_length), g)
         gin = sim.run_model(build_model("GIN", input_length=g.feature_length), g)
         assert gin.total_cycles >= gcn.total_cycles
+
+    @pytest.mark.parametrize("model_name", ["GCN", "DFP"])
+    def test_bandwidth_utilization_uses_the_simulated_hbm(self, model_name):
+        # 16 channels double the peak; the reports must divide by the chip's
+        # own 512 B/cycle, not the default stack's 256
+        g = small_graph()
+        config = small_config(hbm=HBMConfig(num_channels=16))
+        model = build_model(model_name, input_length=g.feature_length, hidden_size=32)
+        report = HyGCNSimulator(config).run_model(model, g)
+        peak = 16 * 32
+        assert report.bandwidth_utilization == \
+            report.total_dram_bytes / (peak * report.total_cycles)
+        for layer in report.layers:
+            assert layer.bandwidth_utilization == \
+                layer.dram_bytes / (peak * layer.total_cycles)

@@ -1,9 +1,17 @@
 """Property-based tests for the hardware substrate (buffers and HBM model)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.hw import HBMConfig, HBMModel, MemoryRequest, ScratchpadBuffer
+from repro.hw import HBMConfig, HBMModel, ScratchpadBuffer
+
+
+def serve(hbm, stream, addresses, sizes):
+    """Service requests of one stream in the order given."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    return hbm.service([stream], np.zeros(sizes.size, dtype=np.int64),
+                       np.asarray(addresses, dtype=np.int64), sizes)
 
 
 class TestBufferProperties:
@@ -44,8 +52,7 @@ class TestHBMProperties:
     )
     def test_service_conserves_bytes_and_counts(self, sizes, stream):
         hbm = HBMModel()
-        requests = [MemoryRequest(stream, i * 4096, size) for i, size in enumerate(sizes)]
-        stats = hbm.service(requests)
+        stats = serve(hbm, stream, np.arange(len(sizes)) * 4096, sizes)
         assert stats.requests == len(sizes)
         assert stats.bytes_transferred == sum(sizes)
         assert stats.row_hits + stats.row_misses == len(sizes)
@@ -57,7 +64,8 @@ class TestHBMProperties:
     def test_busy_cycles_bounded_by_bandwidth(self, total):
         # the critical-path busy time can never beat the per-channel bandwidth
         hbm = HBMModel()
-        stats = hbm.service_stream("edges", total, sequential=True)
+        _, addresses, sizes = hbm.split([0], [total])
+        stats = serve(hbm, "edges", addresses, sizes)
         cfg = hbm.config
         min_cycles = total / cfg.peak_bandwidth_bytes_per_cycle
         assert stats.busy_cycles >= min_cycles * 0.5  # channels overlap, latency adds
@@ -66,7 +74,9 @@ class TestHBMProperties:
     @settings(max_examples=20, deadline=None)
     @given(chunk=st.sampled_from([64, 256, 2048]), count=st.integers(1, 64))
     def test_interleaved_map_never_slower_than_naive(self, chunk, count):
-        requests = [MemoryRequest("edges", i * chunk, chunk) for i in range(count)]
-        interleaved = HBMModel(HBMConfig(), interleave_low_bits=True).service(list(requests))
-        naive = HBMModel(HBMConfig(), interleave_low_bits=False).service(list(requests))
+        addresses, sizes = np.arange(count) * chunk, [chunk] * count
+        interleaved = serve(HBMModel(HBMConfig(), interleave_low_bits=True),
+                            "edges", addresses, sizes)
+        naive = serve(HBMModel(HBMConfig(), interleave_low_bits=False),
+                      "edges", addresses, sizes)
         assert interleaved.busy_cycles <= naive.busy_cycles
