@@ -43,6 +43,7 @@ and tuning guidance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
@@ -194,12 +195,21 @@ class OverlapBatcher(Batcher):
         self.min_overlap = float(min_overlap)
         self.pool_size = int(pool_factor) * self.max_batch_size
         self._signature_fn = signature_fn
-        self._sigs: List[np.ndarray] = []   # parallel to _pending
+        #: pending signatures, row ``i`` parallel to ``_pending[i]``;
+        #: allocated on the first arrival, whose signature fixes the width
+        self._pool: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------ #
     def add(self, request: Request, now: float) -> Optional[Batch]:
         """Pool ``request``; emits a group only when the pool overflows."""
-        self._sigs.append(self._signature_fn(request))
+        sig = self._signature_fn(request)
+        if self._pool is None:
+            # add flushes at pool_size, so the pool never holds more rows
+            self._pool = np.empty((self.pool_size, sig.shape[-1]),
+                                  dtype=np.uint64)
+        elif sig.shape != self._pool.shape[1:]:
+            raise ValueError("signatures must have the same length")
+        self._pool[len(self._pending)] = sig
         self._pending.append(request)
         if len(self._pending) >= self.pool_size:
             return self.flush(now)
@@ -219,12 +229,11 @@ class OverlapBatcher(Batcher):
         """
         if not self._pending:
             return None
-        chosen, union_sig = self._form_group()
-        chosen_set = set(chosen)
+        chosen, union_sig, keep = self._form_group()
         requests = [self._pending[i] for i in chosen]
-        keep = [i for i in range(len(self._pending)) if i not in chosen_set]
-        self._pending = [self._pending[i] for i in keep]
-        self._sigs = [self._sigs[i] for i in keep]
+        left = len(self._pending) - len(chosen)
+        self._pool[:left] = self._pool[:len(self._pending)][keep]
+        self._pending = list(compress(self._pending, keep.tolist()))
         batch = Batch(batch_id=self._next_batch_id, requests=requests,
                       created_time_s=now, tenant=self.tenant)
         self._next_batch_id += 1
@@ -235,24 +244,29 @@ class OverlapBatcher(Batcher):
 
     # ------------------------------------------------------------------ #
     def _form_group(self):
-        """Indices of the next group plus its union minhash signature.
+        """Indices of the next group (selection order), its union minhash
+        signature, and the mask of pending rows it leaves behind.
 
-        ``_pending`` is in arrival order (nondecreasing time), so index 0
-        is the oldest request and anchors the group.
+        ``_pending`` is in arrival order (nondecreasing time), so row 0 is
+        the oldest request and anchors the group.  Each greedy step scores
+        the whole pool against the union in one broadcast compare; taken
+        rows score -1 so ``argmax`` -- the first max, hence the oldest of
+        tied candidates -- only ever picks a pending one.
         """
-        union_sig = self._sigs[0].copy()
+        pool = self._pool[:len(self._pending)]
+        keep = np.ones(len(pool), dtype=bool)
+        keep[0] = False
+        union_sig = pool[0].copy()
         chosen = [0]                        # selection order, anchor first
-        candidates = list(range(1, len(self._pending)))
-        while candidates and len(chosen) < self.max_batch_size:
-            sims = np.array([estimate_jaccard(self._sigs[i], union_sig)
-                             for i in candidates])
-            best = int(np.argmax(sims))     # first max: arrival-order ties
-            if self.min_overlap > 0.0 and sims[best] < self.min_overlap:
+        for _ in range(min(len(pool), self.max_batch_size) - 1):
+            sims = np.where(keep, estimate_jaccard(pool, union_sig), -1.0)
+            best = int(np.argmax(sims))
+            if sims[best] < self.min_overlap:
                 break
-            pick = candidates.pop(best)
-            chosen.append(pick)
-            union_sig = np.minimum(union_sig, self._sigs[pick])
-        return chosen, union_sig
+            keep[best] = False
+            chosen.append(best)
+            union_sig = np.minimum(union_sig, pool[best])
+        return chosen, union_sig, keep
 
     def _register(self, batch: Batch, union_sig: np.ndarray) -> None:
         """Hook for :class:`ContinuousBatcher` to keep the batch open."""
@@ -303,25 +317,19 @@ class ContinuousBatcher(OverlapBatcher):
     # ------------------------------------------------------------------ #
     def try_join(self, request: Request, now: float) -> Optional[Batch]:
         self._expire(now)
-        best_sim = -1.0
+        eligible = [entry for entry in self._open.values()
+                    if entry[0].size < self.max_batch_size
+                    and now - entry[0].oldest_arrival_s
+                    <= self.staleness_s + _EPS]
         best_entry = None
-        sig = None
-        for entry in self._open.values():
-            batch, union_sig = entry
-            if batch.size >= self.max_batch_size:
-                continue
-            if now - batch.oldest_arrival_s > self.staleness_s + _EPS:
-                continue
-            if sig is None:
-                sig = self._signature_fn(request)
-            sim = estimate_jaccard(sig, union_sig)
+        if eligible:
+            sig = self._signature_fn(request)
+            sims = estimate_jaccard(np.stack([u for _, u in eligible]), sig)
+            best = int(np.argmax(sims))  # first max: oldest batch on ties
             # the purity floor binds joins exactly like group growth: a
             # batch formation kept pure must not refill with strangers
-            if self.min_overlap > 0.0 and sim < self.min_overlap:
-                continue
-            if sim > best_sim:      # strict: ties keep the oldest open batch
-                best_sim = sim
-                best_entry = entry
+            if sims[best] >= self.min_overlap:
+                best_entry = eligible[best]
         if best_entry is None:
             if self._open:
                 self.late_join_rejects += 1
@@ -352,7 +360,7 @@ class ContinuousBatcher(OverlapBatcher):
 
     # ------------------------------------------------------------------ #
     def _register(self, batch: Batch, union_sig: np.ndarray) -> None:
-        self._open[batch.batch_id] = [batch, union_sig.copy()]
+        self._open[batch.batch_id] = [batch, union_sig]
 
     def _expire(self, now: float) -> None:
         expired = [bid for bid, (batch, _) in self._open.items()

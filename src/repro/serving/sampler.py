@@ -66,7 +66,7 @@ against the scalar reference oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -82,15 +82,22 @@ __all__ = ["SubgraphSample", "SubgraphSampler", "estimate_jaccard",
 SIGNATURE_HASHES = 16
 
 
-def estimate_jaccard(sig_a: np.ndarray, sig_b: np.ndarray) -> float:
-    """Estimated Jaccard similarity of two minhash signatures.
+def estimate_jaccard(sig_a: np.ndarray,
+                     sig_b: np.ndarray) -> Union[float, np.ndarray]:
+    """Estimated Jaccard similarity of minhash signatures.
 
-    The estimator is the fraction of equal components; both signatures must
+    The estimator is the fraction of equal components; the signatures must
     come from the same :class:`SubgraphSampler` (same seeded hash family).
+    Two signatures give a ``float``.  Either argument may also be a stack
+    of signatures (components on the last axis): leading axes broadcast
+    and the result is a ``float64`` array, one similarity per pair, equal
+    to what the pairs would give one at a time.
     """
-    if sig_a.shape != sig_b.shape:
+    width = sig_a.shape[-1]
+    if sig_b.shape[-1] != width:
         raise ValueError("signatures must have the same length")
-    return float(np.mean(sig_a == sig_b))
+    sims = np.count_nonzero(sig_a == sig_b, axis=-1) / width
+    return float(sims) if sims.ndim == 0 else sims
 
 
 @dataclass(frozen=True)

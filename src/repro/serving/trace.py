@@ -631,17 +631,16 @@ def _overlap_section(targets: np.ndarray, meta: Mapping[str, object],
     unique, counts = unique[order], counts[order]
     kept = min(int(max_targets), unique.size)
     unique, counts = unique[:kept], counts[:kept]
-    signatures = [sampler.signature(int(v)) for v in unique]
+    signatures = np.stack([sampler.signature(int(v)) for v in unique])
     weights = counts / counts.sum()
     rng = np.random.default_rng(0)
-    similarities: List[float] = []
+    similarities = np.empty(0)
     if kept >= 2 and max_pairs > 0:
         left = rng.choice(kept, size=int(max_pairs), p=weights)
         right = rng.choice(kept, size=int(max_pairs), p=weights)
-        for i, j in zip(left, right):
-            if i != j:
-                similarities.append(
-                    estimate_jaccard(signatures[i], signatures[j]))
+        distinct = left != right            # self-pairs carry no signal
+        similarities = estimate_jaccard(signatures[left[distinct]],
+                                        signatures[right[distinct]])
     hist, _ = np.histogram(similarities, bins=_OVERLAP_BINS)
     return {
         "dataset": meta.get("dataset"),
@@ -649,8 +648,8 @@ def _overlap_section(targets: np.ndarray, meta: Mapping[str, object],
         "fanout": int(meta.get("fanout", 8)),
         "signature_targets": kept,
         "coverage": float(counts.sum() / targets.size),
-        "pairs": len(similarities),
-        "mean_jaccard": float(np.mean(similarities)) if similarities
+        "pairs": int(similarities.size),
+        "mean_jaccard": float(np.mean(similarities)) if similarities.size
         else 0.0,
         "histogram": [[round(float(lo), 1), round(float(hi), 1), int(c)]
                       for lo, hi, c in zip(_OVERLAP_BINS[:-1],

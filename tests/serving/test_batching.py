@@ -101,6 +101,23 @@ class TestSignatures:
         with pytest.raises(ValueError):
             estimate_jaccard(np.zeros(4, dtype=np.uint64),
                              np.zeros(8, dtype=np.uint64))
+        with pytest.raises(ValueError):
+            estimate_jaccard(np.zeros((3, 4), dtype=np.uint64),
+                             np.zeros(8, dtype=np.uint64))
+
+    def test_stacks_broadcast_to_per_pair_estimates(self):
+        rng = np.random.default_rng(0)
+        stack = rng.integers(0, 3, (5, 16)).astype(np.uint64)
+        one = estimate_jaccard(stack[0], stack[1])
+        assert type(one) is float
+        sims = estimate_jaccard(stack, stack[1])
+        assert sims.shape == (5,)
+        # exactly the per-pair fraction of equal components
+        assert sims.tolist() == [float(np.mean(s == stack[1]))
+                                 for s in stack]
+        pairs = estimate_jaccard(stack[:4], stack[1:])
+        assert pairs.tolist() == [estimate_jaccard(a, b)
+                                  for a, b in zip(stack[:4], stack[1:])]
 
 
 # --------------------------------------------------------------------------- #
@@ -234,6 +251,18 @@ class TestOverlapBatcher:
         assert [r.request_id for r in batch.requests] == [0]
         # the leftover's own arrival now defines the deadline
         assert batcher.next_deadline(1.5) == pytest.approx(1.7)
+
+    def test_mixed_signature_widths_rejected(self):
+        """A pool of one width refuses a signature of another -- even a
+        width-1 one that would silently broadcast across a row."""
+        sigs = {0: np.zeros(4, dtype=np.uint64),
+                1: np.zeros(1, dtype=np.uint64)}
+        batcher = OverlapBatcher(max_batch_size=4, timeout_s=10.0,
+                                 signature_fn=_sig_fn(sigs))
+        batcher.add(_req(0, 0.0), 0.0)
+        with pytest.raises(ValueError):
+            batcher.add(_req(1, 0.1), 0.1)
+            batcher.flush(0.2)
 
     def test_requires_signature_fn(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,9 @@ static or streaming -- must conserve requests (completed + shed =
 offered), order every record's lifecycle (arrival <= dispatch <= start <=
 completion) and never keep a chip busier than the run was long.  The laws
 are the ones the repo benchmark gates each repetition on
-(:func:`perfbench.harness.check_report`); here hypothesis drives them over
+(:func:`perfbench.harness.check_report`).  Formed batches must also stay
+whole: none outgrows ``max_batch_size`` (late joins included) or is split
+across chips or service starts.  Hypothesis drives the laws over
 small runs of every option the loop branches on.
 """
 
@@ -24,6 +26,7 @@ from repro.serving import (
 )
 
 NUM_REQUESTS = 48
+MAX_BATCH_SIZE = 8
 
 
 @settings(max_examples=50, deadline=None,
@@ -35,13 +38,15 @@ NUM_REQUESTS = 48
        admission=st.booleans(),
        update_rate=st.sampled_from([0.0, 0.05]),
        num_tenants=st.sampled_from([1, 2]),
+       min_overlap=st.sampled_from([0.0, 0.25]),
        seed=st.integers(0, 3))
 def test_every_serve_conserves_and_orders_requests(
         num_chips, batch_policy, dispatch, cache_size, admission, update_rate,
-        num_tenants, seed):
+        num_tenants, min_overlap, seed):
     fleet = FleetConfig(num_chips=num_chips, dispatch=dispatch,
                         batch_policy=batch_policy, cache_size=cache_size,
-                        max_batch_size=8, seed=seed)
+                        max_batch_size=MAX_BATCH_SIZE,
+                        min_overlap=min_overlap, seed=seed)
     control = ControlConfig(admission=True) if admission else None
     if num_tenants == 1:
         report = run_serving(dataset="IB", num_requests=NUM_REQUESTS,
@@ -52,13 +57,21 @@ def test_every_serve_conserves_and_orders_requests(
         tenants = [TenantConfig(name=name, dataset="IB", weight=weight,
                                 num_requests=NUM_REQUESTS,
                                 batch_policy=batch_policy,
-                                max_batch_size=8, cache_size=cache_size,
+                                max_batch_size=MAX_BATCH_SIZE,
+                                cache_size=cache_size,
                                 popularity_skew=1.2)
                    for name, weight in (("a", 2.0), ("b", 1.0))]
         report = run_multi_tenant(tenants, fleet, utilization_target=1.2,
                                   include_isolation_baseline=False,
                                   control=control, update_rate=update_rate)
     assert check_report(report, num_tenants * NUM_REQUESTS) == []
+    batches = {}
     for rep in tenant_reports(report):
         for r in rep.records:
             assert r.arrival_time_s <= r.dispatch_time_s <= r.service_start_s
+            if r.batch_id >= 0:
+                batches.setdefault((r.tenant, r.batch_id), []).append(r)
+    for members in batches.values():
+        assert len(members) <= MAX_BATCH_SIZE
+        assert len({r.chip_id for r in members}) == 1
+        assert len({r.service_start_s for r in members}) == 1
