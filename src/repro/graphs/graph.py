@@ -12,11 +12,11 @@ layout the samplers run on (see ``docs/core.md``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["CSRMatrix", "CSCMatrix", "Graph", "GraphStats"]
+__all__ = ["CSRMatrix", "CSCMatrix", "Graph", "GraphStats", "RowViewGraph"]
 
 
 @dataclass(frozen=True)
@@ -83,11 +83,6 @@ class CSRMatrix:
         """Return the per-row non-zero counts."""
         return np.diff(self.indptr)
 
-    def iter_rows(self) -> Iterator[Tuple[int, np.ndarray]]:
-        """Iterate over ``(row_index, column_indices)`` pairs."""
-        for i in range(self.num_rows):
-            yield i, self.row(i)
-
     def to_dense(self) -> np.ndarray:
         """Materialise the matrix as a dense binary array (small graphs only)."""
         dense = np.zeros((self.num_rows, self.num_cols), dtype=np.int8)
@@ -97,15 +92,9 @@ class CSRMatrix:
 
     def transpose(self) -> "CSRMatrix":
         """Return the transposed structure (rows become columns)."""
-        counts = np.zeros(self.num_cols + 1, dtype=np.int64)
-        if self.nnz:
-            np.add.at(counts, self.indices + 1, 1)
-        indptr = np.cumsum(counts)
-        if self.nnz == 0:
-            return CSRMatrix(indptr, np.empty(0, dtype=np.int64), self.num_rows)
         row_of_edge = np.repeat(np.arange(self.num_rows), np.diff(self.indptr))
-        order = np.argsort(self.indices, kind="stable")
-        return CSRMatrix(indptr, row_of_edge[order], self.num_rows)
+        return CSRMatrix.from_arrays(self.indices, row_of_edge, self.num_cols,
+                                     self.num_rows, deduplicate=False)
 
     @classmethod
     def from_arrays(
@@ -118,11 +107,11 @@ class CSRMatrix:
     ) -> "CSRMatrix":
         """Trusted vectorized constructor from parallel ``rows``/``cols`` arrays.
 
-        Produces exactly the structure :meth:`from_edges` would for the same
-        edge multiset (same lexicographic canonical order, same optional
-        dedup), but skips the per-call bounds validation -- callers (the
+        The one canonical builder: edges in lexicographic ``(row, col)``
+        order, optionally deduplicated.  It skips bounds validation --
+        callers (:meth:`from_edges` after validating, :meth:`transpose`, the
         array-native sampler cores) guarantee ``0 <= rows < num_rows`` and
-        ``0 <= cols < num_cols`` by construction.  The canonical
+        ``0 <= cols < num_cols``.  The canonical
         ``(row, col)`` sort runs on the fused key ``row * num_cols + col``
         (one unstable single-key sort, roughly twice as fast as the
         two-pass stable ``lexsort``, and order-equivalent because the key
@@ -182,16 +171,7 @@ class CSRMatrix:
             raise ValueError("row index out of range")
         if cols.min() < 0 or cols.max() >= num_cols:
             raise ValueError("column index out of range")
-        order = np.lexsort((cols, rows))
-        rows, cols = rows[order], cols[order]
-        if deduplicate:
-            keep = np.ones(len(rows), dtype=bool)
-            keep[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-            rows, cols = rows[keep], cols[keep]
-        counts = np.zeros(num_rows + 1, dtype=np.int64)
-        np.add.at(counts, rows + 1, 1)
-        indptr = np.cumsum(counts)
-        return cls(indptr, cols, num_cols)
+        return cls.from_arrays(rows, cols, num_rows, num_cols, deduplicate)
 
 
 class CSCMatrix:
@@ -390,6 +370,33 @@ class Graph:
             f"vertices={self.num_vertices}, "
             f"edges={self.num_edges}, feature_length={self.feature_length})"
         )
+
+
+class RowViewGraph(Graph):
+    """A graph over ``base`` vertices ``vertex_ids`` that holds no features.
+
+    Local vertex ``i`` is ``base`` vertex ``vertex_ids[i]``; ``features``
+    gathers those rows from ``base`` on every read, so a view of a mutating
+    graph reads its current rows.  A view keeps ``base``, never its feature
+    array: a mutating graph's array is a snapshot per version.
+    """
+
+    def __init__(self, csr: CSRMatrix, base: Graph, vertex_ids: np.ndarray,
+                 name: str = "graph"):
+        if len(vertex_ids) != csr.num_rows:
+            raise ValueError(f"vertex ids ({len(vertex_ids)}) do not match "
+                             f"vertex count ({csr.num_rows})")
+        self.csr, self.base, self.vertex_ids = csr, base, vertex_ids
+        self.name = name
+        self._csc: Optional[CSCMatrix] = None
+
+    @property
+    def features(self) -> np.ndarray:
+        return self.base.features[self.vertex_ids]
+
+    @property
+    def feature_length(self) -> int:
+        return self.base.feature_length
 
 
 def merge_graphs(graphs: Sequence[Graph], name: str = "merged") -> Graph:

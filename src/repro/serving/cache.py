@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Hashable, Optional
+from itertools import repeat
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
-__all__ = ["CacheStats", "LRUCache"]
+__all__ = ["CacheStats", "LRUCache", "charge_features"]
 
 
 @dataclass
@@ -90,6 +91,33 @@ class LRUCache:
             self._entries.popitem(last=False)
             self.stats.evictions += 1
 
+    def charge(self, keys: Sequence[Hashable],
+               values: Iterable[object]) -> List[Tuple[int, object]]:
+        """``get`` every key, then ``put`` every ``(key, value)`` pair.
+
+        One call with the same counters and final state as those per-key
+        calls: every lookup precedes every put, and each insertion evicts
+        as it goes.  Returns ``(position, value)`` of each hit, in key
+        order, with the value the lookup found.
+        """
+        entries, stats = self._entries, self.stats
+        hits = [(i, entries[k]) for i, k in enumerate(keys) if k in entries]
+        for i, _ in hits:
+            entries.move_to_end(keys[i])
+        stats.hits += len(hits)
+        stats.misses += len(keys) - len(hits)
+        if self.capacity:
+            for key, value in zip(keys, values):
+                if key in entries:
+                    entries.move_to_end(key)
+                else:
+                    stats.insertions += 1
+                    if len(entries) >= self.capacity:
+                        entries.popitem(last=False)
+                        stats.evictions += 1
+                entries[key] = value
+        return hits
+
     def peek(self, key: Hashable, default: Optional[object] = None) -> Optional[object]:
         """Read ``key`` without touching recency or the hit/miss counters."""
         return self._entries.get(key, default)
@@ -114,3 +142,21 @@ class LRUCache:
     def clear(self) -> None:
         """Drop every entry (the counters are kept)."""
         self._entries.clear()
+
+
+def charge_features(cache: LRUCache, vertices: List[int],
+                    keys: Sequence[Hashable], stream=None,
+                    now: float = 0.0) -> int:
+    """Charge one batch's feature reads to a chip cache; returns the hits.
+
+    ``keys[i]``, in put order, is the key of global vertex ``vertices[i]``.
+    Streaming runs store each line's feature version and check every hit
+    against the vertex's current one; other runs store ``True``.
+    """
+    if stream is None:
+        return len(cache.charge(keys, repeat(True)))
+    version = stream.graph.feature_version
+    found = cache.charge(keys, [version(v) for v in vertices])
+    for i, stamp in found:
+        stream.on_feature_hit(vertices[i], stamp, now)
+    return len(found)

@@ -69,7 +69,7 @@ from collections import deque
 
 import numpy as np
 from dataclasses import dataclass, field, replace
-from typing import Deque, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..core.config import HyGCNConfig
 from ..core.simulator import HyGCNSimulator
@@ -84,7 +84,7 @@ from .batching import (
     make_signature_fn,
     resolve_signature_hops,
 )
-from .cache import LRUCache
+from .cache import LRUCache, charge_features
 from .control import ControlConfig, ControlObservation, ControlPlane, TenantBinding
 from .hetero import (
     DEFAULT_SHAPE,
@@ -489,18 +489,9 @@ def fused_batch_service_time_s(chip: Chip, sampler, model, batch: Batch,
     vertex contribute two distinct samples -- whose union still dedups the
     neighbourhood they have in common.
     """
-    request_shapes = [(r.target_vertex, r.degrade_hops, r.degrade_fanout)
-                      for r in batch.requests]
-    shapes = list(dict.fromkeys(request_shapes))
-    by_shape = {s: sampler.extract(s[0], num_hops=s[1], fanout=s[2])
-                for s in shapes}
-    samples = [by_shape[s] for s in shapes]
-    naive_vertices = sum(by_shape[s].num_vertices for s in request_shapes)
-    if len(samples) == 1:
-        fused = samples[0].graph
-    else:
-        prefix = f"{batch.tenant}-" if batch.tenant else ""
-        fused = sampler.fuse(samples, name=f"{prefix}batch{batch.batch_id}")
+    prefix = f"{batch.tenant}-" if batch.tenant else ""
+    fused, naive_vertices, _ = sampler.fuse_requests(
+        batch.requests, name=f"{prefix}batch{batch.batch_id}")
     batch.fused_vertices = fused.num_vertices
     batch.naive_vertices = naive_vertices
     batch.overlap_ratio = 1.0 - fused.num_vertices / naive_vertices \
@@ -515,28 +506,13 @@ def fused_batch_service_time_s(chip: Chip, sampler, model, batch: Batch,
         "combination": report.combination_cycles,
         "dram_busy": report.dram_stats.busy_cycles,
     }
-    vertices: Set[int] = set()
-    for sample in samples:
-        vertices.update(sample.vertices)
-    key = cache_key if cache_key is not None else (lambda v: v)
-    if stream is None:
-        hits = sum(1 for v in vertices
-                   if chip.feature_cache.get(key(v)) is not None)
-        for v in vertices:
-            chip.feature_cache.put(key(v), True)
-    else:
-        # streaming run: lines carry the feature version they were filled
-        # at, so a hit can be consistency-checked against the vertex's
-        # current feature version (stale only under --invalidation none)
-        hits = 0
-        for v in vertices:
-            stamp = chip.feature_cache.get(key(v))
-            if stamp is not None:
-                hits += 1
-                stream.on_feature_hit(int(v), stamp, now)
-        for v in vertices:
-            chip.feature_cache.put(key(v),
-                                   stream.graph.feature_version(int(v)))
+    # The put order fixes the LRU state.  It is the iteration order of the
+    # Python set of the batch's vertices; a set of ints iterates in an
+    # order fixed by its sequence of distinct insertions, which is the
+    # fused graph's first-seen vertex order.
+    vertices = list(set(fused.vertex_ids.tolist()))
+    keys = vertices if cache_key is None else [cache_key(v) for v in vertices]
+    hits = charge_features(chip.feature_cache, vertices, keys, stream, now)
     reuse_fraction = hits / len(vertices) if vertices else 0.0
     service_s = report.execution_time_s * (1.0 - reuse_discount * reuse_fraction)
     if account:

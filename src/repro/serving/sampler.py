@@ -3,9 +3,11 @@
 Each serving request asks for the embedding of one target vertex, but a GCN
 layer needs the k-hop in-neighbourhood of that vertex to compute it.  The
 :class:`SubgraphSampler` extracts that neighbourhood as a small standalone
-:class:`~repro.graphs.graph.Graph` (local vertex ids, sliced features) so the
-rest of the stack -- the batcher, the fleet, the HyGCN simulator -- can treat
-a request exactly like any other workload graph.
+:class:`~repro.graphs.graph.RowViewGraph` (local structure plus global
+``vertex_ids``; feature rows stay in the base graph until read, and the
+cycle model reads only ``feature_length``) so the rest of the stack -- the
+batcher, the fleet, the HyGCN simulator -- can treat a request exactly
+like any other workload graph.
 
 The per-hop fan-out cap mirrors GraphSage-style sampled serving: at most
 ``fanout`` in-neighbours of each frontier vertex are expanded.  Extraction is
@@ -65,12 +67,12 @@ against the scalar reference oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
-from ..graphs.graph import CSRMatrix, Graph
+from ..graphs.graph import CSRMatrix, Graph, RowViewGraph
 from .cache import LRUCache
 
 __all__ = ["SubgraphSample", "SubgraphSampler", "estimate_jaccard",
@@ -100,20 +102,22 @@ def estimate_jaccard(sig_a: np.ndarray,
     return float(sims) if sims.ndim == 0 else sims
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubgraphSample:
     """The materialised neighbourhood of one target vertex.
 
-    ``vertices[i]`` is the *global* id (in the base graph) of local vertex
+    ``vertex_ids[i]`` is the *global* id (in the base graph) of local vertex
     ``i``; the target is always local vertex 0.  Samples are immutable and
     shared via the sampler's memo, so callers must never mutate ``graph``.
     """
 
     target_vertex: int
-    vertices: Tuple[int, ...]
-    graph: Graph
-    #: ``vertices`` as a read-only ``int64`` array (same ids, same order).
-    vertex_ids: np.ndarray = field(compare=False, repr=False)
+    graph: RowViewGraph
+
+    @property
+    def vertex_ids(self) -> np.ndarray:
+        """Global vertex ids, a read-only ``int64`` array."""
+        return self.graph.vertex_ids
 
     @property
     def num_vertices(self) -> int:
@@ -122,11 +126,6 @@ class SubgraphSample:
     @property
     def num_edges(self) -> int:
         return self.graph.num_edges
-
-    @property
-    def vertex_array(self) -> np.ndarray:
-        """Global vertex ids as an ``int64`` array."""
-        return self.vertex_ids
 
 
 class SubgraphSampler:
@@ -254,7 +253,7 @@ class SubgraphSampler:
 
     def _register_sample(self, key: Tuple, sample: "SubgraphSample") -> None:
         """Index ``key`` under every vertex of ``sample`` (mutable graphs)."""
-        for v in sample.vertex_array.tolist():
+        for v in sample.vertex_ids.tolist():
             self._vertex_keys.setdefault(int(v), set()).add(key)
         self._key_versions[key] = self._graph_version
 
@@ -271,7 +270,7 @@ class SubgraphSampler:
         for key in keys:
             sample = self._memo.peek(key)
             if sample is not None and self._mutable:
-                for v in sample.vertex_array.tolist():
+                for v in sample.vertex_ids.tolist():
                     entry = self._vertex_keys.get(int(v))
                     if entry is not None:
                         entry.discard(key)
@@ -440,13 +439,10 @@ class SubgraphSampler:
                                         np.concatenate(cols_parts), num_local)
         else:
             csr = CSRMatrix.from_edges([], num_local)
-        features = self.graph.features[order]
-        graph = Graph(csr, features,
-                      name=f"{self.graph.name}[v{target_vertex}]")
         order.setflags(write=False)
-        return SubgraphSample(target_vertex=target_vertex,
-                              vertices=tuple(order.tolist()), graph=graph,
-                              vertex_ids=order)
+        graph = RowViewGraph(csr, self.graph, order,
+                             name=f"{self.graph.name}[v{target_vertex}]")
+        return SubgraphSample(target_vertex=target_vertex, graph=graph)
 
     def signature_fresh(self, target_vertex: int,
                         num_hops: Optional[int] = None,
@@ -458,7 +454,7 @@ class SubgraphSampler:
 
     def _signature_of(self, sample: "SubgraphSample") -> np.ndarray:
         """Minhash the vertex set of one sample."""
-        vertices = sample.vertex_array.astype(np.uint64)
+        vertices = sample.vertex_ids.astype(np.uint64)
         # h_j(v) = ((v + 1) * mult_j) ^ xor_j over Z_2^64; the signature is
         # the per-hash minimum over the neighbourhood's vertex set.
         hashed = ((vertices[:, None] + np.uint64(1))
@@ -523,20 +519,37 @@ class SubgraphSampler:
             return 0, 0
         return int(self._first_seen(np.concatenate(arrays)).sum()), naive
 
+    def fuse_requests(self, requests: Sequence, name: str
+                      ) -> Tuple[RowViewGraph, int, int]:
+        """``(graph, naive_vertices, distinct_samples)`` of a batch.
+
+        Requests with the same ``target_vertex``, ``degrade_hops`` and
+        ``degrade_fanout`` share one sample; more than one distinct sample
+        is fused as ``name``.  ``naive_vertices`` counts every request's.
+        """
+        shapes = [(r.target_vertex, r.degrade_hops, r.degrade_fanout)
+                  for r in requests]
+        by_shape = {s: self.extract(*s) for s in dict.fromkeys(shapes)}
+        naive = sum(by_shape[s].num_vertices for s in shapes)
+        samples = list(by_shape.values())
+        graph = samples[0].graph if len(samples) == 1 \
+            else self.fuse(samples, name=name)
+        return graph, naive, len(samples)
+
     def fuse(self, samples: Sequence[SubgraphSample],
-             name: str = "fused") -> Graph:
+             name: str = "fused") -> RowViewGraph:
         """Deduped union of ``samples`` as one standalone fused graph.
 
-        Vertices shared between neighbourhoods appear **once** (their
-        features are sliced from the base graph once) and the edge set is
-        the union of the samples' edge sets mapped onto the shared local id
-        space -- this is the fused subgraph HyGCN's aggregation engine
-        benefits from when co-batched neighbourhoods intersect.  Local ids
-        follow first-seen order over ``samples``, so fusion is
-        deterministic for a deterministic sample order.  The fused graph is
-        marked ``memoize_workloads = False``: fusions are unique per
-        dispatch and must not pin their merged feature matrices in the
-        workload memo.
+        Vertices shared between neighbourhoods appear **once** in the
+        fused row view's ``vertex_ids`` (their features are streamed once)
+        and the edge set is the union of the samples' edge sets mapped onto
+        the shared local id space -- this is the fused subgraph HyGCN's
+        aggregation engine benefits from when co-batched neighbourhoods
+        intersect.  Local ids follow first-seen order over ``samples``, so
+        fusion is deterministic for a deterministic sample order.  The
+        fused graph is marked ``memoize_workloads = False``: fusions are
+        unique per dispatch, so a workload-memo entry would never hit and
+        would only push out entries of single-sample graphs, which repeat.
         """
         if not samples:
             raise ValueError("fuse requires at least one sample")
@@ -565,7 +578,7 @@ class SubgraphSampler:
                                         order.size)
         else:
             csr = CSRMatrix.from_edges([], order.size)
-        features = self.graph.features[order]
-        fused = Graph(csr, features, name=name)
+        order.setflags(write=False)
+        fused = RowViewGraph(csr, self.graph, order, name=name)
         fused.memoize_workloads = False
         return fused

@@ -52,7 +52,7 @@ from ..graphs.partition import (
     hash_partition,
     locality_partition,
 )
-from .cache import LRUCache
+from .cache import LRUCache, charge_features
 from .stats import ShardingStats
 
 __all__ = [
@@ -291,7 +291,7 @@ class ShardExecutor:
 
     # ------------------------------------------------------------------ #
     def _halo_exchange_s(self, shard: int, ghosts: np.ndarray,
-                         hbm_gbps: float, account: bool,
+                         hbm_gbps: float,
                          now: float = 0.0) -> Tuple[float, int, int]:
         """Exchange time for ``ghosts`` arriving at ``shard``.
 
@@ -307,31 +307,26 @@ class ShardExecutor:
         key = self._key_fn
         stream = self.stream
         hits = 0
-        if account:
-            misses_list = []
-            for v in ghosts:
-                stamp = cache.get(key(int(v)))
-                if stamp is not None:
-                    hits += 1
-                    if stream is not None:
-                        stream.on_halo_hit(int(v), stamp, now)
-                else:
-                    misses_list.append(int(v))
-            for v in misses_list:
-                cache.put(key(v), True if stream is None
-                          else stream.graph.feature_version(v))
-            misses = len(misses_list)
-        else:
-            # read-only peek: probes must not warm the caches
-            hits = sum(1 for v in ghosts if key(int(v)) in cache)
-            misses = int(ghosts.size) - hits
+        misses_list = []
+        for v in ghosts:
+            stamp = cache.get(key(int(v)))
+            if stamp is not None:
+                hits += 1
+                if stream is not None:
+                    stream.on_halo_hit(int(v), stamp, now)
+            else:
+                misses_list.append(int(v))
+        for v in misses_list:
+            cache.put(key(v), True if stream is None
+                      else stream.graph.feature_version(v))
+        misses = len(misses_list)
         moved = misses * self.feature_bytes
         dram_s = moved / hbm_gbps * 1e-9 if moved else 0.0
         return dram_s + self.config.interconnect.transfer_time_s(moved), \
             hits, misses
 
     def service_time_s(self, batch, reuse_discount: float,
-                       account: bool = True, now: float = 0.0) -> float:
+                       now: float = 0.0) -> float:
         """Simulated group service time of ``batch`` (the gather barrier).
 
         Splits the batch by target ownership, runs every shard's fused
@@ -358,25 +353,14 @@ class ShardExecutor:
         for shard in sorted(groups):
             requests = groups[shard]
             chip = self.chips[shard]
-            request_shapes = [(r.target_vertex, r.degrade_hops,
-                               r.degrade_fanout) for r in requests]
-            shapes = list(dict.fromkeys(request_shapes))
-            by_shape = {s: self.sampler.extract(s[0], num_hops=s[1],
-                                                fanout=s[2]) for s in shapes}
-            samples = [by_shape[s] for s in shapes]
-            naive = sum(by_shape[s].num_vertices for s in request_shapes)
-            if len(samples) == 1:
-                fused = samples[0].graph
-            else:
-                fused = self.sampler.fuse(
-                    samples, name=f"{prefix}batch{batch.batch_id}s{shard}")
-            union = samples[0].vertex_array if len(samples) == 1 else \
-                np.unique(np.concatenate([s.vertex_array for s in samples]))
+            fused, naive, distinct = self.sampler.fuse_requests(
+                requests, name=f"{prefix}batch{batch.batch_id}s{shard}")
+            union = fused.vertex_ids if distinct == 1 else \
+                np.unique(fused.vertex_ids)
             owner = self._owner_for(union)
             ghosts = union[owner[union] != shard]
             exchange_s, hits, misses = self._halo_exchange_s(
-                shard, ghosts, chip.hw.hbm.peak_bandwidth_gbps, account,
-                now=now)
+                shard, ghosts, chip.hw.hbm.peak_bandwidth_gbps, now=now)
             report = chip.simulator.run_model(self.model, fused,
                                               dataset_name=self.dataset_name)
             phase_cycles["total"] += report.total_cycles
@@ -385,23 +369,10 @@ class ShardExecutor:
             phase_cycles["dram_busy"] += report.dram_stats.busy_cycles
             # per-chip feature-cache reuse, same semantics as the unsharded
             # path: warm features skip their DRAM stream on this chip
-            key = self._key_fn
-            stream = self.stream
-            if account:
-                feature_hits = 0
-                for v in union:
-                    stamp = chip.feature_cache.get(key(int(v)))
-                    if stamp is not None:
-                        feature_hits += 1
-                        if stream is not None:
-                            stream.on_feature_hit(int(v), stamp, now)
-                for v in union:
-                    chip.feature_cache.put(
-                        key(int(v)), True if stream is None
-                        else stream.graph.feature_version(int(v)))
-            else:
-                feature_hits = sum(1 for v in union if key(int(v))
-                                   in chip.feature_cache)
+            vertices = union.tolist()
+            feature_hits = charge_features(
+                chip.feature_cache, vertices,
+                [self._key_fn(v) for v in vertices], self.stream, now)
             reuse_fraction = feature_hits / union.size if union.size else 0.0
             compute_s = report.execution_time_s \
                 * (1.0 - reuse_discount * reuse_fraction)
@@ -413,10 +384,9 @@ class ShardExecutor:
                 exchange_s=exchange_s, compute_s=compute_s))
             fused_total += fused.num_vertices
             naive_total += naive
-            if account:
-                chip.stats.vertices_simulated += fused.num_vertices
-                chip.stats.feature_lookups += int(union.size)
-                chip.stats.feature_hits += feature_hits
+            chip.stats.vertices_simulated += fused.num_vertices
+            chip.stats.feature_lookups += int(union.size)
+            chip.stats.feature_hits += feature_hits
         batch.fused_vertices = fused_total
         batch.naive_vertices = naive_total
         batch.overlap_ratio = 1.0 - fused_total / naive_total \
@@ -429,24 +399,23 @@ class ShardExecutor:
             * self.feature_bytes
         gather_s = self.config.interconnect.transfer_time_s(gather_bytes)
         service_s = max(t.total_s for t in timings) + gather_s
-        if account:
-            stats = self.stats
-            stats.sharded_batches += 1
-            stats.sub_batches += len(timings)
-            stats.gather_s += gather_s
-            for t in timings:
-                stats.halo_lookups += t.ghost_vertices
-                stats.halo_hits += t.halo_hits
-                stats.halo_bytes_moved += t.halo_misses * self.feature_bytes
-                stats.halo_bytes_saved += t.halo_hits * self.feature_bytes
-                stats.exchange_s += t.exchange_s
-                stats.shard_busy_s[t.shard] += t.total_s
-                stats.shard_requests[t.shard] += t.requests
-                # member chips do real work off the leader's clock: account
-                # their busy time manually (the leader's own busy_s is the
-                # full barrier time, added by the event loop)
-                if t.shard != 0:
-                    self.chips[t.shard].stats.busy_s += t.total_s
-                    self.chips[t.shard].stats.batches_served += 1
-                    self.chips[t.shard].stats.requests_served += t.requests
+        stats = self.stats
+        stats.sharded_batches += 1
+        stats.sub_batches += len(timings)
+        stats.gather_s += gather_s
+        for t in timings:
+            stats.halo_lookups += t.ghost_vertices
+            stats.halo_hits += t.halo_hits
+            stats.halo_bytes_moved += t.halo_misses * self.feature_bytes
+            stats.halo_bytes_saved += t.halo_hits * self.feature_bytes
+            stats.exchange_s += t.exchange_s
+            stats.shard_busy_s[t.shard] += t.total_s
+            stats.shard_requests[t.shard] += t.requests
+            # member chips do real work off the leader's clock: account
+            # their busy time manually (the leader's own busy_s is the
+            # full barrier time, added by the event loop)
+            if t.shard != 0:
+                self.chips[t.shard].stats.busy_s += t.total_s
+                self.chips[t.shard].stats.batches_served += 1
+                self.chips[t.shard].stats.requests_served += t.requests
         return service_s

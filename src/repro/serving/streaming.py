@@ -399,7 +399,7 @@ class StreamState:
         if self.result_cache is None:
             return
         sample = self.sampler.extract(target)
-        vertices = tuple(int(v) for v in sample.vertex_array.tolist())
+        vertices = tuple(int(v) for v in sample.vertex_ids.tolist())
         self._result_meta[target] = _ResultMeta(
             version=self.graph.version, time_s=now, vertices=vertices)
         for v in vertices:
@@ -452,7 +452,7 @@ class StreamState:
                                    fanout=shape[2])
             fresh = sampler.extract_fresh(shape[0], num_hops=shape[1],
                                           fanout=shape[2])
-            if not np.array_equal(memo.vertex_array, fresh.vertex_array):
+            if not np.array_equal(memo.vertex_ids, fresh.vertex_ids):
                 lag = self.graph.version - (entry_version or 0)
                 self._count_stale(lag, 0.0, "stale_samples")
                 continue

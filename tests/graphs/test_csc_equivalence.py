@@ -58,8 +58,7 @@ def _assert_same_graph(a, b):
 
 def _assert_matches(sample, expected):
     vertices, graph = expected
-    assert sample.vertices == vertices
-    assert np.array_equal(sample.vertex_ids, vertices)
+    assert sample.vertex_ids.tolist() == list(vertices)
     _assert_same_graph(sample.graph, graph)
 
 

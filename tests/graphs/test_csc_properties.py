@@ -86,7 +86,7 @@ def test_sampling_deterministic_per_seed(pair, num_hops, fanout):
     a = SubgraphSampler(csc, num_hops=num_hops, fanout=fanout, seed=11)
     b = SubgraphSampler(csc, num_hops=num_hops, fanout=fanout, seed=11)
     sample_a, sample_b = a.extract(target), b.extract(target)
-    assert sample_a.vertices == sample_b.vertices
+    assert sample_a.vertex_ids.tolist() == sample_b.vertex_ids.tolist()
     assert np.array_equal(sample_a.graph.csr.indptr,
                           sample_b.graph.csr.indptr)
     assert np.array_equal(sample_a.graph.csr.indices,
@@ -100,7 +100,8 @@ def test_sampling_diverges_across_seeds():
                                  feature_length=4, undirected=False)
     csc = to_csc(graph)
     samples = {
-        SubgraphSampler(csc, num_hops=1, fanout=4, seed=s).extract(0).vertices
+        tuple(SubgraphSampler(csc, num_hops=1, fanout=4, seed=s)
+              .extract(0).vertex_ids.tolist())
         for s in range(12)
     }
     assert len(samples) > 1
@@ -112,7 +113,7 @@ def test_empty_graph():
     assert np.array_equal(csc.colptr, np.zeros(4, dtype=np.int64))
     assert csc.row.size == 0
     sample = SubgraphSampler(csc, num_hops=2, fanout=4).extract(1)
-    assert sample.vertices == (1,)
+    assert sample.vertex_ids.tolist() == [1]
     assert sample.num_edges == 0
 
 
@@ -121,7 +122,7 @@ def test_isolated_vertex():
     assert np.diff(csc.colptr)[2] == 0
     assert csc.in_neighbors(2).size == 0
     sample = SubgraphSampler(csc, num_hops=2, fanout=4).extract(2)
-    assert sample.vertices == (2,)
+    assert sample.vertex_ids.tolist() == [2]
 
 
 def test_self_loop():
@@ -130,14 +131,15 @@ def test_self_loop():
     assert 0 in csc.in_neighbors(0)
     sample = SubgraphSampler(csc, num_hops=3, fanout=4).extract(0)
     # the self-loop must not re-add the target or loop forever
-    assert sample.vertices[0] == 0
-    assert len(set(sample.vertices)) == len(sample.vertices)
+    vertices = sample.vertex_ids.tolist()
+    assert vertices[0] == 0
+    assert len(set(vertices)) == len(vertices)
 
 
 def test_single_vertex_graph():
     csc = to_csc(Graph.from_edge_list([], 1, feature_length=4))
     sample = SubgraphSampler(csc, num_hops=2, fanout=2).extract(0)
-    assert sample.vertices == (0,)
+    assert sample.vertex_ids.tolist() == [0]
     assert isinstance(csc, CSCGraph)
 
 

@@ -17,8 +17,8 @@ class TestSubgraphSampler:
         sampler = SubgraphSampler(graph, num_hops=2, fanout=4)
         sample = sampler.extract(17)
         assert sample.target_vertex == 17
-        assert sample.vertices[0] == 17
-        assert sample.graph.num_vertices == len(sample.vertices)
+        assert sample.vertex_ids[0] == 17
+        assert sample.graph.num_vertices == len(sample.vertex_ids)
 
     def test_fanout_caps_subgraph_in_degrees(self, graph):
         fanout = 3
@@ -38,7 +38,7 @@ class TestSubgraphSampler:
         sampler = SubgraphSampler(graph, num_hops=1, fanout=4)
         sample = sampler.extract(42)
         assert sample.graph.feature_length == graph.feature_length
-        for local, global_id in enumerate(sample.vertices):
+        for local, global_id in enumerate(sample.vertex_ids.tolist()):
             assert np.array_equal(sample.graph.features[local],
                                   graph.features[global_id])
 
@@ -48,7 +48,7 @@ class TestSubgraphSampler:
         a = first.extract(9)
         second.extract(3)       # different extraction history
         b = second.extract(9)
-        assert a.vertices == b.vertices
+        assert a.vertex_ids.tolist() == b.vertex_ids.tolist()
         assert a.graph.num_edges == b.graph.num_edges
 
     def test_different_seed_can_change_sampling(self, graph):
@@ -56,7 +56,7 @@ class TestSubgraphSampler:
         hub = int(np.argmax(graph.csc.in_degrees()))
         a = SubgraphSampler(graph, num_hops=1, fanout=2, seed=0).extract(hub)
         b = SubgraphSampler(graph, num_hops=1, fanout=2, seed=99).extract(hub)
-        assert a.vertices != b.vertices
+        assert a.vertex_ids.tolist() != b.vertex_ids.tolist()
 
     def test_memoisation_returns_same_object(self, graph):
         sampler = SubgraphSampler(graph, num_hops=2, fanout=4)

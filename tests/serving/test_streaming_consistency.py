@@ -127,7 +127,13 @@ def _apply_op(delta: DeltaGraph, ref: ReferenceGraph, op, rng):
 def _assert_samplers_agree(delta: DeltaGraph, rebuilt: CSCGraph,
                            live: SubgraphSampler, targets):
     """The memoising sampler on the mutating graph must be bit-identical
-    to a cold sampler on the from-scratch rebuild."""
+    to a cold sampler on the from-scratch rebuild.
+
+    Sample graphs are row views that read the live graph's features, so
+    a memoised sample's features cannot go stale and the feature check
+    below cannot catch a stale memo entry.  Staleness shows in the
+    ``vertex_ids`` and CSR checks, and in the feature-cache version
+    stamps (``on_feature_hit``)."""
     cold = SubgraphSampler(rebuilt, num_hops=live.num_hops,
                            fanout=live.fanout, seed=live.seed)
     assert np.array_equal(delta.colptr, rebuilt.colptr)
@@ -138,7 +144,7 @@ def _assert_samplers_agree(delta: DeltaGraph, rebuilt: CSCGraph,
     for target in targets:
         a = live.extract(target)
         b = cold.extract(target)
-        assert np.array_equal(a.vertex_array, b.vertex_array)
+        assert np.array_equal(a.vertex_ids, b.vertex_ids)
         assert np.array_equal(a.graph.csr.indptr, b.graph.csr.indptr)
         assert np.array_equal(a.graph.csr.indices, b.graph.csr.indices)
         assert np.array_equal(a.graph.features, b.graph.features)
@@ -270,7 +276,7 @@ def test_result_cache_kill(policy):
     state.result_cache.put(target, object())
     state.register_result(target, now=0.0)
     # mutate a vertex inside the cached result's dependency set
-    dirty = int(sample.vertex_array[-1])
+    dirty = int(sample.vertex_ids[-1])
     state.apply(1.0, _feature_event(0, dirty))
     state.on_result_hit(target, now=2.0)
     if policy == "none":
@@ -331,11 +337,11 @@ def test_sampler_memo_kill(policy):
     fresh = sampler.extract_fresh(target)
     if policy == "none":
         assert stats.stale_samples == 1
-        assert not np.array_equal(memo.vertex_array, fresh.vertex_array)
+        assert not np.array_equal(memo.vertex_ids, fresh.vertex_ids)
         assert sampler.invalidated_samples == 0
     else:
         assert stats.stale_samples == 0 and stats.stale_signatures == 0
-        assert np.array_equal(memo.vertex_array, fresh.vertex_array)
+        assert np.array_equal(memo.vertex_ids, fresh.vertex_ids)
         assert sampler.invalidated_samples >= 1  # the memo entry was dropped
         assert np.array_equal(sampler.signature(target),
                               sampler.signature_fresh(target))
