@@ -12,7 +12,7 @@ layout the samplers run on (see ``docs/core.md``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -83,6 +83,11 @@ class CSRMatrix:
         """Return the per-row non-zero counts."""
         return np.diff(self.indptr)
 
+    def iter_rows(self) -> Iterator[Tuple[int, np.ndarray]]:
+        """Iterate over ``(row_index, column_indices)`` pairs."""
+        for i in range(self.num_rows):
+            yield i, self.row(i)
+
     def to_dense(self) -> np.ndarray:
         """Materialise the matrix as a dense binary array (small graphs only)."""
         dense = np.zeros((self.num_rows, self.num_cols), dtype=np.int8)
@@ -92,9 +97,15 @@ class CSRMatrix:
 
     def transpose(self) -> "CSRMatrix":
         """Return the transposed structure (rows become columns)."""
+        counts = np.zeros(self.num_cols + 1, dtype=np.int64)
+        if self.nnz:
+            np.add.at(counts, self.indices + 1, 1)
+        indptr = np.cumsum(counts)
+        if self.nnz == 0:
+            return CSRMatrix(indptr, np.empty(0, dtype=np.int64), self.num_rows)
         row_of_edge = np.repeat(np.arange(self.num_rows), np.diff(self.indptr))
-        return CSRMatrix.from_arrays(self.indices, row_of_edge, self.num_cols,
-                                     self.num_rows, deduplicate=False)
+        order = np.argsort(self.indices, kind="stable")
+        return CSRMatrix(indptr, row_of_edge[order], self.num_rows)
 
     @classmethod
     def from_arrays(
@@ -107,11 +118,11 @@ class CSRMatrix:
     ) -> "CSRMatrix":
         """Trusted vectorized constructor from parallel ``rows``/``cols`` arrays.
 
-        The one canonical builder: edges in lexicographic ``(row, col)``
-        order, optionally deduplicated.  It skips bounds validation --
-        callers (:meth:`from_edges` after validating, :meth:`transpose`, the
+        Produces exactly the structure :meth:`from_edges` would for the same
+        edge multiset (same lexicographic canonical order, same optional
+        dedup), but skips the per-call bounds validation -- callers (the
         array-native sampler cores) guarantee ``0 <= rows < num_rows`` and
-        ``0 <= cols < num_cols``.  The canonical
+        ``0 <= cols < num_cols`` by construction.  The canonical
         ``(row, col)`` sort runs on the fused key ``row * num_cols + col``
         (one unstable single-key sort, roughly twice as fast as the
         two-pass stable ``lexsort``, and order-equivalent because the key
@@ -171,7 +182,16 @@ class CSRMatrix:
             raise ValueError("row index out of range")
         if cols.min() < 0 or cols.max() >= num_cols:
             raise ValueError("column index out of range")
-        return cls.from_arrays(rows, cols, num_rows, num_cols, deduplicate)
+        order = np.lexsort((cols, rows))
+        rows, cols = rows[order], cols[order]
+        if deduplicate:
+            keep = np.ones(len(rows), dtype=bool)
+            keep[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+            rows, cols = rows[keep], cols[keep]
+        counts = np.zeros(num_rows + 1, dtype=np.int64)
+        np.add.at(counts, rows + 1, 1)
+        indptr = np.cumsum(counts)
+        return cls(indptr, cols, num_cols)
 
 
 class CSCMatrix:

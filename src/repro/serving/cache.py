@@ -144,15 +144,15 @@ class LRUCache:
         self._entries.clear()
 
 
-def charge_features(cache: LRUCache, vertices: List[int],
-                    keys: Sequence[Hashable], stream=None,
-                    now: float = 0.0) -> int:
+def charge_features(cache: LRUCache, vertices: List[int], key=None,
+                    stream=None, now: float = 0.0) -> int:
     """Charge one batch's feature reads to a chip cache; returns the hits.
 
-    ``keys[i]``, in put order, is the key of global vertex ``vertices[i]``.
-    Streaming runs store each line's feature version and check every hit
-    against the vertex's current one; other runs store ``True``.
+    ``vertices`` (global ids, in put order) are cached under ``key(v)``, or
+    ``v`` without a ``key``.  Streaming runs store each line's feature
+    version and check every hit against it; other runs store ``True``.
     """
+    keys = vertices if key is None else [key(v) for v in vertices]
     if stream is None:
         return len(cache.charge(keys, repeat(True)))
     version = stream.graph.feature_version

@@ -511,8 +511,8 @@ def fused_batch_service_time_s(chip: Chip, sampler, model, batch: Batch,
     # order fixed by its sequence of distinct insertions, which is the
     # fused graph's first-seen vertex order.
     vertices = list(set(fused.vertex_ids.tolist()))
-    keys = vertices if cache_key is None else [cache_key(v) for v in vertices]
-    hits = charge_features(chip.feature_cache, vertices, keys, stream, now)
+    hits = charge_features(chip.feature_cache, vertices, cache_key, stream,
+                           now)
     reuse_fraction = hits / len(vertices) if vertices else 0.0
     service_s = report.execution_time_s * (1.0 - reuse_discount * reuse_fraction)
     if account:

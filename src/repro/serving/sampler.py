@@ -4,10 +4,9 @@ Each serving request asks for the embedding of one target vertex, but a GCN
 layer needs the k-hop in-neighbourhood of that vertex to compute it.  The
 :class:`SubgraphSampler` extracts that neighbourhood as a small standalone
 :class:`~repro.graphs.graph.RowViewGraph` (local structure plus global
-``vertex_ids``; feature rows stay in the base graph until read, and the
-cycle model reads only ``feature_length``) so the rest of the stack -- the
-batcher, the fleet, the HyGCN simulator -- can treat a request exactly
-like any other workload graph.
+``vertex_ids``; feature rows stay in the base graph until read) so the rest
+of the stack -- the batcher, the fleet, the HyGCN simulator, which reads
+only ``feature_length`` -- can treat a request like any other workload graph.
 
 The per-hop fan-out cap mirrors GraphSage-style sampled serving: at most
 ``fanout`` in-neighbours of each frontier vertex are expanded.  Extraction is
@@ -82,6 +81,9 @@ __all__ = ["SubgraphSample", "SubgraphSampler", "estimate_jaccard",
 #: similarity estimate's standard error around 1/sqrt(16) = 0.25, plenty to
 #: rank co-batching candidates, at 128 bytes per signature.
 SIGNATURE_HASHES = 16
+
+_NO_EDGES = np.empty(0, dtype=np.int64)
+_NO_EDGES.setflags(write=False)
 
 
 def estimate_jaccard(sig_a: np.ndarray,
@@ -368,8 +370,10 @@ class SubgraphSampler:
         lut[target_vertex] = 0
         order_parts = [np.array([target_vertex], dtype=np.int64)]
         num_local = 1
-        rows_parts: List[np.ndarray] = []   # edge sources, local ids
-        cols_parts: List[np.ndarray] = []   # edge destinations, local ids
+        # edge sources / destinations, local ids (the empty leading part
+        # keeps a subgraph without edges on the same CSR build)
+        rows_parts: List[np.ndarray] = [_NO_EDGES]
+        cols_parts: List[np.ndarray] = [_NO_EDGES]
         frontier = order_parts[0]
         frontier_base = 0  # frontier local ids are always consecutive
         for _ in range(num_hops):
@@ -434,11 +438,8 @@ class SubgraphSampler:
         order = np.concatenate(order_parts) if len(order_parts) > 1 \
             else order_parts[0]
         lut[order] = -1  # reset only the touched scratch entries
-        if rows_parts:
-            csr = CSRMatrix.from_arrays(np.concatenate(rows_parts),
-                                        np.concatenate(cols_parts), num_local)
-        else:
-            csr = CSRMatrix.from_edges([], num_local)
+        csr = CSRMatrix.from_arrays(np.concatenate(rows_parts),
+                                    np.concatenate(cols_parts), num_local)
         order.setflags(write=False)
         graph = RowViewGraph(csr, self.graph, order,
                              name=f"{self.graph.name}[v{target_vertex}]")
@@ -540,16 +541,15 @@ class SubgraphSampler:
              name: str = "fused") -> RowViewGraph:
         """Deduped union of ``samples`` as one standalone fused graph.
 
-        Vertices shared between neighbourhoods appear **once** in the
-        fused row view's ``vertex_ids`` (their features are streamed once)
-        and the edge set is the union of the samples' edge sets mapped onto
-        the shared local id space -- this is the fused subgraph HyGCN's
-        aggregation engine benefits from when co-batched neighbourhoods
-        intersect.  Local ids follow first-seen order over ``samples``, so
-        fusion is deterministic for a deterministic sample order.  The
-        fused graph is marked ``memoize_workloads = False``: fusions are
-        unique per dispatch, so a workload-memo entry would never hit and
-        would only push out entries of single-sample graphs, which repeat.
+        Vertices shared between neighbourhoods appear **once** in the fused
+        row view's ``vertex_ids`` (their features are streamed once) and the
+        edge set is the union of the samples' edge sets on the shared local
+        id space -- the fused subgraph HyGCN's aggregation engine benefits
+        from when co-batched neighbourhoods intersect.  Local ids follow
+        first-seen order over ``samples`` (deterministic for a deterministic
+        sample order).  The fused graph sets ``memoize_workloads = False``:
+        fusions are unique per dispatch, so a workload-memo entry would only
+        push out entries of single-sample graphs, which repeat.
         """
         if not samples:
             raise ValueError("fuse requires at least one sample")
@@ -558,8 +558,8 @@ class SubgraphSampler:
         order = concat[self._first_seen(concat)]
         lut = self._local_lut
         lut[order] = np.arange(order.size)
-        rows_parts: List[np.ndarray] = []
-        cols_parts: List[np.ndarray] = []
+        rows_parts: List[np.ndarray] = [_NO_EDGES]
+        cols_parts: List[np.ndarray] = [_NO_EDGES]
         for sample in samples:
             csr = sample.graph.csr
             if csr.nnz == 0:
@@ -572,12 +572,8 @@ class SubgraphSampler:
             rows_parts.append(lut[v_global])
             cols_parts.append(lut[u_global])
         lut[order] = -1  # reset only the touched scratch entries
-        if rows_parts:
-            csr = CSRMatrix.from_arrays(np.concatenate(rows_parts),
-                                        np.concatenate(cols_parts),
-                                        order.size)
-        else:
-            csr = CSRMatrix.from_edges([], order.size)
+        csr = CSRMatrix.from_arrays(np.concatenate(rows_parts),
+                                    np.concatenate(cols_parts), order.size)
         order.setflags(write=False)
         fused = RowViewGraph(csr, self.graph, order, name=name)
         fused.memoize_workloads = False

@@ -300,30 +300,26 @@ class ShardExecutor:
         free.  Returns ``(seconds, hits, misses)``.  On mutating runs the
         cached value is the ghost's feature version at insertion time
         (``True`` otherwise -- both are cache hits under ``is not None``),
-        which is what lets :meth:`StreamState.on_halo_hit` detect a stale
+        which is what lets :meth:`StreamState.on_feature_hit` detect a stale
         ghost served under the ``none`` policy.
         """
         cache = self.halo_caches[shard]
         key = self._key_fn
         stream = self.stream
-        hits = 0
-        misses_list = []
-        for v in ghosts:
-            stamp = cache.get(key(int(v)))
-            if stamp is not None:
-                hits += 1
-                if stream is not None:
-                    stream.on_halo_hit(int(v), stamp, now)
-            else:
-                misses_list.append(int(v))
-        for v in misses_list:
+        misses = []
+        for v in ghosts.tolist():
+            stamp = cache.get(key(v))
+            if stamp is None:
+                misses.append(v)
+            elif stream is not None:
+                stream.on_feature_hit(v, stamp, now, "stale_halo")
+        for v in misses:
             cache.put(key(v), True if stream is None
                       else stream.graph.feature_version(v))
-        misses = len(misses_list)
-        moved = misses * self.feature_bytes
+        moved = len(misses) * self.feature_bytes
         dram_s = moved / hbm_gbps * 1e-9 if moved else 0.0
         return dram_s + self.config.interconnect.transfer_time_s(moved), \
-            hits, misses
+            ghosts.size - len(misses), len(misses)
 
     def service_time_s(self, batch, reuse_discount: float,
                        now: float = 0.0) -> float:
@@ -369,10 +365,8 @@ class ShardExecutor:
             phase_cycles["dram_busy"] += report.dram_stats.busy_cycles
             # per-chip feature-cache reuse, same semantics as the unsharded
             # path: warm features skip their DRAM stream on this chip
-            vertices = union.tolist()
-            feature_hits = charge_features(
-                chip.feature_cache, vertices,
-                [self._key_fn(v) for v in vertices], self.stream, now)
+            feature_hits = charge_features(chip.feature_cache, union.tolist(),
+                                           self._key_fn, self.stream, now)
             reuse_fraction = feature_hits / union.size if union.size else 0.0
             compute_s = report.execution_time_s \
                 * (1.0 - reuse_discount * reuse_fraction)

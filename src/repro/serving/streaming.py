@@ -467,24 +467,17 @@ class StreamState:
                     lag = self.graph.version - (entry_version or 0)
                     self._count_stale(lag, 0.0, "stale_signatures")
 
-    def on_feature_hit(self, vertex: int, stamp, now: float) -> None:
-        """Consistency probe on a feature-cache (or halo-cache) hit."""
+    def on_feature_hit(self, vertex: int, stamp, now: float,
+                       counter: str = "stale_features") -> None:
+        """Consistency probe on a feature-cache hit; a halo-cache hit
+        counts as ``"stale_halo"``."""
         current = self.graph.feature_version(vertex)
         if isinstance(stamp, bool):
             stamp = 0
         if int(stamp) < current:
             self._count_stale(current - int(stamp),
                               now - self._last_mutation_s.get(vertex, now),
-                              "stale_features")
-
-    def on_halo_hit(self, vertex: int, stamp, now: float) -> None:
-        current = self.graph.feature_version(vertex)
-        if isinstance(stamp, bool):
-            stamp = 0
-        if int(stamp) < current:
-            self._count_stale(current - int(stamp),
-                              now - self._last_mutation_s.get(vertex, now),
-                              "stale_halo")
+                              counter)
 
     def note_shard_plan_miss(self, count: int = 1) -> None:
         self.stats.shard_plan_misses += count

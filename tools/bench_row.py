@@ -1,14 +1,15 @@
 #!/usr/bin/env python
 """Append rows of the repo benchmark to the committed perf trajectory.
 
-    python3 tools/bench_row.py [--runs 5] [--seconds 25] CHECKOUT [CHECKOUT ...]
-    python3 tools/bench_row.py --check [FILE]
+    python3 tools/bench_row.py [--runs 5] CHECKOUT [CHECKOUT ...]
+    python3 tools/bench_row.py --check
 
 Each ``CHECKOUT`` is a directory holding a checkout of this repository, for
 example a clone of the parent commit and ``.``.  For each workload the
-unchanged ``perfbench/run.py`` of every checkout runs ``--runs`` times for
-``--seconds`` each, the checkouts taking turns and the first of them
-rotating from round to round, so host drift falls on all of them alike.
+unchanged ``perfbench/run.py`` of every checkout runs ``--runs`` times
+(at least :data:`MIN_RUNS`) for its own default run length, the checkouts
+taking turns and the first of them rotating from round to round, so host
+drift falls on all of them alike.
 One traced run per checkout and workload (``--seconds 0 --trace 1``)
 then gives the per-layer self-time split.  One row per checkout, in the
 order given, is appended to ``BENCH_perfbench.json`` at the repo root.
@@ -20,9 +21,10 @@ over the runs with every run's value, the medians of ``wall_s``,
 was correct, and the traced ``<layer>.self_frac`` shares and
 ``<layer>.calls`` counts.
 
-``--check`` validates the file against that schema and needs only the
-standard library; it exits 0 with an ``OK`` line, 1 with a list of
-problems.
+``--check`` validates ``BENCH_perfbench.json`` against that schema, and
+that every row comes from a clean tree with no failed operation; it needs
+only the standard library and exits 0 with an ``OK`` line, 1 with a list
+of problems.
 """
 
 from __future__ import annotations
@@ -40,16 +42,22 @@ TRAJECTORY = ROOT / "BENCH_perfbench.json"
 WORKLOADS = ("cr-miss", "ib-overlap", "mt-stream")
 #: Fewest timed runs per workload a row may rest on.
 MIN_RUNS = 5
+#: Host seconds of one timed run: ``perfbench/run.py``'s default, which
+#: the timed runs leave in force.
+RUN_SECONDS = 25.0
 MEDIANS = ("wall_s", "setup_s", "peak_rss_mb")
 SIMULATED = ("sim_mean_us", "sim_p99_us", "sim_j_per_req")
 
 
-def run_perfbench(checkout: Path, workload: str, seconds: float,
-                  trace: int = 0) -> dict:
-    """One ``perfbench/run.py`` run: its result line plus provenance."""
+def run_perfbench(checkout: Path, workload: str, trace: bool = False) -> dict:
+    """One ``perfbench/run.py`` run: its result line plus provenance.
+
+    A timed run keeps the benchmark's run length; a traced run is one
+    traced pass over the streams (``--seconds 0 --trace 1``).
+    """
+    extra = ["--seconds", "0", "--trace", "1"] if trace else []
     out = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seconds", str(seconds), "--trace", str(trace)],
+        [sys.executable, "perfbench/run.py", "--workload", workload, *extra],
         cwd=checkout, capture_output=True, text=True, check=True).stdout
     lines = out.splitlines()
     result = json.loads(lines[-1])
@@ -85,7 +93,7 @@ def summarise(runs: list, traced: dict) -> dict:
     return entry
 
 
-def measure(checkouts: list, runs: int, seconds: float) -> list:
+def measure(checkouts: list, runs: int) -> list:
     """Rows for ``checkouts``, measured in alternating rounds."""
     timed = {(c, w): [] for c in checkouts for w in WORKLOADS}
     traced = {}
@@ -94,10 +102,10 @@ def measure(checkouts: list, runs: int, seconds: float) -> list:
             k = i % len(checkouts)
             for checkout in checkouts[k:] + checkouts[:k]:
                 timed[checkout, workload].append(
-                    run_perfbench(checkout, workload, seconds))
+                    run_perfbench(checkout, workload))
         for checkout in checkouts:
             traced[checkout, workload] = run_perfbench(
-                checkout, workload, 0, trace=1)
+                checkout, workload, trace=True)
     rows = []
     for checkout in checkouts:
         first = timed[checkout, WORKLOADS[0]][0]["provenance"]
@@ -106,7 +114,7 @@ def measure(checkouts: list, runs: int, seconds: float) -> list:
             "nproc": first["nproc"], "python": first["python"],
             "numpy": first["numpy"],
             "date": datetime.date.today().isoformat(),
-            "runs": runs, "run_seconds": seconds,
+            "runs": runs, "run_seconds": RUN_SECONDS,
             "workloads": {w: summarise(timed[checkout, w],
                                        traced[checkout, w])
                           for w in WORKLOADS},
@@ -134,6 +142,8 @@ def check(path: Path) -> list:
         if not (isinstance(sha, str) and len(sha) == 40
                 and all(c in "0123456789abcdef" for c in sha)):
             problems.append(f"{where}: git_sha {sha!r} is not a full sha")
+        if row.get("dirty") is not False:
+            problems.append(f"{where}: measured on a dirty or unknown tree")
         if not isinstance(row.get("nproc"), int):
             problems.append(f"{where}: nproc missing")
         workloads = row.get("workloads", {})
@@ -160,6 +170,8 @@ def check(path: Path) -> list:
                 problems.append(f"{at}: self_frac must map layers to [0, 1]")
             if entry.get("correct") is not True:
                 problems.append(f"{at}: a run was not correct")
+            if entry.get("failed") != 0:
+                problems.append(f"{at}: operations failed")
     return problems
 
 
@@ -167,31 +179,29 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkouts", nargs="*", type=Path)
     parser.add_argument("--runs", type=int, default=MIN_RUNS)
-    parser.add_argument("--seconds", type=float, default=25.0)
-    parser.add_argument("--out", type=Path, default=TRAJECTORY)
     parser.add_argument("--check", action="store_true",
                         help="validate the trajectory file and exit")
     args = parser.parse_args(argv)
     if args.check:
-        path = args.checkouts[0] if args.checkouts else args.out
-        problems = check(path)
+        if args.checkouts:
+            parser.error("--check takes no checkouts")
+        problems = check(TRAJECTORY)
         for problem in problems:
             print(f"error: {problem}", file=sys.stderr)
         if not problems:
-            rows = json.loads(path.read_text())["rows"]
-            print(f"OK: {path.name} holds {len(rows)} valid rows")
+            rows = json.loads(TRAJECTORY.read_text())["rows"]
+            print(f"OK: {TRAJECTORY.name} holds {len(rows)} valid rows")
         return 1 if problems else 0
     if not args.checkouts:
         parser.error("give at least one checkout to measure")
-    if args.runs < 1:
-        parser.error("--runs must be >= 1")
-    rows = measure([c.resolve() for c in args.checkouts], args.runs,
-                   args.seconds)
-    data = json.loads(args.out.read_text()) if args.out.exists() \
+    if args.runs < MIN_RUNS:
+        parser.error(f"--runs must be >= {MIN_RUNS}")
+    rows = measure([c.resolve() for c in args.checkouts], args.runs)
+    data = json.loads(TRAJECTORY.read_text()) if TRAJECTORY.exists() \
         else {"rows": []}
     data["rows"].extend(rows)
-    args.out.write_text(json.dumps(data, indent=1) + "\n")
-    print(f"appended {len(rows)} rows to {args.out}")
+    TRAJECTORY.write_text(json.dumps(data, indent=1) + "\n")
+    print(f"appended {len(rows)} rows to {TRAJECTORY}")
     return 0
 
 
