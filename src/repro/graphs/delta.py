@@ -3,14 +3,16 @@
 :class:`DeltaGraph` makes a :class:`~repro.graphs.graph.Graph` mutable
 without giving up the flat ``colptr``/``row`` layout the samplers run on.
 The base arrays are treated as immutable (dataset graphs are memoised and
-shared across runs -- see :func:`repro.graphs.datasets.load_dataset`);
-mutations accumulate in append-only delta logs:
+shared across runs -- see :func:`repro.graphs.datasets.load_dataset`).
+Structure and features are kept apart, each touched only by the mutations
+that change it:
 
-* **edge insertions** -- ``(src, dst)`` pairs appended to a pending log
-  (an in-edge of ``dst``, exactly the CSC column orientation);
-* **vertex insertions** -- new feature rows appended past the base vertex
-  range (new vertices start isolated; edges referencing them arrive as
-  ordinary edge insertions);
+* **edge insertions** -- an in-edge ``src -> dst`` is patched into fresh
+  ``colptr``/``row`` arrays at its sorted slot in ``dst``'s column (the
+  CSC column orientation), so the structure is always current;
+* **vertex insertions** -- an empty column appended to ``colptr`` plus a
+  new feature row past the base vertex range (new vertices start
+  isolated; edges referencing them arrive as ordinary edge insertions);
 * **feature writes** -- per-vertex feature-row overrides.
 
 Every applied mutation bumps the monotonically increasing :attr:`version`
@@ -18,19 +20,21 @@ and records the affected vertex in a dirty log, which consumers (the
 serving sampler's memo invalidation, the consistency tracker) query with
 :meth:`dirty_since`.
 
-Reads go through a lazily materialised **snapshot**: flat ``colptr`` /
-``row`` / ``features`` arrays with the deltas merged in canonical CSC
-order (sources ascending within each column, matching what
-:class:`~repro.graphs.graph.CSRMatrix` construction produces), cached
-until the next mutation.  Because the snapshot is bit-for-bit identical to
-the arrays of a ``CSCGraph`` rebuilt from scratch at the same version, the
-samplers run unmodified on a mutating graph and agree with a cold rebuild
-(``tests/serving/test_streaming_consistency.py``).
+The arrays read back are bit-for-bit those of a ``CSCGraph`` rebuilt from
+scratch at the same version: sources ascend within each column, matching
+what :class:`~repro.graphs.graph.CSRMatrix` construction produces, and
+``features`` is assembled from the base rows and the pending overrides on
+first read after a feature write or new vertex.  So the samplers run
+unmodified on a mutating graph and agree with a cold rebuild
+(``tests/serving/test_streaming_consistency.py``).  A mutation never
+writes into an array already handed out: it replaces the array, so a
+reader's reference keeps describing the version it was taken at.
 
-:meth:`compact` promotes the current snapshot to the new base and clears
-the delta logs (the version is unchanged: compaction is a representation
-change, not a mutation).  ``compact_every`` auto-compacts after that many
-pending mutations, bounding snapshot rebuild cost.
+:meth:`compact` promotes the current feature matrix to the new base and
+clears the delta logs (the version is unchanged: compaction is a
+representation change, not a mutation).  ``compact_every`` auto-compacts
+after that many pending mutations, bounding the override log a feature
+read folds in.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ class DeltaGraph(Graph):
     ----------
     base:
         The graph to overlay; its ``colptr``/``row``/``features`` arrays
-        become the overlay's base arrays and are never written to.
+        become the overlay's starting arrays and are never written to.
     compact_every:
         Auto-compact after this many pending (uncompacted) mutations;
         ``0`` disables auto-compaction (call :meth:`compact` manually).
@@ -73,14 +77,13 @@ class DeltaGraph(Graph):
         self.version = 0
         #: number of :meth:`compact` promotions performed so far.
         self.compactions = 0
-        self._base_colptr = base.colptr
-        self._base_row = base.row
+        # the live structure: replaced (never written into) by each edge or
+        # vertex insertion, so an array once handed out stays valid
+        self._colptr = base.colptr
+        self._row = base.row
         self._base_features = base.features
-        self._num_vertices = base.num_vertices
         # pending (uncompacted) deltas
-        self._pending_src: List[int] = []
-        self._pending_dst: List[int] = []
-        self._pending_set: set = set()
+        self._pending_edges = 0
         self._new_features: List[np.ndarray] = []
         self._feature_overlay: Dict[int, np.ndarray] = {}
         # (version, vertex) per applied mutation, for targeted invalidation
@@ -88,8 +91,9 @@ class DeltaGraph(Graph):
         #: version of the last feature write (or creation) per vertex;
         #: vertices absent from the map carry their base features.
         self._feature_versions: Dict[int, int] = {}
-        self._snapshot: Optional[Tuple[np.ndarray, np.ndarray,
-                                       np.ndarray]] = None
+        # feature snapshot, built on read; None once a feature write or a
+        # new vertex has made it stale
+        self._features: Optional[np.ndarray] = base.features
         self._csr_cache: Optional[CSRMatrix] = None
         self._csc_cache: Optional[CSCMatrix] = None
 
@@ -101,19 +105,22 @@ class DeltaGraph(Graph):
 
         Returns ``False`` (a no-op, no version bump) when the edge already
         exists -- the canonical CSC layout is deduplicated, so a duplicate
-        insert must not change the materialised arrays.
+        insert must not change the arrays.
         """
         src, dst = int(src), int(dst)
-        if not (0 <= src < self._num_vertices
-                and 0 <= dst < self._num_vertices):
+        n = self.num_vertices
+        if not (0 <= src < n and 0 <= dst < n):
             raise ValueError(f"edge ({src}, {dst}) outside the "
-                             f"{self._num_vertices}-vertex graph")
-        if self.has_edge(src, dst):
+                             f"{n}-vertex graph")
+        found, at = self._locate(src, dst)
+        if found:
             return False
-        self._pending_src.append(src)
-        self._pending_dst.append(dst)
-        self._pending_set.add((src, dst))
-        self._mutated(dst)
+        self._row = np.insert(self._row, at, src)
+        colptr = self._colptr.copy()
+        colptr[dst + 1:] += 1
+        self._colptr = colptr
+        self._pending_edges += 1
+        self._mutated(dst, structure=True)
         return True
 
     def add_vertex(self, features: np.ndarray) -> int:
@@ -123,47 +130,45 @@ class DeltaGraph(Graph):
             raise ValueError(
                 f"feature row of length {row.size} does not match the "
                 f"graph's feature length {self.feature_length}")
-        vertex = self._num_vertices
-        self._num_vertices += 1
+        vertex = self.num_vertices
+        self._colptr = np.append(self._colptr, self._colptr[-1])
         self._new_features.append(row)
-        self._mutated(vertex)
+        self._features = None
+        self._mutated(vertex, structure=True)
         self._feature_versions[vertex] = self.version
         return vertex
 
     def write_features(self, vertex: int, features: np.ndarray) -> None:
         """Overwrite one vertex's feature row."""
         vertex = int(vertex)
-        if not 0 <= vertex < self._num_vertices:
+        if not 0 <= vertex < self.num_vertices:
             raise ValueError(f"vertex {vertex} outside the "
-                             f"{self._num_vertices}-vertex graph")
+                             f"{self.num_vertices}-vertex graph")
         row = np.ascontiguousarray(features, dtype=np.float64).reshape(-1)
         if row.size != self.feature_length:
             raise ValueError(
                 f"feature row of length {row.size} does not match the "
                 f"graph's feature length {self.feature_length}")
-        base_vertices = len(self._base_colptr) - 1
+        base_vertices = self._base_features.shape[0]
         if vertex >= base_vertices:
             self._new_features[vertex - base_vertices] = row
         else:
             self._feature_overlay[vertex] = row
-        self._mutated(vertex)
+        self._features = None
+        self._mutated(vertex, structure=False)
         self._feature_versions[vertex] = self.version
 
     def compact(self) -> None:
-        """Promote the current snapshot to the new base and clear the logs.
+        """Promote the current feature snapshot to the new base and clear
+        the logs (the structure arrays are always current).
 
         A representation change only: the version, dirty log and
         feature-version stamps are untouched, so consumers cannot tell a
         compacted graph from an uncompacted one (asserted by the
         differential suite).
         """
-        colptr, row, features = self._materialize()
-        self._base_colptr = colptr
-        self._base_row = row
-        self._base_features = features
-        self._pending_src = []
-        self._pending_dst = []
-        self._pending_set = set()
+        self._base_features = self.features
+        self._pending_edges = 0
         self._new_features = []
         self._feature_overlay = {}
         self.compactions += 1
@@ -185,106 +190,64 @@ class DeltaGraph(Graph):
     @property
     def pending_mutations(self) -> int:
         """Mutations applied since the last compaction."""
-        return (len(self._pending_src) + len(self._new_features)
+        return (self._pending_edges + len(self._new_features)
                 + len(self._feature_overlay))
 
     def has_edge(self, src: int, dst: int) -> bool:
-        """Whether the in-edge ``src -> dst`` exists (base or pending).
+        """Whether the in-edge ``src -> dst`` exists."""
+        return self._locate(int(src), int(dst))[0]
 
-        Checked against the base arrays and the pending set directly, so
-        membership tests never force a snapshot rebuild.
-        """
-        base_vertices = len(self._base_colptr) - 1
-        if dst < base_vertices:
-            segment = self._base_row[
-                self._base_colptr[dst]:self._base_colptr[dst + 1]]
-            i = int(np.searchsorted(segment, src))
-            if i < segment.size and int(segment[i]) == src:
-                return True
-        return (src, dst) in self._pending_set
+    def _locate(self, src: int, dst: int) -> Tuple[bool, int]:
+        """Whether ``src`` is in ``dst``'s column, and its sorted slot in
+        ``row`` (where an insert keeps the column ascending)."""
+        start = int(self._colptr[dst])
+        column = self._row[start:int(self._colptr[dst + 1])]
+        i = int(np.searchsorted(column, src))
+        return i < column.size and int(column[i]) == src, start + i
 
-    def _mutated(self, vertex: int) -> None:
+    def _mutated(self, vertex: int, structure: bool) -> None:
         self.version += 1
         self._dirty_log.append((self.version, vertex))
-        self._snapshot = None
-        self._csr_cache = None
-        self._csc_cache = None
+        if structure:
+            self._csr_cache = None
+            self._csc_cache = None
         if self.compact_every and self.pending_mutations >= self.compact_every:
             self.compact()
-
-    # ------------------------------------------------------------------ #
-    # Snapshot materialisation
-    # ------------------------------------------------------------------ #
-    def _materialize(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self._snapshot is not None:
-            return self._snapshot
-        base_colptr = self._base_colptr
-        base_row = self._base_row
-        base_vertices = len(base_colptr) - 1
-        num_vertices = self._num_vertices
-        if not self._pending_src and num_vertices == base_vertices:
-            colptr, row = base_colptr, base_row
-        else:
-            degrees = np.zeros(num_vertices, dtype=np.int64)
-            degrees[:base_vertices] = np.diff(base_colptr)
-            pending_dst = np.asarray(self._pending_dst, dtype=np.int64)
-            pending_src = np.asarray(self._pending_src, dtype=np.int64)
-            if pending_dst.size:
-                degrees += np.bincount(pending_dst, minlength=num_vertices)
-            colptr = np.zeros(num_vertices + 1, dtype=np.int64)
-            np.cumsum(degrees, out=colptr[1:])
-            row = np.empty(int(colptr[-1]), dtype=np.int64)
-            if base_row.size:
-                dst_of_base = np.repeat(np.arange(base_vertices),
-                                        np.diff(base_colptr))
-                shifted = colptr[dst_of_base] + (
-                    np.arange(base_row.size) - base_colptr[dst_of_base])
-                row[shifted] = base_row
-            # merge pending sources column by column (few columns are
-            # touched between compactions), keeping the canonical
-            # ascending order a from-scratch rebuild would produce
-            for dst in np.unique(pending_dst):
-                start, end = int(colptr[dst]), int(colptr[dst + 1])
-                base_deg = 0
-                if dst < base_vertices:
-                    base_deg = int(base_colptr[dst + 1] - base_colptr[dst])
-                row[start + base_deg:end] = pending_src[pending_dst == dst]
-                row[start:end] = np.sort(row[start:end])
-        if not self._new_features and not self._feature_overlay:
-            features = self._base_features
-        else:
-            features = np.empty((num_vertices, self.feature_length),
-                                dtype=np.float64)
-            features[:base_vertices] = self._base_features
-            for i, extra in enumerate(self._new_features):
-                features[base_vertices + i] = extra
-            for vertex, override in self._feature_overlay.items():
-                features[vertex] = override
-        self._snapshot = (colptr, row, features)
-        return self._snapshot
 
     # ------------------------------------------------------------------ #
     # Graph surface
     # ------------------------------------------------------------------ #
     @property
     def colptr(self) -> np.ndarray:
-        return self._materialize()[0]
+        return self._colptr
 
     @property
     def row(self) -> np.ndarray:
-        return self._materialize()[1]
+        return self._row
 
     @property
     def features(self) -> np.ndarray:
-        return self._materialize()[2]
+        """The feature matrix at this version: a fresh array per version
+        with pending writes, built on first read."""
+        if self._features is None:
+            base_vertices = self._base_features.shape[0]
+            features = np.empty((self.num_vertices, self.feature_length),
+                                dtype=np.float64)
+            features[:base_vertices] = self._base_features
+            for i, extra in enumerate(self._new_features):
+                features[base_vertices + i] = extra
+            for vertex, override in self._feature_overlay.items():
+                features[vertex] = override
+            self._features = features
+        return self._features
 
     @property
     def num_vertices(self) -> int:
-        return self._num_vertices
+        return self._colptr.size - 1
 
     @property
     def num_edges(self) -> int:
-        return int(self._base_row.size + len(self._pending_src))
+        return int(self._row.size)
 
     @property
     def feature_length(self) -> int:
@@ -293,34 +256,30 @@ class DeltaGraph(Graph):
     @property
     def csr(self) -> CSRMatrix:
         if self._csr_cache is None:
-            colptr, row, _ = self._materialize()
-            self._csr_cache = CSCMatrix(
-                colptr, row, self._num_vertices)._csr.transpose()
+            self._csr_cache = self.csc._csr.transpose()
         return self._csr_cache
 
     @property
     def csc(self) -> CSCMatrix:
         if self._csc_cache is None:
-            colptr, row, _ = self._materialize()
-            self._csc_cache = CSCMatrix(colptr, row, self._num_vertices)
+            self._csc_cache = CSCMatrix(self._colptr, self._row,
+                                        self.num_vertices)
         return self._csc_cache
 
     def in_neighbors(self, v: int) -> np.ndarray:
-        colptr, row, _ = self._materialize()
-        return row[colptr[v]:colptr[v + 1]]
+        return self._row[self._colptr[v]:self._colptr[v + 1]]
 
     def as_csc(self) -> CSCGraph:
         """A frozen :class:`CSCGraph` of the current snapshot (copies the
-        arrays, so later mutations cannot alias into it)."""
-        colptr, row, features = self._materialize()
-        return CSCGraph(colptr.copy(), row.copy(), features.copy(),
-                        name=self.name)
+        arrays, so it owns them outright)."""
+        return CSCGraph(self._colptr.copy(), self._row.copy(),
+                        self.features.copy(), name=self.name)
 
     def with_features(self, features: np.ndarray,
                       name: Optional[str] = None) -> CSCGraph:
         """Frozen snapshot structure with a different feature matrix."""
-        colptr, row, _ = self._materialize()
-        return CSCGraph(colptr, row, features, name=name or self.name)
+        return CSCGraph(self._colptr, self._row, features,
+                        name=name or self.name)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

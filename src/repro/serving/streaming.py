@@ -239,7 +239,7 @@ class UpdateStream:
 class _ResultMeta:
     version: int
     time_s: float
-    vertices: Tuple[int, ...]
+    vertices: np.ndarray
 
 
 class StreamState:
@@ -272,9 +272,10 @@ class StreamState:
         # vertex -> result-cache keys whose cached answer sampled it
         self._vertex_results: Dict[int, Set[int]] = {}
         self._result_meta: Dict[int, _ResultMeta] = {}
-        # vertex -> version of its last structural/feature mutation (the
-        # cheap staleness probe; equivalent to scanning graph._dirty_log)
-        self._last_mutation: Dict[int, int] = {}
+        # version of each vertex's last structural/feature mutation, 0 if
+        # none (the cheap staleness probe; equivalent to scanning
+        # graph._dirty_log); grows with the vertex count
+        self._last_mutation = np.zeros(graph.num_vertices, dtype=np.int64)
         self._last_mutation_s: Dict[int, float] = {}
         if shard_executor is not None:
             shard_executor.stream = self
@@ -320,6 +321,10 @@ class StreamState:
                 self.shard_executor.extend_owner(vertex)
                 stats.invalidations["shard_plan"] += 1
         stats.updates_offered += 1
+        grow = graph.num_vertices - self._last_mutation.size
+        if grow > 0:
+            self._last_mutation = np.append(
+                self._last_mutation, np.zeros(grow, dtype=np.int64))
         for v in dirty:
             self._last_mutation[v] = graph.version
             self._last_mutation_s[v] = now
@@ -398,11 +403,10 @@ class StreamState:
         result cache (memoised extraction: dictionary-lookup cheap)."""
         if self.result_cache is None:
             return
-        sample = self.sampler.extract(target)
-        vertices = tuple(int(v) for v in sample.vertex_ids.tolist())
+        vertices = self.sampler.extract(target).vertex_ids
         self._result_meta[target] = _ResultMeta(
             version=self.graph.version, time_s=now, vertices=vertices)
-        for v in vertices:
+        for v in vertices.tolist():
             self._vertex_results.setdefault(v, set()).add(target)
 
     def _count_stale(self, lag_versions: int, lag_seconds: float,
@@ -424,9 +428,7 @@ class StreamState:
         self.stats.checks += 1
         if meta is None:
             return
-        stale = any(self._last_mutation.get(v, 0) > meta.version
-                    for v in meta.vertices)
-        if stale:
+        if (self._last_mutation[meta.vertices] > meta.version).any():
             self._count_stale(self.graph.version - meta.version,
                               now - meta.time_s, "stale_results")
 

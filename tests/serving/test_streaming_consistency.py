@@ -72,7 +72,8 @@ class ReferenceGraph:
                          for v in range(base.num_vertices)]
 
     def add_edge(self, src, dst):
-        self.edges.add((int(src), int(dst)))
+        self.last_edge = (int(src), int(dst))
+        self.edges.add(self.last_edge)
 
     def add_vertex(self, row):
         self.features.append(np.asarray(row, dtype=np.float64).copy())
@@ -158,6 +159,20 @@ def _assert_samplers_agree(delta: DeltaGraph, rebuilt: CSCGraph,
     assert graphs_equal(fused_live, fused_cold)
 
 
+def _assert_has_edge_agrees(delta: DeltaGraph, ref: ReferenceGraph, op,
+                            probe):
+    """``has_edge`` matches the reference edge set on the pair an edge or
+    vertex op just inserted, and on one random absent pair."""
+    if op[0] in ("edge", "vertex"):
+        assert delta.has_edge(*ref.last_edge)
+    n = delta.num_vertices
+    for _ in range(8 * n):
+        pair = (int(probe.integers(0, n)), int(probe.integers(0, n)))
+        if pair not in ref.edges:
+            assert not delta.has_edge(*pair)
+            return
+
+
 @st.composite
 def mutation_scripts(draw):
     seed = draw(st.integers(min_value=0, max_value=31))
@@ -185,6 +200,7 @@ def test_random_interleavings_match_from_scratch_rebuild(script):
     ref = ReferenceGraph(base)
     live = SubgraphSampler(delta, num_hops=2, fanout=4, seed=seed)
     rng = np.random.default_rng(seed)
+    probe = np.random.default_rng((seed, 1))
     # warm the memo so invalidation has something to keep honest
     for target in range(0, delta.num_vertices, 3):
         live.extract(target)
@@ -194,6 +210,7 @@ def test_random_interleavings_match_from_scratch_rebuild(script):
         applied = _apply_op(delta, ref, op, rng)
         if op[0] == "edge" and not applied:
             assert delta.version == version_before  # duplicate: full no-op
+        _assert_has_edge_agrees(delta, ref, op, probe)
         # differential check at every step for the touched neighbourhood,
         # full sweep at the end (keeps the example cheap but airtight)
         targets = [int(rng.integers(0, delta.num_vertices)) for _ in range(3)]
