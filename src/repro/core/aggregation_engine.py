@@ -1,12 +1,26 @@
 """Aggregation Engine model (Section 4.3).
 
+HyGCN groups destination vertices into *intervals* and source vertices into
+*shards* (Section 4.3.2, Fig. 5a/b): the interval width is bounded by the
+Aggregation Buffer capacity (intermediate results of the whole interval must
+stay on chip) and the shard height by the Input Buffer capacity (the source
+features of one shard must fit on chip).  The aggregation of an interval then
+walks its shards one by one, reusing the loaded source features across all
+destination vertices of the interval (Algorithm 2).
+
+As the paper stresses, no explicit preprocessing is required: intervals and
+shards are implicit in the CSC layout.  An interval is the arithmetic range
+``[start, start + interval_size)`` of destination ids, its edges are one
+contiguous slice of the CSC index array, and the shard height is the window
+height the Sparsity Eliminator slides over that slice.
+
 The engine processes one destination-vertex interval at a time.  For each
 interval it:
 
 1. samples the incoming edges (the Sampler),
-2. determines which source-feature rows must be loaded -- every row-block of
-   the static partition without optimisation, or only the effectual windows
-   produced by the Sparsity Eliminator (window sliding + shrinking),
+2. determines which source-feature rows must be loaded -- every source row
+   without optimisation, or only the effectual windows produced by the
+   Sparsity Eliminator (window sliding + shrinking),
 3. streams edges through the SIMD cores in vertex-disperse mode: the
    element-wise reductions of all vertices are spread over all
    ``num_simd_cores x simd_width`` lanes so no lane idles,
@@ -20,18 +34,17 @@ the Coordinator composes them with the Combination Engine's transactions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ..graphs.graph import Graph
-from ..graphs.partition import IntervalShardPartition, partition_graph
 from ..graphs.sampling import NeighborSampler
 from ..hw.buffer import DoubleBuffer
 from ..hw.dram import Transfer
 from ..models.layers import LayerWorkload
 from .config import HyGCNConfig
-from .sparsity import SparsityEliminator, SparsityReport
+from .sparsity import SparsityEliminator
 
 __all__ = ["IntervalAggregation", "AggregationEngine"]
 
@@ -51,7 +64,6 @@ class IntervalAggregation:
     edge_bytes: int
     aggregation_buffer_bytes: int
     dram_transfers: List[Transfer] = field(default_factory=list)
-    sparsity: Optional[SparsityReport] = None
 
 
 class AggregationEngine:
@@ -70,18 +82,19 @@ class AggregationEngine:
             return NeighborSampler(sampling).sample_graph(workload.graph)
         return workload.graph
 
-    def partition(self, graph: Graph, feature_length: int) -> IntervalShardPartition:
-        """Interval-shard partition sized by the on-chip buffer capacities."""
-        interval_size = min(self.config.interval_size(feature_length), graph.num_vertices)
-        shard_height = min(self.config.shard_height(feature_length), graph.num_vertices)
-        return partition_graph(graph, interval_size, shard_height)
+    def partition(self, graph: Graph, feature_length: int) -> Tuple[int, int]:
+        """``(interval_size, shard_height)`` sized by the on-chip buffer
+        capacities and capped at the graph's vertex count."""
+        n = graph.num_vertices
+        return (min(self.config.interval_size(feature_length), n),
+                min(self.config.shard_height(feature_length), n))
 
     # ------------------------------------------------------------------ #
     def process_layer(
         self,
         workload: LayerWorkload,
         graph: Optional[Graph] = None,
-        partition: Optional[IntervalShardPartition] = None,
+        partition: Optional[Tuple[int, int]] = None,
         feature_length: Optional[int] = None,
     ) -> List[IntervalAggregation]:
         """Produce one :class:`IntervalAggregation` per destination interval.
@@ -95,26 +108,31 @@ class AggregationEngine:
         cfg = self.config
         feature_length = feature_length or workload.in_feature_length
         graph = graph if graph is not None else self.prepare_graph(workload)
-        partition = partition if partition is not None else self.partition(graph, feature_length)
+        interval_size, shard_height = (partition if partition is not None
+                                       else self.partition(graph, feature_length))
+        n = graph.num_vertices
         bytes_per_feature_row = feature_length * cfg.bytes_per_value
         bytes_per_edge = 2 * cfg.bytes_per_value
-        eliminator = SparsityEliminator(partition.shard_height)
+        eliminator = SparsityEliminator(shard_height)
+        indptr, indices = graph.csc.indptr, graph.csc.indices
         tasks: List[IntervalAggregation] = []
 
-        for interval in partition.intervals:
-            sources = self._interval_sources(graph, interval.start, interval.stop)
+        for index, start in enumerate(range(0, n, interval_size)):
+            stop = min(start + interval_size, n)
+            num_vertices = stop - start
+            # one interval's edges are one contiguous slice of the CSC
+            sources = indices[indptr[start]:indptr[stop]]
             num_edges = int(sources.size)
-            baseline_rows = graph.num_vertices
+            baseline_rows = n
             if cfg.enable_sparsity_elimination:
-                report = eliminator.eliminate(sources, graph.num_vertices,
-                                              baseline_rows=baseline_rows)
+                report = eliminator.eliminate(sources, n, baseline_rows=baseline_rows)
                 loaded_rows = report.loaded_rows
             else:
                 report = None
                 loaded_rows = baseline_rows if num_edges else 0
 
             # --- compute: vertex-disperse mode keeps every SIMD lane busy ---
-            simd_ops = (num_edges + interval.size) * feature_length
+            simd_ops = (num_edges + num_vertices) * feature_length
             compute_cycles = int(np.ceil(simd_ops / cfg.total_simd_lanes)) if simd_ops else 0
 
             # --- DRAM traffic -------------------------------------------------
@@ -142,11 +160,11 @@ class AggregationEngine:
             self.input_buffer.read(num_edges * bytes_per_feature_row)
             # partial results are read-modified-written per edge, and the final
             # aggregated interval is written once for the Combination Engine
-            agg_buffer_bytes = (2 * num_edges + interval.size) * bytes_per_feature_row
+            agg_buffer_bytes = (2 * num_edges + num_vertices) * bytes_per_feature_row
 
             tasks.append(IntervalAggregation(
-                interval_index=interval.index,
-                num_vertices=interval.size,
+                interval_index=index,
+                num_vertices=num_vertices,
                 num_edges=num_edges,
                 loaded_rows=loaded_rows,
                 baseline_rows=baseline_rows,
@@ -156,13 +174,5 @@ class AggregationEngine:
                 edge_bytes=edge_bytes,
                 aggregation_buffer_bytes=agg_buffer_bytes,
                 dram_transfers=transfers,
-                sparsity=report,
             ))
         return tasks
-
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _interval_sources(graph: Graph, start: int, stop: int) -> np.ndarray:
-        """Source vertex of every edge whose destination lies in ``[start, stop)``."""
-        csc = graph.csc
-        return csc.indices[csc.indptr[start]:csc.indptr[stop]]

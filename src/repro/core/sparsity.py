@@ -11,7 +11,7 @@ interval, the adjacency column block is scanned top-to-bottom with a window of
 
 The recorded *effectual windows* are the only source-feature ranges the
 Aggregation Engine loads from DRAM.  Without elimination the engine loads
-every row-block of the static partition for every interval.
+every source row for every interval.
 """
 
 from __future__ import annotations

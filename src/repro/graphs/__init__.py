@@ -1,4 +1,4 @@
-"""Graph substrate: data structures, synthetic datasets, partitioning, sampling."""
+"""Graph substrate: data structures, synthetic datasets, dataset partitioners, sampling."""
 
 from .graph import CSCMatrix, CSRMatrix, Graph, GraphStats, merge_graphs
 from .csc import CSCGraph, graphs_equal, to_csc
@@ -11,7 +11,6 @@ from .generators import (
     star_graph,
 )
 from .datasets import DATASETS, DatasetSpec, dataset_names, dataset_table, load_dataset
-from .partition import EdgeShard, IntervalShardPartition, VertexInterval, partition_graph
 from .sampling import NeighborSampler, SamplingConfig, sample_graph
 from .io import export_edge_list, import_edge_list, load_graph, save_graph
 
@@ -35,10 +34,6 @@ __all__ = [
     "dataset_names",
     "dataset_table",
     "load_dataset",
-    "EdgeShard",
-    "IntervalShardPartition",
-    "VertexInterval",
-    "partition_graph",
     "NeighborSampler",
     "SamplingConfig",
     "sample_graph",

@@ -87,22 +87,24 @@ def power_law_graph(
     # accumulate high degree.  Skewed sampling produces many duplicate pairs,
     # so keep topping up until the unique-pair count approaches the target
     # (dense graphs such as COLLAB need several rounds).
-    unique_pairs = np.empty((0, 2), dtype=np.int64)
+    keys = np.empty(0, dtype=np.int64)
     for _ in range(12):
-        remaining = target_undirected - len(unique_pairs)
+        remaining = target_undirected - len(keys)
         if remaining <= 0:
             break
         draw = max(remaining * 2, 1024)
         src = rng.choice(num_vertices, size=draw, p=weights)
         dst = rng.choice(num_vertices, size=draw, p=weights)
         mask = src != dst
-        batch = np.stack([src[mask], dst[mask]], axis=1)
-        # Canonicalise undirected pairs so (u, v) and (v, u) deduplicate.
-        batch = np.sort(batch, axis=1)
-        unique_pairs = np.unique(np.vstack([unique_pairs, batch]), axis=0)
-    if len(unique_pairs) > target_undirected:
-        keep = rng.choice(len(unique_pairs), size=target_undirected, replace=False)
-        unique_pairs = unique_pairs[keep]
+        src, dst = src[mask], dst[mask]
+        # Canonicalise undirected pairs so (u, v) and (v, u) deduplicate.  With
+        # u < v < n the fused key u * n + v sorts like the (u, v) pair itself.
+        lo, hi = np.minimum(src, dst), np.maximum(src, dst)
+        keys = np.unique(np.concatenate([keys, lo * num_vertices + hi]))
+    if len(keys) > target_undirected:
+        keep = rng.choice(len(keys), size=target_undirected, replace=False)
+        keys = keys[keep]
+    unique_pairs = np.stack([keys // num_vertices, keys % num_vertices], axis=1)
     if len(unique_pairs) == 0:
         unique_pairs = np.array([[0, 1]], dtype=np.int64)
     # Random vertex relabelling so hubs are not clustered at low indices,

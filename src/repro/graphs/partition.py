@@ -1,21 +1,8 @@
-"""Interval-shard graph partitioning (Section 4.3.2, Fig. 5a/b).
+"""Dataset partitioners behind multi-chip serving.
 
-HyGCN groups destination vertices into *intervals* and source vertices into
-*shards*: the interval width is bounded by the Aggregation Buffer capacity
-(intermediate results of the whole interval must stay on chip) and the shard
-height by the Input Buffer capacity (the source features of one shard must fit
-on chip).  The aggregation of an interval then walks its shards one by one,
-reusing the loaded source features across all destination vertices of the
-interval (Algorithm 2).
-
-The partitioner works directly on the CSC view of the graph -- the paper
-stresses that no explicit preprocessing is required because intervals/shards
-are implicit in the CSC layout.
-
-This module also hosts the **dataset partitioners** behind multi-chip
-serving (:mod:`repro.serving.sharding`, the Fig. 18 scalability story taken
-online): :func:`hash_partition` / :func:`locality_partition` assign every
-vertex an owning shard, and :func:`build_shard_plan` derives the
+These back :mod:`repro.serving.sharding` (the Fig. 18 scalability story
+taken online): :func:`hash_partition` / :func:`locality_partition` assign
+every vertex an owning shard, and :func:`build_shard_plan` derives the
 :class:`ShardPlan` -- per-shard ownership, ghost/halo vertex sets and
 edge-cut statistics -- from any ownership array with pure CSC array
 arithmetic (one ``repeat`` + one comparison over the edge list).
@@ -24,189 +11,16 @@ arithmetic (one ``repeat`` + one comparison over the edge list).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .graph import Graph
 
-__all__ = ["VertexInterval", "EdgeShard", "IntervalShardPartition",
-           "partition_graph", "ShardPlan", "build_shard_plan",
+__all__ = ["ShardPlan", "build_shard_plan",
            "hash_owner", "hash_partition", "locality_partition"]
 
 
-@dataclass(frozen=True)
-class VertexInterval:
-    """A contiguous range ``[start, stop)`` of destination vertex ids."""
-
-    index: int
-    start: int
-    stop: int
-
-    @property
-    def size(self) -> int:
-        return self.stop - self.start
-
-    def vertices(self) -> np.ndarray:
-        """Vertex ids covered by this interval."""
-        return np.arange(self.start, self.stop)
-
-    def __contains__(self, vertex: int) -> bool:
-        return self.start <= vertex < self.stop
-
-
-@dataclass
-class EdgeShard:
-    """The block of edges whose sources lie in ``[src_start, src_stop)`` and
-    whose destinations lie in the owning interval.
-
-    ``edges`` stores ``(src, dst)`` pairs.  A shard with no edges is still a
-    meaningful object for the static partition -- the dynamic sparsity
-    eliminator is what skips it at runtime.
-    """
-
-    interval_index: int
-    src_start: int
-    src_stop: int
-    edges: np.ndarray = field(repr=False)
-
-    @property
-    def height(self) -> int:
-        """Number of source rows the shard spans."""
-        return self.src_stop - self.src_start
-
-    @property
-    def num_edges(self) -> int:
-        return int(self.edges.shape[0])
-
-    @property
-    def is_empty(self) -> bool:
-        return self.num_edges == 0
-
-    def source_vertices(self) -> np.ndarray:
-        """Distinct source vertex ids that actually appear in the shard."""
-        if self.is_empty:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(self.edges[:, 0])
-
-    def density(self, interval_size: int) -> float:
-        """Fraction of the shard's cells occupied by edges."""
-        cells = self.height * interval_size
-        return self.num_edges / cells if cells else 0.0
-
-
-class IntervalShardPartition:
-    """The full static partition: a grid of shards indexed by (interval, row-block)."""
-
-    def __init__(
-        self,
-        graph: Graph,
-        intervals: Sequence[VertexInterval],
-        shards: Sequence[Sequence[EdgeShard]],
-        interval_size: int,
-        shard_height: int,
-    ):
-        self.graph = graph
-        self.intervals = list(intervals)
-        self._shards = [list(row) for row in shards]
-        self.interval_size = interval_size
-        self.shard_height = shard_height
-
-    @property
-    def num_intervals(self) -> int:
-        return len(self.intervals)
-
-    @property
-    def num_row_blocks(self) -> int:
-        return len(self._shards[0]) if self._shards else 0
-
-    def shards_for_interval(self, interval_index: int) -> List[EdgeShard]:
-        """All shards (including empty ones) feeding one destination interval."""
-        return self._shards[interval_index]
-
-    def nonempty_shards_for_interval(self, interval_index: int) -> List[EdgeShard]:
-        """Shards that contain at least one edge."""
-        return [s for s in self._shards[interval_index] if not s.is_empty]
-
-    def iter_shards(self) -> Iterator[EdgeShard]:
-        """Iterate over every shard in interval-major order."""
-        for row in self._shards:
-            for shard in row:
-                yield shard
-
-    def total_edges(self) -> int:
-        """Total edges across all shards (== graph edge count)."""
-        return sum(s.num_edges for s in self.iter_shards())
-
-    def occupancy(self) -> float:
-        """Fraction of shard cells that hold an edge (global sparsity measure)."""
-        cells = sum(s.height * self.intervals[s.interval_index].size
-                    for s in self.iter_shards())
-        return self.total_edges() / cells if cells else 0.0
-
-
-def partition_graph(
-    graph: Graph,
-    interval_size: int,
-    shard_height: int,
-) -> IntervalShardPartition:
-    """Partition ``graph`` into vertex intervals and edge shards.
-
-    Parameters
-    ----------
-    graph:
-        The input graph; its CSC view supplies destination-major edges.
-    interval_size:
-        Number of destination vertices per interval (shard width).  In the
-        accelerator this is derived from the Aggregation Buffer capacity.
-    shard_height:
-        Number of source vertices per shard row-block, derived from the Input
-        Buffer capacity.
-    """
-    if interval_size < 1 or shard_height < 1:
-        raise ValueError("interval_size and shard_height must be >= 1")
-    n = graph.num_vertices
-    csc = graph.csc
-    intervals = [
-        VertexInterval(index=i, start=start, stop=min(start + interval_size, n))
-        for i, start in enumerate(range(0, n, interval_size))
-    ]
-    num_row_blocks = (n + shard_height - 1) // shard_height
-    indptr, indices = csc.indptr, csc.indices
-    shards: List[List[EdgeShard]] = []
-    for interval in intervals:
-        # Gather all (src, dst) edges with destination inside the interval.
-        # CSC columns for a contiguous destination range are one contiguous
-        # slice of the index array.
-        lo_ptr, hi_ptr = indptr[interval.start], indptr[interval.stop]
-        src_all = indices[lo_ptr:hi_ptr]
-        col_lengths = np.diff(indptr[interval.start:interval.stop + 1])
-        dst_all = np.repeat(np.arange(interval.start, interval.stop), col_lengths)
-        # Sort by source row so each shard row-block is one contiguous slice.
-        order = np.argsort(src_all, kind="stable")
-        src_sorted, dst_sorted = src_all[order], dst_all[order]
-        block_bounds = np.searchsorted(
-            src_sorted, np.arange(0, (num_row_blocks + 1) * shard_height, shard_height)
-        )
-        row_blocks: List[EdgeShard] = []
-        for block in range(num_row_blocks):
-            lo, hi = block * shard_height, min((block + 1) * shard_height, n)
-            b0, b1 = block_bounds[block], block_bounds[block + 1]
-            edges = np.stack([src_sorted[b0:b1], dst_sorted[b0:b1]], axis=1) if b1 > b0 \
-                else np.empty((0, 2), dtype=np.int64)
-            row_blocks.append(EdgeShard(
-                interval_index=interval.index,
-                src_start=lo,
-                src_stop=hi,
-                edges=edges,
-            ))
-        shards.append(row_blocks)
-    return IntervalShardPartition(graph, intervals, shards, interval_size, shard_height)
-
-
-# --------------------------------------------------------------------------- #
-# Dataset partitioning across a chip group (multi-chip serving)
-# --------------------------------------------------------------------------- #
 @dataclass(frozen=True, eq=False)
 class ShardPlan:
     """Vertex ownership of one graph across a group of ``num_shards`` chips.

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import (
     AggregationEngine,
@@ -32,12 +33,31 @@ def small_config(**overrides):
 
 
 class TestAggregationEngine:
-    def test_edges_conserved_across_intervals(self):
-        g = erdos_renyi_graph(64, 256, feature_length=16, seed=0)
-        engine = AggregationEngine(small_config())
-        tasks = engine.process_layer(gcn_workload(g))
+    # 16-wide features: interval_size = aggregation_buffer_bytes // 128, so
+    # 4 KiB gives 32 (two even intervals), 1280 B gives 10 (an uneven last
+    # interval of 4) and 16 KiB gives 128 >= n (one interval).
+    @settings(max_examples=25, deadline=None)
+    @given(agg_bytes=st.integers(128, 16 * 1024),
+           input_bytes=st.integers(128, 8 * 1024), seed=st.integers(0, 5))
+    @example(agg_bytes=4 * 1024, input_bytes=2 * 1024, seed=0)
+    @example(agg_bytes=1280, input_bytes=2 * 1024, seed=2)
+    @example(agg_bytes=16 * 1024, input_bytes=16 * 1024, seed=0)
+    def test_edges_conserved_across_intervals(self, agg_bytes, input_bytes, seed):
+        g = erdos_renyi_graph(64, 256, feature_length=16, seed=seed)
+        cfg = small_config(aggregation_buffer_bytes=agg_bytes,
+                           input_buffer_bytes=input_bytes)
+        n = g.num_vertices
+        interval_size = min(cfg.interval_size(g.feature_length), n)
+        tasks = AggregationEngine(cfg).process_layer(gcn_workload(g))
         assert sum(t.num_edges for t in tasks) == g.num_edges
-        assert sum(t.num_vertices for t in tasks) == g.num_vertices
+        assert sum(t.num_vertices for t in tasks) == n
+        in_degree = np.diff(g.csc.indptr)
+        assert [t.num_edges for t in tasks] == [
+            int(in_degree[i:i + interval_size].sum()) for i in range(0, n, interval_size)]
+        assert len(tasks) == -(-n // interval_size)
+        assert [t.interval_index for t in tasks] == list(range(len(tasks)))
+        assert all(t.num_vertices == interval_size for t in tasks[:-1])
+        assert tasks[-1].num_vertices == n - (len(tasks) - 1) * interval_size
 
     def test_multiple_intervals_created_with_small_buffer(self):
         g = erdos_renyi_graph(64, 256, feature_length=16, seed=0)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import HyGCNConfig, HyGCNSimulator, PipelineMode
-from repro.graphs import community_graph, load_dataset, power_law_graph
+from repro.graphs import Graph, community_graph, load_dataset, power_law_graph
 from repro.hw import HBMConfig
 from repro.models import MODEL_NAMES, build_diffpool, build_gcn, build_model
 
@@ -101,6 +101,14 @@ class TestRunWorkload:
 
 
 class TestRunModel:
+    @pytest.mark.parametrize("sparsity", [True, False])
+    def test_empty_graph_rejected(self, sparsity):
+        g = Graph.from_edge_list([], num_vertices=0, feature_length=4)
+        model = build_gcn(g.feature_length, hidden_sizes=(8,))
+        sim = HyGCNSimulator(small_config(enable_sparsity_elimination=sparsity))
+        with pytest.raises(ValueError):
+            sim.run_model(model, g)
+
     def test_all_models_run_on_dataset(self):
         g = load_dataset("IB", seed=0)
         sim = HyGCNSimulator()

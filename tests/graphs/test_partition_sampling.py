@@ -1,15 +1,13 @@
-"""Tests for interval-shard partitioning and neighbour sampling."""
+"""Tests for neighbour sampling."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.graphs import (
-    Graph,
     NeighborSampler,
     SamplingConfig,
     erdos_renyi_graph,
-    partition_graph,
     power_law_graph,
     sample_graph,
 )
@@ -17,81 +15,6 @@ from repro.graphs import (
 
 def small_graph(seed=0):
     return erdos_renyi_graph(32, 128, feature_length=8, seed=seed)
-
-
-class TestPartition:
-    def test_partition_covers_all_vertices(self):
-        g = small_graph()
-        part = partition_graph(g, interval_size=8, shard_height=8)
-        covered = np.concatenate([iv.vertices() for iv in part.intervals])
-        np.testing.assert_array_equal(np.sort(covered), np.arange(g.num_vertices))
-
-    def test_partition_preserves_all_edges(self):
-        g = small_graph()
-        part = partition_graph(g, interval_size=8, shard_height=8)
-        assert part.total_edges() == g.num_edges
-
-    def test_edges_fall_inside_their_shard(self):
-        g = small_graph(seed=1)
-        part = partition_graph(g, interval_size=8, shard_height=4)
-        for shard in part.iter_shards():
-            interval = part.intervals[shard.interval_index]
-            for src, dst in shard.edges:
-                assert shard.src_start <= src < shard.src_stop
-                assert dst in interval
-
-    def test_uneven_sizes(self):
-        g = small_graph(seed=2)
-        part = partition_graph(g, interval_size=10, shard_height=7)
-        assert part.intervals[-1].stop == g.num_vertices
-        assert part.total_edges() == g.num_edges
-
-    def test_interval_membership(self):
-        g = small_graph()
-        part = partition_graph(g, interval_size=8, shard_height=8)
-        interval = part.intervals[1]
-        assert 8 in interval and 15 in interval and 16 not in interval
-
-    def test_single_interval_whole_graph(self):
-        g = small_graph()
-        part = partition_graph(g, interval_size=g.num_vertices,
-                               shard_height=g.num_vertices)
-        assert part.num_intervals == 1
-        assert part.num_row_blocks == 1
-        assert part.shards_for_interval(0)[0].num_edges == g.num_edges
-
-    def test_occupancy_between_zero_and_one(self):
-        g = small_graph()
-        part = partition_graph(g, interval_size=8, shard_height=8)
-        assert 0.0 < part.occupancy() <= 1.0
-
-    def test_nonempty_shards_subset(self):
-        g = power_law_graph(64, 256, feature_length=4, seed=3)
-        part = partition_graph(g, interval_size=16, shard_height=16)
-        for i in range(part.num_intervals):
-            nonempty = part.nonempty_shards_for_interval(i)
-            assert all(not s.is_empty for s in nonempty)
-            assert len(nonempty) <= len(part.shards_for_interval(i))
-
-    def test_invalid_sizes_rejected(self):
-        g = small_graph()
-        with pytest.raises(ValueError):
-            partition_graph(g, interval_size=0, shard_height=8)
-        with pytest.raises(ValueError):
-            partition_graph(g, interval_size=8, shard_height=0)
-
-    def test_shard_density(self):
-        g = small_graph()
-        part = partition_graph(g, interval_size=8, shard_height=8)
-        for shard in part.iter_shards():
-            assert 0.0 <= shard.density(8) <= 1.0
-
-    @settings(max_examples=20, deadline=None)
-    @given(interval=st.integers(1, 40), height=st.integers(1, 40), seed=st.integers(0, 5))
-    def test_property_edges_conserved(self, interval, height, seed):
-        g = erdos_renyi_graph(24, 96, feature_length=4, seed=seed)
-        part = partition_graph(g, interval_size=interval, shard_height=height)
-        assert part.total_edges() == g.num_edges
 
 
 class TestSampling:
@@ -158,53 +81,3 @@ class TestSampling:
         g = power_law_graph(48, 512, feature_length=4, seed=seed)
         sampled = sample_graph(g, SamplingConfig(sampling_factor=factor, seed=seed))
         assert sampled.num_edges <= g.num_edges
-
-
-class TestEdgeShardGuards:
-    """Division edge cases of EdgeShard.density / occupancy / is_empty."""
-
-    def _shard(self, src_start, src_stop, edges):
-        from repro.graphs.partition import EdgeShard
-        return EdgeShard(interval_index=0, src_start=src_start,
-                         src_stop=src_stop,
-                         edges=np.asarray(edges, dtype=np.int64).reshape(-1, 2))
-
-    def test_density_counts_occupied_cells(self):
-        shard = self._shard(0, 4, [(0, 0), (1, 1), (2, 0)])
-        assert shard.density(interval_size=2) == pytest.approx(3 / 8)
-
-    def test_density_zero_size_interval_is_zero(self):
-        shard = self._shard(0, 4, [(0, 0)])
-        assert shard.density(interval_size=0) == 0.0
-
-    def test_density_zero_height_shard_is_zero(self):
-        shard = self._shard(3, 3, [])
-        assert shard.density(interval_size=8) == 0.0
-
-    def test_is_empty(self):
-        assert self._shard(0, 4, []).is_empty
-        assert not self._shard(0, 4, [(1, 0)]).is_empty
-        np.testing.assert_array_equal(
-            self._shard(0, 4, []).source_vertices(),
-            np.empty(0, dtype=np.int64))
-
-    def test_occupancy_empty_graph_is_zero(self):
-        empty = Graph.from_edge_list([], num_vertices=0, feature_length=4)
-        part = partition_graph(empty, interval_size=4, shard_height=4)
-        assert part.num_intervals == 0
-        assert part.num_row_blocks == 0
-        assert part.total_edges() == 0
-        assert part.occupancy() == 0.0
-
-    def test_occupancy_edgeless_graph_is_zero(self):
-        edgeless = Graph.from_edge_list([], num_vertices=8, feature_length=4)
-        part = partition_graph(edgeless, interval_size=4, shard_height=4)
-        assert part.total_edges() == 0
-        assert part.occupancy() == 0.0
-
-    def test_occupancy_matches_hand_count(self):
-        g = small_graph(seed=3)
-        part = partition_graph(g, interval_size=8, shard_height=8)
-        cells = sum(s.height * part.intervals[s.interval_index].size
-                    for s in part.iter_shards())
-        assert part.occupancy() == pytest.approx(g.num_edges / cells)
