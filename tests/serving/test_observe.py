@@ -15,6 +15,7 @@ Plus unit coverage of the metrics registry and the CLI surface
 (``--trace-out`` / ``--metrics-out`` / ``trace-report``).
 """
 
+import hashlib
 import importlib.util
 import json
 import sys
@@ -31,7 +32,9 @@ from repro.serving import (
     Histogram,
     Instrumentation,
     MetricsRegistry,
+    ShardingConfig,
     TenantConfig,
+    TraceWriter,
     format_trace_report,
     load_trace,
     run_multi_tenant,
@@ -185,6 +188,101 @@ class TestSpans:
                   {"name": "no phase at all"}]
         problems = validate_trace(events)
         assert len(problems) == 3
+
+
+# --------------------------------------------------------------------------- #
+# Raw observer output pins
+# --------------------------------------------------------------------------- #
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _observed_outputs(tmp_path, run):
+    """sha256 of the four raw outputs of one observed, captured run."""
+    observe, capture = Instrumentation(), TraceWriter()
+    run(observe, capture)
+    path = tmp_path / "capture.bin"
+    capture.write(str(path))
+    digests = {
+        "trace": _sha256(json.dumps(observe.trace_payload()).encode()),
+        "scrape": _sha256(json.dumps(observe.samples).encode()),
+        "prometheus": _sha256(observe.registry.to_prometheus().encode()),
+        "capture": _sha256(path.read_bytes()),
+    }
+    return observe, digests
+
+
+def _event_names(observe):
+    return {e["name"] for e in observe.events}
+
+
+class TestRawOutputPins:
+    """Byte-level pins of what the hooks emit, in the order they emit it.
+
+    ``trace_report`` aggregates spans per request, so it cannot see hook
+    order, the control-track instants or the metric rows; these digests
+    can.  Each run also asserts that the hooks it pins actually fired.
+    """
+
+    def test_loaded_elastic_streaming_run(self, tmp_path):
+        def run(observe, capture):
+            run_serving(
+                dataset=DATASET, num_requests=1024, utilization_target=2.0,
+                config=FleetConfig(num_chips=2, batch_policy="continuous",
+                                   min_overlap=0.25),
+                control=ControlConfig(autoscale="threshold", max_chips=4,
+                                      admission=True, degrade=True),
+                update_rate=0.05, seed=0, observe=observe, capture=capture)
+
+        observe, digests = _observed_outputs(tmp_path, run)
+        names = _event_names(observe)
+        for name in ("batch formed", "late join", "shed", "degrade",
+                     "cache", "fleet size"):
+            assert name in names
+        assert any(n.startswith("scale: ") for n in names)
+        assert any(n.startswith("update ") for n in names)
+        assert any(e.get("cat") == "batch" for e in observe.events)
+        assert digests == {
+            "trace": "f60ba566a222b8acf89f882e622ba193"
+                     "82a538abd5b3ee788292314d8c968cba",
+            "scrape": "2614c8416fcc29c46ba4d3a060bc0ad0"
+                      "4df7332cb995fa7d894ae02c476c33f2",
+            "prometheus": "92b2e5ca10a95501510c817bce5457f0"
+                          "1cff014ac2a5b39ec077bb28dad6c293",
+            "capture": "5b727b5669212bb71f6b83a99522e67e"
+                       "0531a811d22ab60a40271bd042c997f0",
+        }
+
+    def test_sharded_multi_tenant_streaming_run(self, tmp_path):
+        tenants = [TenantConfig(name="a", dataset=DATASET, num_requests=256,
+                                seed=0),
+                   TenantConfig(name="b", dataset=DATASET, num_requests=256,
+                                seed=1)]
+
+        def run(observe, capture):
+            run_multi_tenant(
+                tenants, FleetConfig(num_chips=2,
+                                     sharding=ShardingConfig(num_shards=2)),
+                update_rate=0.05, include_isolation_baseline=False,
+                observe=observe, capture=capture)
+
+        observe, digests = _observed_outputs(tmp_path, run)
+        names = _event_names(observe)
+        assert any(n.startswith("halo exchange s") for n in names)
+        assert any(n.startswith("sub-batch s") for n in names)
+        assert any(n.startswith("update ") for n in names)
+        assert "repro_shard_sub_batches_total" in \
+            observe.registry.to_prometheus()
+        assert digests == {
+            "trace": "3912a469877d53ec477f33bd4760c4c6"
+                     "58b177aef6d784f28eb6cb6892126e6d",
+            "scrape": "3e9df009ef2195a568e532cba44c5ed6"
+                      "e5c7d20166db4cab56e69b6faf0cf502",
+            "prometheus": "d920f2056f3688a4a45370d4c4c124e7"
+                          "c73352640f98bc755becf5ddc1db67c7",
+            "capture": "bd14a6cdd588d3bec1942ff2baa7a464"
+                       "b87a035380fbe1330526df56f81460c1",
+        }
 
 
 # --------------------------------------------------------------------------- #
