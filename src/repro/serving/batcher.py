@@ -39,7 +39,7 @@ as batching wait.  ``tests/serving/test_batching.py`` pins this.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from .workload import Request
 
@@ -89,8 +89,11 @@ class Batch:
     ``phase_cycles`` is the cycle-model phase breakdown (aggregation vs.
     combination vs. DRAM-busy cycles) of the batch's fused-subgraph
     simulation, stamped by the service-time model when the batch starts
-    service; the observability layer (:mod:`repro.serving.observe`)
-    attaches it to the batch's trace span.
+    service.  ``shard_timings`` is the per-shard
+    :class:`~repro.serving.sharding.ShardTiming` list a chip group stamps
+    instead (``None`` on an unsharded fleet).  Both are plain data: the
+    event loop hands the finished batch to the observability hub
+    (:mod:`repro.serving.observe`), which turns them into trace spans.
     """
 
     batch_id: int
@@ -103,6 +106,7 @@ class Batch:
     overlap_ratio: float = 0.0
     profile: Optional[object] = None
     phase_cycles: Optional[Dict[str, int]] = None
+    shard_timings: Optional[List[object]] = None
 
     @property
     def size(self) -> int:
@@ -132,12 +136,6 @@ class Batcher:
     late_join_rejects: int = field(default=0, repr=False)
     _pending: List[Request] = field(default_factory=list, repr=False)
     _next_batch_id: int = field(default=0, repr=False)
-
-    #: Observability hub (:class:`repro.serving.observe.Instrumentation`);
-    #: the event loop sets it per run, ``None`` means uninstrumented.  A
-    #: ClassVar so the default costs nothing per instance and formation
-    #: stays untouched when observability is off.
-    instrumentation: ClassVar[Optional[object]] = None
 
     def __post_init__(self) -> None:
         if self.max_batch_size < 1:
@@ -174,8 +172,6 @@ class Batcher:
                       created_time_s=now, tenant=self.tenant)
         self._next_batch_id += 1
         self._pending = []
-        if self.instrumentation is not None:
-            self.instrumentation.on_batch_formed(now, batch)
         return batch
 
     def flush_due(self, now: float) -> Optional[Batch]:

@@ -238,8 +238,6 @@ class OverlapBatcher(Batcher):
                       created_time_s=now, tenant=self.tenant)
         self._next_batch_id += 1
         self._register(batch, union_sig)
-        if self.instrumentation is not None:
-            self.instrumentation.on_batch_formed(now, batch)
         return batch
 
     # ------------------------------------------------------------------ #
@@ -346,8 +344,6 @@ class ContinuousBatcher(OverlapBatcher):
             time_s=now, batch_id=batch.batch_id,
             batch_age_s=now - batch.created_time_s,
             oldest_wait_s=now - batch.oldest_arrival_s))
-        if self.instrumentation is not None:
-            self.instrumentation.on_late_join(now, batch, request)
         return batch
 
     def on_service_start(self, batch: Batch) -> None:

@@ -487,9 +487,6 @@ class ControlPlane:
         self._bindings: Dict[str, TenantBinding] = {}
         self._buckets: Dict[str, TokenBucket] = {}
         self._ladders: Dict[str, List[DegradeLevel]] = {}
-        #: Observability hub (:class:`repro.serving.observe.Instrumentation`);
-        #: set by the event loop per run, ``None`` means uninstrumented.
-        self.instrumentation = None
 
     # ------------------------------------------------------------------ #
     def bind(self, bindings: Sequence[TenantBinding], initial_chips: int,
@@ -566,8 +563,6 @@ class ControlPlane:
         if not decision.admitted or decision.level > 0:
             logger.debug("admit %s t=%.6f: %s", tenant or "<default>",
                          now_s, decision.reason)
-            if self.instrumentation is not None:
-                self.instrumentation.on_admission(now_s, tenant, decision)
         return decision
 
     def _decide(self, tenant: str, now_s: float, est_delay_s: float,
@@ -653,9 +648,6 @@ class ControlPlane:
         logger.debug("scale %s chip=%d t=%.6f (active=%d warming=%d "
                      "draining=%d)", action, chip_id, time_s, active,
                      warming, draining)
-        if self.instrumentation is not None:
-            self.instrumentation.on_scale_event(time_s, action, chip_id,
-                                                active, warming, draining)
 
     # ------------------------------------------------------------------ #
     def finalize(self, end_s: float, chips: Sequence[object]) -> ControlStats:

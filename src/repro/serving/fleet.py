@@ -608,9 +608,10 @@ class FleetScaler:
 
     def __init__(self, chips: List[Chip], control: ControlPlane,
                  new_chip, schedule_ready, drain_victim,
-                 shape_chooser: Optional[ShapeChooser] = None):
+                 shape_chooser: Optional[ShapeChooser] = None, observe=None):
         self.chips = chips
         self.control = control
+        self._observe = observe     # the loop's Instrumentation, or None
         self._new_chip = new_chip            # (shape | None) -> Chip (unrostered)
         self._schedule_ready = schedule_ready  # (chip) -> None
         self._drain_victim = drain_victim    # (active chips) -> Chip
@@ -632,6 +633,9 @@ class FleetScaler:
         active, warming, draining = self.counts()
         self.control.record_event(now, action, chip.chip_id,
                                   active, warming, draining)
+        if self._observe is not None:
+            self._observe.on_scale_event(now, action, chip.chip_id,
+                                         active, warming, draining)
 
     def retire(self, chip: Chip, now: float) -> None:
         chip.state = "retired"
@@ -1126,14 +1130,17 @@ class _FleetSimulator:
         self.fleet = fleet
         self.runtimes = runtimes
         #: Observability hub (:class:`repro.serving.observe.Instrumentation`)
-        #: or ``None``; hooks are guarded so an uninstrumented run executes
-        #: no observability code.
+        #: or ``None``.  :meth:`_serve` (with the :class:`FleetScaler` it
+        #: builds) is the only caller of its hooks: batchers, the control
+        #: plane and stream state return what happened and the loop
+        #: reports it, so an uninstrumented run executes no observability
+        #: code.
         self.observe = observe
         #: Request-trace capture hub (:class:`repro.serving.trace.TraceWriter`)
-        #: or ``None``.  Records every *offered* request (tenant tag
-        #: included) at its arrival event -- before the cache lookup and
-        #: before the control plane's admission/degradation gate -- so a
-        #: capture replays bit-for-bit.
+        #: or ``None``, fired by the loop alone like ``observe``.  Records
+        #: every *offered* request (tenant tag included) at its arrival
+        #: event -- before the cache lookup and before the control plane's
+        #: admission/degradation gate -- so a capture replays bit-for-bit.
         self.capture = capture
         #: Streaming-update hook (:class:`repro.serving.streaming.UpdateStream`)
         #: or ``None``; the front ends wrap every served graph in a mutable
@@ -1212,7 +1219,7 @@ class _FleetSimulator:
                     rt.graph, rt.sampler, updates, self.consistency,
                     result_cache=rt.result_cache, chips=self.chips,
                     feature_key=rt.cache_key,
-                    shard_executor=rt.shard_executor, observe=observe)
+                    shard_executor=rt.shard_executor)
         #: The control plane of the most recent run (None when fixed).
         self.control: Optional[ControlPlane] = None
 
@@ -1229,8 +1236,6 @@ class _FleetSimulator:
         anonymous = runtimes.get("")
         for rt in runtimes.values():
             rt.reset()
-            if observe is not None:
-                rt.batcher.instrumentation = observe
 
         events: List[Tuple[float, int, int, object]] = []
         seq = 0
@@ -1281,8 +1286,6 @@ class _FleetSimulator:
             [rt.cost_per_request_s for rt in runtimes.values()]))
         if self.control_config is not None and requests:
             control = ControlPlane(self.control_config)
-            if observe is not None:
-                control.instrumentation = observe
             control.bind(
                 [TenantBinding(
                     name=rt.name, slo_s=rt.slo_s,
@@ -1327,11 +1330,11 @@ class _FleetSimulator:
                 # needs least; homogeneous ones ask the dispatch stage
                 chooser.retire_victim if chooser is not None
                 else stage.drain_victim,
-                shape_chooser=chooser)
+                shape_chooser=chooser, observe=observe)
 
         # ---------------- metrics scraping (instrumented runs) ------------ #
         metrics_interval_s = 0.0
-        if observe is not None and observe.wants_metrics and requests:
+        if observe is not None and observe.metrics_enabled and requests:
             from .observe import METRICS_PROBE_MULTIPLE
             metrics_interval_s = observe.metrics_interval_s \
                 if observe.metrics_interval_s is not None \
@@ -1381,6 +1384,8 @@ class _FleetSimulator:
                 rt.scheduled_flush = deadline
 
         def submit(rt: TenantRuntime, batch: Batch, now: float) -> None:
+            if observe is not None:
+                observe.on_batch_formed(now, batch)
             dispatched_at[(rt.name, batch.batch_id)] = now
             stage.submit(rt, batch, now)
 
@@ -1464,7 +1469,6 @@ class _FleetSimulator:
             if observe is not None:
                 observe.on_batch_complete(now, chip, batch, dispatched,
                                           started)
-                observe.on_shard_batch_complete(now, batch, started)
             if chip.state == "draining" and not chip.queue:
                 scaler.retire(chip, now)
             pump(now, chip)
@@ -1552,6 +1556,8 @@ class _FleetSimulator:
                             overlap_ratio=rt.overlap_ewma if rt.overlap_aware
                             else 0.0)
                         admitted = decision.admitted
+                        if observe is not None:
+                            observe.on_admission(now, rt.name, decision)
                         if not admitted:
                             shed_interval += 1
                         elif decision.level > 0:
@@ -1571,6 +1577,8 @@ class _FleetSimulator:
                         # will cover it); otherwise accumulate as usual
                         joined = rt.batcher.try_join(request, now)
                         if joined is not None:
+                            if observe is not None:
+                                observe.on_late_join(now, joined, request)
                             stage.on_join(rt, joined)
                         else:
                             batch = rt.batcher.add(request, now)
@@ -1602,15 +1610,17 @@ class _FleetSimulator:
                 # arrival, so a captured trace replays the offered stream
                 if capture is not None:
                     capture.record_update(payload)
-                (anonymous or runtimes[payload.tenant]).stream.apply(
-                    now, payload)
+                invalidated = (anonymous or runtimes[payload.tenant]) \
+                    .stream.apply(now, payload)
+                if observe is not None:
+                    observe.on_update(now, payload, invalidated)
             elif kind == _CONTROL:
                 control_tick(now)
             else:  # _CHIP_READY
                 if scaler.mark_ready(payload, now):
                     pump(now)
 
-        if observe is not None and observe.wants_metrics and requests:
+        if metrics_interval_s:
             # closing scrape (outside the loop, so it cannot perturb the
             # integral): even a run shorter than the interval gets >= 1 row
             observe.scrape(last_t, metrics_snapshot(last_t))

@@ -4,12 +4,13 @@ The serving subsystem's end-of-run report (:mod:`repro.serving.stats`)
 answers *what happened on average*; this module answers *where one request
 spent its time* and *how fleet state evolved mid-run*.  Three pieces:
 
-* :class:`Instrumentation` -- the hub the fleet's event loop
-  (:mod:`repro.serving.fleet`, single- and multi-tenant alike) threads its
-  lifecycle hooks through.  It is **opt-in**: the loop holds ``observe =
-  None`` by default and guards every hook with an ``is not None`` check, so
-  an uninstrumented run executes no observability code at all.  All
-  timestamps are **seconds of simulated time** (the discrete-event clock),
+* :class:`Instrumentation` -- the hub whose lifecycle hooks the fleet's
+  event loop (:mod:`repro.serving.fleet`, single- and multi-tenant alike)
+  fires.  The loop is the sole emitter: batchers, the control plane and
+  the streaming state hold no reference to the hub; they return what
+  happened and the loop reports it.  It is **opt-in**: the loop holds
+  ``observe = None`` by default, so an uninstrumented run executes no
+  observability code at all.  All timestamps are **seconds of simulated time** (the discrete-event clock),
   never wall time -- instrumenting a run does not perturb it, and the
   acceptance tests pin that a traced run's report is bit-for-bit identical
   to an untraced run's.
@@ -323,7 +324,7 @@ class Instrumentation:
 
     # -- lifecycle hooks (called by the event loop) -------------------- #
     def on_batch_formed(self, now: float, batch) -> None:
-        """A batcher emitted a batch (``Batcher.flush`` and friends)."""
+        """A formed batch was submitted to the dispatch stage."""
         self.registry.counter(
             "repro_batches_formed_total",
             "Batches emitted by the batch-formation policies").inc()
@@ -344,7 +345,8 @@ class Instrumentation:
                 "batch_age_s": now - batch.created_time_s})
 
     def on_admission(self, now: float, tenant: str, decision) -> None:
-        """The control plane gated an arrival (shed or degraded only)."""
+        """The control plane gated an arrival; records sheds and degrades
+        (plain admissions leave no trace)."""
         if not decision.admitted:
             self.registry.counter(
                 "repro_admission_shed_total",
@@ -404,10 +406,13 @@ class Instrumentation:
         ``dispatched`` / ``started`` timestamps the
         :class:`~repro.serving.stats.RequestRecord` is built from, so the
         per-request phase spans (batching -> queue -> service) sum to the
-        recorded latency exactly.
+        recorded latency exactly.  A batch served by a chip group also
+        gets one halo-exchange and one sub-batch span per shard, read from
+        ``batch.shard_timings``.
         """
         registry = self.registry
         tenant = batch.tenant
+        timings = batch.shard_timings or ()
         tenant_labels = {"tenant": tenant} if tenant else None
         registry.counter("repro_requests_completed_total",
                          "Requests served to completion",
@@ -422,6 +427,18 @@ class Instrumentation:
             labels=tenant_labels)
         for request in batch.requests:
             latency_hist.observe(now - request.arrival_time_s)
+        if timings:
+            registry.counter(
+                "repro_shard_sub_batches_total",
+                "Per-shard sub-batches executed").inc(len(timings))
+            registry.counter(
+                "repro_halo_misses_total",
+                "Ghost-feature lookups that missed the halo cache").inc(
+                    sum(t.halo_misses for t in timings))
+            registry.counter(
+                "repro_halo_hits_total",
+                "Ghost-feature lookups served from a halo cache").inc(
+                    sum(t.halo_hits for t in timings))
         if not self.trace_enabled:
             return
         chip_id = getattr(chip, "chip_id", chip)
@@ -455,32 +472,6 @@ class Instrumentation:
                        PID_REQUESTS, tid, dict(common))
             self._span("service", "request", started_s, now,
                        PID_REQUESTS, tid, dict(common))
-
-    def on_shard_batch_complete(self, now: float, batch,
-                                started_s: float) -> None:
-        """A sharded batch finished; emit per-shard sub-batch spans.
-
-        Called right after :meth:`on_batch_complete` for batches served by
-        a chip group.  Purely a reader of ``batch.shard_timings`` — it
-        must never mutate simulation state, so a traced sharded run stays
-        bit-for-bit identical to an untraced one.
-        """
-        timings = getattr(batch, "shard_timings", None)
-        if not timings:
-            return
-        registry = self.registry
-        registry.counter("repro_shard_sub_batches_total",
-                         "Per-shard sub-batches executed").inc(len(timings))
-        registry.counter(
-            "repro_halo_misses_total",
-            "Ghost-feature lookups that missed the halo cache").inc(
-                sum(t.halo_misses for t in timings))
-        registry.counter(
-            "repro_halo_hits_total",
-            "Ghost-feature lookups served from a halo cache").inc(
-                sum(t.halo_hits for t in timings))
-        if not self.trace_enabled:
-            return
         for t in timings:
             self._name_thread(PID_FLEET, t.chip_id, f"chip {t.chip_id}")
             args = {
@@ -525,11 +516,6 @@ class Instrumentation:
             })
 
     # -- metrics scraping ---------------------------------------------- #
-    @property
-    def wants_metrics(self) -> bool:
-        """Should the event loop schedule scrape events for this hub?"""
-        return self.metrics_enabled
-
     def scrape(self, now: float, gauges: Dict[str, float]) -> None:
         """Record one time-series sample from the loop's gauge snapshot.
 

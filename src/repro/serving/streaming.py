@@ -257,7 +257,7 @@ class StreamState:
 
     def __init__(self, graph: DeltaGraph, sampler, stream: UpdateStream,
                  stats: ConsistencyStats, *, result_cache=None, chips=None,
-                 feature_key=None, shard_executor=None, observe=None):
+                 feature_key=None, shard_executor=None):
         self.graph = graph
         self.sampler = sampler
         self.stream = stream
@@ -267,7 +267,6 @@ class StreamState:
         self.feature_key = feature_key if feature_key is not None \
             else (lambda v: v)
         self.shard_executor = shard_executor
-        self.observe = observe
         sampler.invalidation = stream.policy
         # vertex -> result-cache keys whose cached answer sampled it
         self._vertex_results: Dict[int, Set[int]] = {}
@@ -328,10 +327,7 @@ class StreamState:
         for v in dirty:
             self._last_mutation[v] = graph.version
             self._last_mutation_s[v] = now
-        invalidated = self._invalidate(dirty, feature_writes)
-        if self.observe is not None:
-            self.observe.on_update(now, event, invalidated)
-        return invalidated
+        return self._invalidate(dirty, feature_writes)
 
     def _invalidate(self, dirty: List[int],
                     feature_writes: List[int]) -> int:

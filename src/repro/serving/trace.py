@@ -4,13 +4,12 @@ The observability layer (:mod:`repro.serving.observe`) answers *where a
 request spent its time*; this module answers *what traffic the fleet was
 offered* -- and makes that stream a first-class, replayable artifact:
 
-* :class:`TraceWriter` -- the capture hub the fleet's event loop
-  (:mod:`repro.serving.fleet`, single- and multi-tenant alike) threads its
-  arrival hook through, same duck-typed opt-in pattern as
-  :class:`~repro.serving.observe.Instrumentation`: the loop holds
-  ``capture = None`` by default and guards the single hook with an
-  ``is not None`` check, so an uncaptured run executes no capture code.
-  The hook fires on every *offered* request at its arrival event -- before
+* :class:`TraceWriter` -- the capture hub whose hooks the fleet's event
+  loop (:mod:`repro.serving.fleet`, single- and multi-tenant alike) fires,
+  same opt-in pattern as :class:`~repro.serving.observe.Instrumentation`:
+  the loop is the sole emitter and holds ``capture = None`` by default,
+  so an uncaptured run executes no capture code.  The arrival hook fires
+  on every *offered* request at its arrival event -- before
   the cache lookup and before the control plane's admission/degradation
   gate -- so the trace records exactly the stream the run was asked to
   serve (including requests that were later shed), and replaying it
@@ -265,9 +264,9 @@ class RequestTrace:
 
 
 class TraceWriter:
-    """Capture hub the event loop threads its arrival hook through.
+    """Capture hub whose arrival and update hooks the event loop fires.
 
-    Duck-typed exactly like :class:`~repro.serving.observe.Instrumentation`:
+    Opt-in exactly like :class:`~repro.serving.observe.Instrumentation`:
     pass one as ``capture=`` to :func:`~repro.serving.fleet.run_serving` /
     :func:`~repro.serving.tenancy.run_multi_tenant` (or to the simulator
     constructors) and every offered request is recorded in arrival order.
