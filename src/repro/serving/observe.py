@@ -10,10 +10,10 @@ spent its time* and *how fleet state evolved mid-run*.  Three pieces:
   the streaming state hold no reference to the hub; they return what
   happened and the loop reports it.  It is **opt-in**: the loop holds
   ``observe = None`` by default, so an uninstrumented run executes no
-  observability code at all.  All timestamps are **seconds of simulated time** (the discrete-event clock),
-  never wall time -- instrumenting a run does not perturb it, and the
-  acceptance tests pin that a traced run's report is bit-for-bit identical
-  to an untraced run's.
+  observability code at all.  All timestamps are **seconds of simulated
+  time** (the discrete-event clock), never wall time -- instrumenting a
+  run does not perturb it, and the acceptance tests pin that a traced
+  run's report is bit-for-bit identical to an untraced run's.
 
 * Span tracing.  Hooks record batch formation, late joins, admission
   control, scaling and batch completion; at completion the hub emits
