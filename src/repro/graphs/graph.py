@@ -88,6 +88,19 @@ class CSRMatrix:
         for i in range(self.num_rows):
             yield i, self.row(i)
 
+    def block(self, start: int, stop: int) -> "CSRMatrix":
+        """The diagonal block of rows and columns ``[start, stop)``.
+
+        Trusted like :meth:`from_arrays`: the caller guarantees that those
+        rows hold no column outside the block (a block-diagonal matrix).
+        """
+        lo, hi = self.indptr[start], self.indptr[stop]
+        block = CSRMatrix.__new__(CSRMatrix)
+        block.indptr = self.indptr[start:stop + 1] - lo
+        block.indices = self.indices[lo:hi] - start
+        block.num_rows = block.num_cols = stop - start
+        return block
+
     def to_dense(self) -> np.ndarray:
         """Materialise the matrix as a dense binary array (small graphs only)."""
         dense = np.zeros((self.num_rows, self.num_cols), dtype=np.int8)
@@ -133,7 +146,8 @@ class CSRMatrix:
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         if num_cols and num_rows <= (2 ** 62) // num_cols:
-            key = np.sort(rows * num_cols + cols)
+            key = rows * num_cols + cols
+            key.sort()
             if deduplicate and len(key):
                 keep = np.ones(len(key), dtype=bool)
                 keep[1:] = key[1:] != key[:-1]
@@ -149,8 +163,8 @@ class CSRMatrix:
                 rows, cols = rows[keep], cols[keep]
         indptr = np.zeros(num_rows + 1, dtype=np.int64)
         if len(rows):
-            np.cumsum(np.bincount(rows + 1, minlength=num_rows + 1),
-                      out=indptr)
+            np.add.accumulate(np.bincount(rows + 1, minlength=num_rows + 1),
+                              out=indptr)
         self = cls.__new__(cls)
         self.indptr = indptr
         self.indices = cols

@@ -77,19 +77,25 @@ class LRUCache:
         self.stats.misses += 1
         return default
 
-    def put(self, key: Hashable, value: object) -> None:
-        """Insert or refresh ``key``; evicts the least-recently-used entry."""
+    def put(self, key: Hashable,
+            value: object) -> Optional[Tuple[Hashable, object]]:
+        """Insert or refresh ``key``; evicts the least-recently-used entry.
+
+        Returns the evicted ``(key, value)`` pair, or ``None`` when nothing
+        was evicted.
+        """
         if self.capacity == 0:
-            return
+            return None
         if key in self._entries:
             self._entries.move_to_end(key)
             self._entries[key] = value
-            return
+            return None
         self._entries[key] = value
         self.stats.insertions += 1
         if len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
             self.stats.evictions += 1
+            return self._entries.popitem(last=False)
+        return None
 
     def charge(self, keys: Sequence[Hashable],
                values: Iterable[object]) -> List[Tuple[int, object]]:

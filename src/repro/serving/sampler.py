@@ -56,10 +56,18 @@ bounded LRUs (``memo_size`` entries each for samples and signatures).
 
 **Array core.**  Extraction, ``fused_size`` and ``fuse`` run on the base
 graph's in-neighbour CSC arrays (:attr:`~repro.graphs.graph.Graph.colptr` /
-:attr:`~repro.graphs.graph.Graph.row`, which every graph provides):
-frontier expansion is ``colptr``/``row`` slicing, local-id assignment and
-dedup are sort-free scatter/gather passes over index arrays, and edge lists
-are assembled as contiguous arrays instead of Python tuples.
+:attr:`~repro.graphs.graph.Graph.row`, which every graph provides).  One
+multi-root core, :meth:`SubgraphSampler.extract_fresh_many`, extracts every
+root of a call in one pass per hop, as HyGCN's Sampler treats a batch of
+vertices as one unit of work: frontier expansion is ``colptr``/``row``
+slicing over all roots at once, local ids come from one stable grouping of
+fused ``root * num_vertices + v`` keys per hop (hop 1 needs none), and one
+block-diagonal CSR built for the whole call is sliced into the per-root
+samples.  A lone extraction is the one-root call of the same core.  The
+batch call sites -- ``fuse_requests``, ``fused_size`` and the streaming
+consistency check -- fetch their memo misses through
+:meth:`SubgraphSampler.extract_many`, which replays the memo traffic of
+sequential :meth:`SubgraphSampler.extract` calls exactly.
 ``tests/graphs/test_csc_equivalence.py`` checks every output bit for bit
 against the scalar reference oracle.
 """
@@ -161,17 +169,19 @@ class SubgraphSampler:
         # keys whose cached sample contains it (only maintained on mutable
         # graphs; static runs pay nothing)
         self._vertex_keys: Dict[int, Set[Tuple]] = {}
-        # graph version each live memo entry was computed at, and lifetime
-        # drop counters (the consistency tracker folds these into
-        # ConsistencyStats at the end of a run)
-        self._key_versions: Dict[Tuple, int] = {}
+        # every key held by either memo, with the graph version its sample
+        # was computed at and the vertices it is indexed under (a signature
+        # outliving its sample keeps the sample's vertices); pruned when a
+        # key leaves both memos.  The lifetime drop counters below are
+        # folded into ConsistencyStats at the end of a run.
+        self._registered: Dict[Tuple, Tuple[int, List[int]]] = {}
         self.invalidated_samples = 0
         self.invalidated_signatures = 0
         self._colptr = graph.colptr
         self._row = graph.row
-        # global id -> local id scratch table, -1 = unseen; reset to -1 for
-        # exactly the touched entries after every extraction, so each
-        # extract pays O(subgraph), not O(graph)
+        # global id -> local id scratch table for fuse, -1 = unseen; reset
+        # to -1 for exactly the touched entries after every call, so each
+        # call pays O(subgraph), not O(graph)
         self._local_lut = np.full(graph.num_vertices, -1, dtype=np.int64)
         # first-occurrence scratch for _first_seen; never reset -- every
         # query overwrites the entries it reads before reading them
@@ -231,7 +241,7 @@ class SubgraphSampler:
         self._memo.clear()
         self._sig_memo.clear()
         self._vertex_keys.clear()
-        self._key_versions.clear()
+        self._registered.clear()
 
     def invalidate_vertices(self, vertices: Iterable[int]) -> int:
         """Drop every memoised sample/signature containing ``vertices``.
@@ -249,15 +259,41 @@ class SubgraphSampler:
                 dropped += 1
             if self._sig_memo.invalidate(key):
                 self.invalidated_signatures += 1
-            self._key_versions.pop(key, None)
+            self._registered.pop(key, None)
         self.invalidated_samples += dropped
         return dropped
 
-    def _register_sample(self, key: Tuple, sample: "SubgraphSample") -> None:
-        """Index ``key`` under every vertex of ``sample`` (mutable graphs)."""
-        for v in sample.vertex_ids.tolist():
-            self._vertex_keys.setdefault(int(v), set()).add(key)
-        self._key_versions[key] = self._graph_version
+    def _memo_put(self, key: Tuple, sample: "SubgraphSample") -> None:
+        """Memoise a freshly extracted sample; on a mutable graph, index
+        it for invalidation and prune the entry the put evicted."""
+        evicted = self._memo.put(key, sample)
+        if not self._mutable:
+            return
+        if key in self._memo:  # a zero-capacity memo drops every put
+            vertices = sample.vertex_ids.tolist()
+            for v in vertices:
+                self._vertex_keys.setdefault(v, set()).add(key)
+            held = self._registered.get(key)
+            if held is not None:
+                vertices = sorted(set(held[1]).union(vertices))
+            self._registered[key] = (self._graph_version, vertices)
+        if evicted is not None:
+            self._release(evicted[0])
+
+    def _release(self, key: Tuple) -> None:
+        """Drop the invalidation index of ``key`` once neither memo holds
+        it."""
+        if key in self._memo or key in self._sig_memo:
+            return
+        held = self._registered.pop(key, None)
+        if held is None:
+            return
+        for v in held[1]:
+            entry = self._vertex_keys.get(v)
+            if entry is not None:
+                entry.discard(key)
+                if not entry:
+                    del self._vertex_keys[v]
 
     def forget(self, keys: Iterable[Tuple]) -> None:
         """Silently drop memo entries: no invalidation counting, no cache
@@ -270,25 +306,18 @@ class SubgraphSampler:
         this -- their memo state does not feed any reported number.
         """
         for key in keys:
-            sample = self._memo.peek(key)
-            if sample is not None and self._mutable:
-                for v in sample.vertex_ids.tolist():
-                    entry = self._vertex_keys.get(int(v))
-                    if entry is not None:
-                        entry.discard(key)
-                        if not entry:
-                            del self._vertex_keys[int(v)]
             self._memo.invalidate(key)
             self._sig_memo.invalidate(key)
-            self._key_versions.pop(key, None)
+            self._release(key)
 
     def memo_version(self, target_vertex: int, num_hops: Optional[int],
                      fanout: Optional[int]) -> Optional[int]:
         """Graph version the live memo entry for this shape was computed at
         (``None`` when nothing is memoised -- immutable graphs track no
         versions, so this is a mutable-graph-only probe)."""
-        return self._key_versions.get(
-            (target_vertex, *self._shape(num_hops, fanout)))
+        key = (target_vertex, *self._shape(num_hops, fanout))
+        held = self._registered.get(key)
+        return held[0] if held is not None and key in self._memo else None
 
     def _shape(self, num_hops: Optional[int],
                fanout: Optional[int]) -> Tuple[int, int]:
@@ -334,10 +363,35 @@ class SubgraphSampler:
         if cached is not None:
             return cached
         sample = self.extract_fresh(*key)
-        self._memo.put(key, sample)
-        if self._mutable:
-            self._register_sample(key, sample)
+        self._memo_put(key, sample)
         return sample
+
+    def extract_many(self, shapes: Iterable[Tuple[int, Optional[int],
+                                                   Optional[int]]]
+                     ) -> List[SubgraphSample]:
+        """:meth:`extract` of every ``(target, num_hops, fanout)`` shape, in
+        order (``None`` components mean the sampler default).
+
+        Leaves the memo as the sequential ``extract`` calls would: the same
+        gets and puts in the same order, hence the same counters, recency,
+        evictions and invalidation index.  The shapes absent from the memo
+        at entry are extracted together (:meth:`extract_fresh_shapes`).
+        """
+        self._sync()
+        keys = [(target, *self._shape(hops, fan))
+                for target, hops, fan in shapes]
+        absent = [key for key in dict.fromkeys(keys) if key not in self._memo]
+        fresh = dict(zip(absent, self.extract_fresh_shapes(absent)))
+        samples = []
+        for key in keys:
+            sample = self._memo.get(key)
+            if sample is None:
+                sample = fresh.get(key)
+                if sample is None:  # evicted by one of this call's puts
+                    sample = self.extract_fresh(*key)
+                self._memo_put(key, sample)
+            samples.append(sample)
+        return samples
 
     def extract_fresh(self, target_vertex: int,
                       num_hops: Optional[int] = None,
@@ -348,102 +402,200 @@ class SubgraphSampler:
         This is the consistency tracker's reference computation -- compare
         it against :meth:`extract` to detect a stale memo entry surviving
         an update (extraction is deterministic per ``(seed, target, hops,
-        fanout)``, so any difference is staleness, not randomness).
+        fanout)``, so any difference is staleness, not randomness).  It is
+        the one-root call of :meth:`extract_fresh_many`.
+        """
+        return self.extract_fresh_many((target_vertex,), num_hops, fanout)[0]
 
-        The extraction itself runs over ``colptr``/``row`` slices, one hop
-        at a time: it consumes the per-hop phase stream of the module-level
-        determinism contract (one uniform per over-fanout frontier vertex;
-        under-fanout vertices never touch the RNG), and new vertices take
-        local ids in first-seen order over the concatenated per-hop
-        neighbour stream.
+    def extract_fresh_shapes(self, shapes: Sequence[Tuple[int, Optional[int],
+                                                         Optional[int]]]
+                             ) -> List[SubgraphSample]:
+        """Memo-bypassing extraction of every ``(target, num_hops, fanout)``
+        shape, in order: one :meth:`extract_fresh_many` call per distinct
+        ``(num_hops, fanout)``."""
+        groups: Dict[Tuple, List[int]] = {}
+        for i, (_, hops, fan) in enumerate(shapes):
+            groups.setdefault((hops, fan), []).append(i)
+        samples: List[Optional[SubgraphSample]] = [None] * len(shapes)
+        for (hops, fan), positions in groups.items():
+            extracted = self.extract_fresh_many(
+                [shapes[i][0] for i in positions], hops, fan)
+            for i, sample in zip(positions, extracted):
+                samples[i] = sample
+        return samples
+
+    def extract_fresh_many(self, targets: Sequence[int],
+                           num_hops: Optional[int] = None,
+                           fanout: Optional[int] = None
+                           ) -> List[SubgraphSample]:
+        """Memo-bypassing extraction of every root in ``targets`` at once.
+
+        Returns one sample per root, in ``targets`` order, each identical
+        to what a lone extraction of that root gives.  All roots expand in
+        one pass per hop over fused ``root * num_vertices + v`` keys
+        (``root`` is the position in ``targets``):
+
+        * each root draws its phases from its own
+          ``default_rng((seed, target))``, in its frontier order, as the
+          module-level determinism contract requires;
+        * vertices are numbered in discovery order over the whole call, and
+          a root's vertices are discovered in its first-seen order over its
+          concatenated per-hop neighbour stream.  Hop 1 needs no grouping:
+          an in-list holds no duplicates (the CSC is deduplicated), so the
+          only possible repeat is the root itself.  Each later hop finds
+          every key's first occurrence with one stable argsort of the seen
+          keys followed by the hop's keys;
+        * a stable sort by root turns discovery order into one
+          block-diagonal CSR for the whole call, sliced into the per-root
+          subgraphs.
         """
         self._sync()
-        if not 0 <= target_vertex < self.graph.num_vertices:
-            raise ValueError(f"target vertex {target_vertex} out of range")
         num_hops, fanout = self._shape(num_hops, fanout)
-        # Seeding a Generator costs ~25us and consumes no entropy, so it is
-        # constructed lazily on the first hop that draws; the key stream is
-        # identical to eager construction.
-        rng = None
+        n = self.graph.num_vertices
+        for target in targets:
+            if not 0 <= target < n:
+                raise ValueError(f"target vertex {target} out of range")
+        num_roots = len(targets)
+        if num_roots == 0:
+            return []
         colptr, row = self._colptr, self._row
-        lut = self._local_lut
-        lut[target_vertex] = 0
-        order_parts = [np.array([target_vertex], dtype=np.int64)]
-        num_local = 1
-        # edge sources / destinations, local ids (the empty leading part
-        # keeps a subgraph without edges on the same CSR build)
-        rows_parts: List[np.ndarray] = [_NO_EDGES]
-        cols_parts: List[np.ndarray] = [_NO_EDGES]
-        frontier = order_parts[0]
-        frontier_base = 0  # frontier local ids are always consecutive
-        for _ in range(num_hops):
+        # Seeding a Generator costs ~17us and consumes no entropy, so each
+        # root's is constructed on the first hop that draws from it.
+        rngs: List[Optional[np.random.Generator]] = [None] * num_roots
+        # the frontier's global ids, owning roots (ascending) and discovery
+        # ids; root r is discovered r-th
+        frontier = roots = np.array(targets, dtype=np.int64)
+        f_root = f_id = np.arange(num_roots)
+        count = num_roots
+        # every vertex as (global id, root) in discovery order, every edge
+        # as (source, destination) discovery ids, one part per hop (the
+        # empty leading edge part keeps an edgeless call on the same build)
+        v_parts, vr_parts = [roots], [f_root]
+        src_parts: List[np.ndarray] = [_NO_EDGES]
+        dst_parts: List[np.ndarray] = [_NO_EDGES]
+        # fused keys of the discovered vertices, kept while a hop follows
+        key_parts: List[np.ndarray] = []
+        for hop in range(num_hops):
             starts = colptr[frontier]
             degs = colptr[frontier + 1] - starts
             counts = np.minimum(degs, fanout)
-            seg_end = np.cumsum(counts)
+            seg_end = counts.cumsum()
             total = int(seg_end[-1])
             if total == 0:
                 break
             seg_start = seg_end - counts
-            over = np.nonzero(degs > fanout)[0]
+            over = (degs > fanout).nonzero()[0]
             if over.size == 0:
                 # every frontier vertex keeps its full list: the segment
                 # layout equals the slice layout, so one gather suffices --
                 # position j of segment i reads row[starts[i] + j]
-                rel = np.arange(total) - np.repeat(seg_start, counts)
-                neigh = row[np.repeat(starts, counts) + rel]
+                neigh = row[np.arange(total)
+                            + (starts - seg_start).repeat(counts)]
             else:
-                full = np.nonzero(degs <= fanout)[0]
+                full = (degs <= fanout).nonzero()[0]
                 neigh = np.empty(total, dtype=np.int64)
                 if full.size:
                     f_counts = counts[full]
-                    f_end = np.cumsum(f_counts)
-                    rel = np.arange(int(f_end[-1])) - np.repeat(
-                        f_end - f_counts, f_counts)
-                    neigh[np.repeat(seg_start[full], f_counts) + rel] = \
-                        row[np.repeat(starts[full], f_counts) + rel]
-                if rng is None:
-                    rng = np.random.default_rng((self.seed, target_vertex))
+                    f_end = f_counts.cumsum()
+                    f_start = f_end - f_counts
+                    rel = np.arange(int(f_end[-1]))
+                    neigh[rel + (seg_start[full] - f_start).repeat(f_counts)] \
+                        = row[rel + (starts[full] - f_start).repeat(f_counts)]
                 # random-phase strided selection, whole hop at once:
                 # positions floor((u + j) * d / fanout) per over-fanout vertex
-                u = rng.random(over.size)
+                u = self._phases(rngs, targets, f_root[over])
                 step = degs[over] / fanout
                 offs = (u[:, None] * step[:, None]
                         + np.arange(fanout)[None, :] * step[:, None]
                         ).astype(np.int64)
                 pos = (seg_start[over][:, None] + np.arange(fanout)).ravel()
                 neigh[pos] = row[(starts[over][:, None] + offs).ravel()]
-            dst_local = np.repeat(
-                np.arange(frontier_base, frontier_base + frontier.size),
-                counts)
-            src_local = lut[neigh]
-            unseen = src_local < 0
-            fresh = neigh[unseen]
-            if fresh.size:
-                new_globals = fresh[self._first_seen(fresh)]
-                lut[new_globals] = num_local + np.arange(new_globals.size)
-                # patch only the previously-unseen entries instead of
-                # re-gathering lut over the whole hop
-                src_local[unseen] = lut[fresh]
-                frontier_base = num_local
-                num_local += new_globals.size
-                order_parts.append(new_globals)
-                frontier = new_globals
+            stream_root = f_root.repeat(counts)
+            dst_parts.append(f_id.repeat(counts))
+            if hop == 0:
+                is_first = neigh != roots.repeat(counts)
+                src = np.where(is_first, is_first.cumsum() + (count - 1),
+                               stream_root)
             else:
-                frontier = np.empty(0, dtype=np.int64)
-            rows_parts.append(src_local)
-            cols_parts.append(dst_local)
+                # stable grouping of the seen keys followed by this hop's:
+                # a group's leader is the key's earliest occurrence (a seen
+                # vertex's discovery id is its position), and a stream
+                # element leading its own group is a new vertex
+                keys = np.concatenate((*key_parts, stream_root * n + neigh))
+                order = keys.argsort(kind="stable")
+                grouped = keys[order]
+                head = np.empty(keys.size, dtype=bool)
+                head[0] = True
+                np.not_equal(grouped[1:], grouped[:-1], out=head[1:])
+                lead = order[head][grouped[head].searchsorted(keys[count:])]
+                is_first = lead == np.arange(count, keys.size)
+                ids = np.arange(keys.size)
+                ids[count:] = is_first.cumsum() + (count - 1)
+                src = ids[lead]
+            src_parts.append(src)
+            frontier = neigh[is_first]
             if frontier.size == 0:
                 break
-        order = np.concatenate(order_parts) if len(order_parts) > 1 \
-            else order_parts[0]
-        lut[order] = -1  # reset only the touched scratch entries
-        csr = CSRMatrix.from_arrays(np.concatenate(rows_parts),
-                                    np.concatenate(cols_parts), num_local)
-        order.setflags(write=False)
-        graph = RowViewGraph(csr, self.graph, order,
-                             name=f"{self.graph.name}[v{target_vertex}]")
-        return SubgraphSample(target_vertex=target_vertex, graph=graph)
+            f_root = stream_root[is_first]
+            f_id = np.arange(count, count + frontier.size)
+            count += frontier.size
+            v_parts.append(frontier)
+            vr_parts.append(f_root)
+            if hop + 1 < num_hops:
+                if hop == 0:
+                    key_parts.append(vr_parts[0] * n + roots)
+                key_parts.append(f_root * n + frontier)
+        vertex_ids = np.concatenate(v_parts)
+        src = np.concatenate(src_parts)
+        dst = np.concatenate(dst_parts)
+        if num_roots == 1:
+            ends = [count]
+        else:
+            # discovery order -> block order: the stable sort by root keeps
+            # each root's vertices in its own discovery order
+            vertex_root = np.concatenate(vr_parts)
+            perm = vertex_root.argsort(kind="stable")
+            vertex_ids = vertex_ids[perm]
+            block_id = np.empty(count, dtype=np.int64)
+            block_id[perm] = np.arange(count)
+            src, dst = block_id[src], block_id[dst]
+            ends = np.bincount(vertex_root, minlength=num_roots) \
+                .cumsum().tolist()
+        vertex_ids.setflags(write=False)
+        # edges are unique by construction: each vertex is a frontier vertex
+        # once, and its kept in-neighbours are distinct
+        csr = CSRMatrix.from_arrays(src, dst, count, deduplicate=False)
+        name = self.graph.name
+        samples = []
+        start = 0
+        for target, stop in zip(targets, ends):
+            graph = RowViewGraph(
+                csr if num_roots == 1 else csr.block(start, stop),
+                self.graph, vertex_ids[start:stop],
+                name=f"{name}[v{target}]")
+            samples.append(SubgraphSample(target_vertex=target, graph=graph))
+            start = stop
+        return samples
+
+    def _phases(self, rngs: List[Optional[np.random.Generator]],
+                targets: Sequence[int], over_roots: np.ndarray) -> np.ndarray:
+        """One hop's phases: every root in ``over_roots`` (ascending, one
+        entry per over-fanout frontier vertex) draws its count from its own
+        ``default_rng((seed, target))``, built on its first draw."""
+        if over_roots[0] == over_roots[-1]:
+            bounds = [0, over_roots.size]
+        else:
+            bounds = [0, *((over_roots[1:] != over_roots[:-1]).nonzero()[0]
+                           + 1).tolist(), over_roots.size]
+        draws = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            root = int(over_roots[lo])
+            rng = rngs[root]
+            if rng is None:
+                rng = rngs[root] = np.random.default_rng(
+                    (self.seed, targets[root]))
+            draws.append(rng.random(hi - lo))
+        return draws[0] if len(draws) == 1 else np.concatenate(draws)
 
     def signature_fresh(self, target_vertex: int,
                         num_hops: Optional[int] = None,
@@ -488,7 +640,9 @@ class SubgraphSampler:
         if cached is not None:
             return cached
         sig = self._signature_of(self.extract(*key))
-        self._sig_memo.put(key, sig)
+        evicted = self._sig_memo.put(key, sig)
+        if evicted is not None and self._mutable:
+            self._release(evicted[0])
         return sig
 
     # ------------------------------------------------------------------ #
@@ -506,19 +660,16 @@ class SubgraphSampler:
         -- while ``fused_vertices`` is the deduped union the fused dispatch
         actually touches.  This is the cost-model view of :meth:`fuse`
         (counts only, no graph built); the WFQ scheduler prices batches
-        with it.  Uses the extraction memo, so pricing a batch of hot
-        targets costs dictionary lookups, not re-extraction.
+        with it.  Fetches through :meth:`extract_many`, so pricing a batch
+        of hot targets costs dictionary lookups, and its misses are
+        extracted in one multi-root pass.
         """
-        self._sync()
-        arrays: List[np.ndarray] = []
-        naive = 0
-        for target, hops, fan in shapes:
-            sample = self.extract(target, num_hops=hops, fanout=fan)
-            naive += sample.num_vertices
-            arrays.append(sample.vertex_ids)
-        if not arrays:
+        samples = self.extract_many(shapes)
+        if not samples:
             return 0, 0
-        return int(self._first_seen(np.concatenate(arrays)).sum()), naive
+        naive = sum(sample.num_vertices for sample in samples)
+        union = np.concatenate([sample.vertex_ids for sample in samples])
+        return int(self._first_seen(union).sum()), naive
 
     def fuse_requests(self, requests: Sequence, name: str
                       ) -> Tuple[RowViewGraph, int, int]:
@@ -530,7 +681,8 @@ class SubgraphSampler:
         """
         shapes = [(r.target_vertex, r.degrade_hops, r.degrade_fanout)
                   for r in requests]
-        by_shape = {s: self.extract(*s) for s in dict.fromkeys(shapes)}
+        distinct = list(dict.fromkeys(shapes))
+        by_shape = dict(zip(distinct, self.extract_many(distinct)))
         naive = sum(by_shape[s].num_vertices for s in shapes)
         samples = list(by_shape.values())
         graph = samples[0].graph if len(samples) == 1 \

@@ -23,7 +23,7 @@ module supplies everything the event loop needs to serve such a workload
 
 Consistency is checked differentially: extraction is deterministic per
 ``(seed, target, hops, fanout)``, so a memoised sample that differs from a
-memo-bypassing recomputation (:meth:`SubgraphSampler.extract_fresh`) at
+memo-bypassing recomputation (:meth:`SubgraphSampler.extract_fresh_many`) at
 service time *is* a stale serve, not randomness.  See ``docs/streaming.md``.
 """
 
@@ -431,38 +431,41 @@ class StreamState:
     def check_batch(self, batch, now: float) -> None:
         """Differential check at service start: every non-degraded request's
         memoised sample (and signature, when one is memoised) must equal a
-        memo-bypassing recomputation at the current graph version."""
+        memo-bypassing recomputation at the current graph version.
+
+        The batch's distinct shapes are fetched from the memo with one
+        :meth:`~repro.serving.sampler.SubgraphSampler.extract_many` call and
+        recomputed with one ``extract_fresh_shapes`` call; a sample's fresh
+        signature is minhashed from its fresh recomputation.
+        """
         if not self.stream.check:
             return
         sampler = self.sampler
-        seen: Set[Tuple] = set()
-        for request in batch.requests:
-            if request.degrade_level > 0:
-                continue
-            shape = (request.target_vertex, request.degrade_hops,
-                     request.degrade_fanout)
-            if shape in seen:
-                continue
-            seen.add(shape)
-            self.stats.checks += 1
-            entry_version = sampler.memo_version(*shape)
-            memo = sampler.extract(shape[0], num_hops=shape[1],
-                                   fanout=shape[2])
-            fresh = sampler.extract_fresh(shape[0], num_hops=shape[1],
-                                          fanout=shape[2])
-            if not np.array_equal(memo.vertex_ids, fresh.vertex_ids):
-                lag = self.graph.version - (entry_version or 0)
+        shapes = list(dict.fromkeys(
+            (r.target_vertex, r.degrade_hops, r.degrade_fanout)
+            for r in batch.requests if r.degrade_level == 0))
+        if not shapes:
+            return
+        self.stats.checks += len(shapes)
+        # read before the memo fetch; a version is used only on a hit of an
+        # entry older than this call, which that fetch leaves in place
+        versions = [sampler.memo_version(*shape) for shape in shapes]
+        memos = sampler.extract_many(shapes)
+        fresh = sampler.extract_fresh_shapes(shapes)
+        for shape, version, memo, recomputed in zip(shapes, versions, memos,
+                                                    fresh):
+            lag = self.graph.version - (version or 0)
+            if not np.array_equal(memo.vertex_ids, recomputed.vertex_ids):
                 self._count_stale(lag, 0.0, "stale_samples")
                 continue
-            if (shape[0], sampler.num_hops if shape[1] is None else shape[1],
-                    sampler.fanout if shape[2] is None else shape[2]) \
+            target, hops, fan = shape
+            if (target, sampler.num_hops if hops is None else hops,
+                    sampler.fanout if fan is None else fan) \
                     in sampler._sig_memo:
-                memo_sig = sampler.signature(shape[0], num_hops=shape[1],
-                                             fanout=shape[2])
-                fresh_sig = sampler.signature_fresh(
-                    shape[0], num_hops=shape[1], fanout=shape[2])
-                if not np.array_equal(memo_sig, fresh_sig):
-                    lag = self.graph.version - (entry_version or 0)
+                memo_sig = sampler.signature(target, num_hops=hops,
+                                             fanout=fan)
+                if not np.array_equal(memo_sig,
+                                      sampler._signature_of(recomputed)):
                     self._count_stale(lag, 0.0, "stale_signatures")
 
     def on_feature_hit(self, vertex: int, stamp, now: float,

@@ -12,13 +12,17 @@ are derived from its CSR view.  Any divergence in the determinism contract
 fails loudly here rather than as a silent shift in downstream numbers.
 """
 
+import functools
 import json
 
 import _reference as reference
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graphs import (
+    DeltaGraph,
     Graph,
     NeighborSampler,
     SamplingConfig,
@@ -48,6 +52,77 @@ def _graph(kind, seed, layout):
     if layout == "plain":
         graph = Graph(graph.csr, graph.features, name=graph.name)
     return graph
+
+
+@functools.lru_cache(maxsize=None)
+def _root_pool_graph(kind, layout):
+    """A generator graph in one of three layouts; ``delta`` is a
+    :class:`DeltaGraph` after edge and vertex inserts, with its sampler
+    built before the inserts so it syncs to them."""
+    if layout != "delta":
+        graph = _graph(kind, 0, layout)
+        return graph, lambda seed: SubgraphSampler(graph, seed=seed)
+    delta = DeltaGraph(_graph(kind, 0, "csc"))
+    samplers = {seed: SubgraphSampler(delta, seed=seed) for seed in range(4)}
+    hub = int(np.argmax(np.diff(delta.colptr)))
+    # self-loops make a root its own in-neighbour: the one repeat hop 1
+    # can see
+    for src, dst in ((1, 0), (delta.num_vertices - 1, hub), (7, 3), (hub, 11),
+                     (hub, hub), (0, 0)):
+        delta.add_edge(src, dst)
+    for k in range(3):
+        new = delta.add_vertex(delta.features[k])
+        delta.add_edge(new, hub)
+        if k:  # the first new vertex keeps zero in-degree
+            delta.add_edge(k, new)
+    return delta, samplers.__getitem__
+
+
+@st.composite
+def _roots(draw, graph):
+    """1-40 distinct roots mixing the top in-degree hubs, zero in-degree
+    vertices and uniform draws."""
+    degrees = np.diff(graph.colptr)
+    hubs = np.argsort(-degrees, kind="stable")[:8].tolist()
+    sources = np.flatnonzero(degrees == 0)[:8].tolist()
+    special = st.sampled_from(hubs + sources)
+    anywhere = st.integers(0, graph.num_vertices - 1)
+    return draw(st.lists(st.one_of(special, anywhere), min_size=1,
+                         max_size=40, unique=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(sorted(GENERATORS)),
+       layout=st.sampled_from(LAYOUTS + ("delta",)),
+       num_hops=st.integers(0, 3), fanout=st.integers(1, 16),
+       seed=st.integers(0, 3))
+def test_extract_fresh_many_matches_reference(data, kind, layout, num_hops,
+                                              fanout, seed):
+    """Every root of one multi-root call equals the scalar oracle's lone
+    extraction: vertex order, CSR structure, width and name."""
+    graph, make_sampler = _root_pool_graph(kind, layout)
+    roots = data.draw(_roots(graph))
+    samples = make_sampler(seed).extract_fresh_many(roots, num_hops, fanout)
+    assert len(samples) == len(roots)
+    for root, sample in zip(roots, samples):
+        vertices, expected = reference.extract(graph, root, num_hops, fanout,
+                                               seed)
+        assert sample.target_vertex == root
+        assert sample.vertex_ids.tolist() == list(vertices)
+        assert np.array_equal(sample.graph.csr.indptr, expected.csr.indptr)
+        assert np.array_equal(sample.graph.csr.indices, expected.csr.indices)
+        assert sample.graph.csr.num_cols == expected.csr.num_cols
+        assert sample.graph.name == expected.name
+
+
+@pytest.mark.parametrize("roots", [[-1], [0, -1], [3, 500], [500]])
+def test_extract_fresh_many_rejects_out_of_range_roots(roots):
+    """numpy indexing would wrap ``-1`` to the last vertex silently."""
+    sampler = SubgraphSampler(_graph("power_law", 0, "csc"))
+    with pytest.raises(ValueError, match="out of range"):
+        sampler.extract_fresh_many(roots)
+    with pytest.raises(ValueError, match="out of range"):
+        sampler.extract_fresh(roots[-1])
 
 
 def _assert_same_graph(a, b):

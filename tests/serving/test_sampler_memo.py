@@ -1,0 +1,184 @@
+"""The sampler memo: batched fetches replay sequential ``extract`` calls, and
+eviction prunes the invalidation index.
+
+:meth:`~repro.serving.sampler.SubgraphSampler.extract_many` (behind
+``fused_size`` and ``fuse_requests``) peeks the memo, extracts the absent
+shapes together, then replays the get/put sequence of one ``extract`` call
+per shape.  A twin sampler fed the same shapes one ``extract`` at a time
+must end in the same memo state -- hit/miss/insertion/eviction counters,
+recency order, the invalidation index (``_registered``, ``_vertex_keys``)
+and the drop counters -- including when a put inside the batch evicts a key
+that was present at the peek.
+"""
+
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.graphs import DeltaGraph, load_dataset
+from repro.serving.sampler import SubgraphSampler
+
+_POOL = (0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144)
+_SHAPE = st.tuples(st.sampled_from(_POOL), st.sampled_from((None, 0, 1, 2)),
+                   st.sampled_from((None, 2, 8)))
+
+
+def _memo_state(sampler):
+    """Everything the memo and its invalidation bookkeeping hold."""
+    return {
+        "samples": (sampler._memo.stats.as_dict(), sampler._memo.keys()),
+        "signatures": (sampler._sig_memo.stats.as_dict(),
+                       sampler._sig_memo.keys()),
+        "registered": dict(sampler._registered),
+        "vertex_keys": {v: set(keys)
+                        for v, keys in sampler._vertex_keys.items()},
+        "dropped": (sampler.invalidated_samples,
+                    sampler.invalidated_signatures),
+    }
+
+
+def _twins(memo_size, policy="targeted"):
+    """Two identical samplers on one shared mutating graph."""
+    delta = DeltaGraph(load_dataset("IB", seed=0))
+    twins = []
+    for _ in range(2):
+        sampler = SubgraphSampler(delta, num_hops=2, fanout=8, seed=0,
+                                  memo_size=memo_size)
+        sampler.invalidation = policy
+        twins.append(sampler)
+    return delta, twins
+
+
+def _assert_same_samples(batched, sequential):
+    assert len(batched) == len(sequential)
+    for a, b in zip(batched, sequential):
+        assert a.target_vertex == b.target_vertex
+        assert np.array_equal(a.vertex_ids, b.vertex_ids)
+        assert np.array_equal(a.graph.csr.indptr, b.graph.csr.indptr)
+        assert np.array_equal(a.graph.csr.indices, b.graph.csr.indices)
+
+
+@settings(max_examples=40, deadline=None)
+@given(memo_size=st.integers(1, 6),
+       policy=st.sampled_from(("targeted", "flush", "none")),
+       rounds=st.lists(st.tuples(
+           st.lists(_SHAPE, max_size=10),
+           st.lists(st.sampled_from(_POOL), max_size=3),
+           st.lists(st.tuples(st.integers(0, 2646), st.sampled_from(_POOL)),
+                    max_size=2)),
+           min_size=1, max_size=4))
+def test_extract_many_leaves_the_sequential_memo_state(memo_size, policy,
+                                                        rounds):
+    """Duplicate shapes, mixed degrade shapes, a memo smaller than the
+    batch, signatures outliving their samples and edge inserts between
+    rounds: the batched twin's memo state never departs from the
+    sequential twin's."""
+    delta, (batched, sequential) = _twins(memo_size, policy)
+    for shapes, signed, edges in rounds:
+        # extract_many syncs on entry even for no shapes, as fused_size
+        # always did; sync the sequential twin at the same point
+        sequential._sync()
+        _assert_same_samples(batched.extract_many(shapes),
+                             [sequential.extract(*s) for s in shapes])
+        for target in signed:
+            assert np.array_equal(batched.signature(target),
+                                  sequential.signature(target))
+        assert _memo_state(batched) == _memo_state(sequential)
+        for target in _POOL:
+            assert batched.memo_version(target, None, None) == \
+                sequential.memo_version(target, None, None)
+        # the index covers exactly the keys some memo still holds
+        held = set(batched._memo.keys()) | set(batched._sig_memo.keys())
+        assert set(batched._registered) == held
+        if policy == "none":
+            assert all(keys <= held
+                       for keys in batched._vertex_keys.values())
+        for src, dst in edges:
+            delta.add_edge(src, dst)
+
+
+def test_put_inside_the_batch_evicts_a_key_present_at_the_peek():
+    """Memo of 2 holding A (LRU) and B; fetching [C, A, B] evicts A on C's
+    put, so A misses after all.  Under ``none`` A's entry is stale by then:
+    the batch must re-extract it, as the sequential miss does, not hand
+    back the sample it saw at the peek."""
+    delta, (batched, sequential) = _twins(memo_size=2, policy="none")
+    for sampler in (batched, sequential):
+        sampler.extract(1)
+        sampler.extract(2)
+    stale = batched._memo.peek((1, 2, 8))
+    delta.add_edge(next(v for v in range(delta.num_vertices)
+                        if not delta.has_edge(v, 1)), 1)
+    shapes = [(3, None, None), (1, None, None), (2, None, None)]
+    samples = batched.extract_many(shapes)
+    _assert_same_samples(samples, [sequential.extract(*s) for s in shapes])
+    assert not np.array_equal(samples[1].vertex_ids, stale.vertex_ids)
+    assert _memo_state(batched) == _memo_state(sequential)
+    assert batched._memo.stats.as_dict()["misses"] == 2 + 3
+    assert batched._memo.keys() == [(1, 2, 8), (2, 2, 8)]
+
+
+@pytest.mark.parametrize("memo_size", [0, 1, 3, 64])
+def test_fused_size_and_fuse_requests_match_sequential_extracts(memo_size):
+    """``fused_size`` gets one shape per request (duplicates included);
+    ``fuse_requests`` fetches each distinct shape once."""
+    _, (batched, sequential) = _twins(memo_size)
+    shapes = [(5, None, None), (8, 1, 2), (5, None, None), (13, 2, 8),
+              (5, 1, 2), (8, 1, 2), (21, None, 2)]
+    samples = [sequential.extract(*s) for s in shapes]
+    naive = sum(s.num_vertices for s in samples)
+    union = np.unique(np.concatenate([s.vertex_ids for s in samples]))
+    assert batched.fused_size(shapes) == (union.size, naive)
+    assert _memo_state(batched) == _memo_state(sequential)
+    requests = [SimpleNamespace(target_vertex=t, degrade_hops=h,
+                                degrade_fanout=f) for t, h, f in shapes]
+    fused, fused_naive, distinct = batched.fuse_requests(requests, "b")
+    expected = sequential.fuse(
+        [sequential.extract(*s) for s in dict.fromkeys(shapes)], name="b")
+    assert (fused_naive, distinct) == (naive, 5)
+    assert np.array_equal(fused.vertex_ids, expected.vertex_ids)
+    assert np.array_equal(fused.csr.indices, expected.csr.indices)
+    assert _memo_state(batched) == _memo_state(sequential)
+
+
+def test_eviction_prunes_the_invalidation_index():
+    """Ten extracts through a memo of 4 used to leave 10 versions and 269
+    vertex references to evicted keys, and ``memo_version`` answered 0
+    for an evicted key instead of ``None``."""
+    sampler = SubgraphSampler(DeltaGraph(load_dataset("IB")), memo_size=4)
+    for target in range(10):
+        sampler.extract(target)
+    live = set(sampler._memo.keys())
+    assert live == {(t, 2, 8) for t in (6, 7, 8, 9)}
+    assert set(sampler._registered) == live
+    assert all(keys <= live for keys in sampler._vertex_keys.values())
+    assert sampler.memo_version(0, None, None) is None
+    assert sampler.memo_version(9, None, None) == 0
+    for key in live:
+        for v in sampler._memo.peek(key).vertex_ids.tolist():
+            assert key in sampler._vertex_keys[v]
+
+
+def test_signature_outliving_its_sample_stays_invalidatable():
+    """An evicted sample whose signature is still memoised keeps its
+    vertices indexed, so a mutation inside it still drops the signature."""
+    delta = DeltaGraph(load_dataset("IB"))
+    sampler = SubgraphSampler(delta, memo_size=2)
+    sampler.signature(0)
+    sampler.extract(1)
+    sampler.extract(2)
+    key = (0, 2, 8)
+    assert key not in sampler._memo and key in sampler._sig_memo
+    assert key in sampler._registered
+    assert sampler.memo_version(0, None, None) is None
+    inside = int(sampler.extract_fresh(0).vertex_ids[-1])
+    src = next(v for v in range(delta.num_vertices)
+               if not delta.has_edge(v, inside))
+    delta.add_edge(src, inside)
+    sampler.extract_many([])  # syncs: targeted invalidation runs
+    assert key not in sampler._sig_memo
+    assert sampler.invalidated_signatures == 1
+    assert key not in sampler._registered

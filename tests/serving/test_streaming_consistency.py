@@ -364,6 +364,83 @@ def test_sampler_memo_kill(policy):
                               sampler.signature_fresh(target))
 
 
+def _sequential_check_batch(state, batch):
+    """The per-shape check ``check_batch`` batches: memo version, memo
+    fetch and fresh extraction one distinct non-degraded shape at a time."""
+    sampler, seen = state.sampler, set()
+    for request in batch.requests:
+        shape = (request.target_vertex, request.degrade_hops,
+                 request.degrade_fanout)
+        if request.degrade_level > 0 or shape in seen:
+            continue
+        seen.add(shape)
+        state.stats.checks += 1
+        version = sampler.memo_version(*shape)
+        memo = sampler.extract(shape[0], num_hops=shape[1], fanout=shape[2])
+        fresh = sampler.extract_fresh(*shape)
+        lag = state.graph.version - (version or 0)
+        if not np.array_equal(memo.vertex_ids, fresh.vertex_ids):
+            state._count_stale(lag, 0.0, "stale_samples")
+            continue
+        key = (shape[0],
+               sampler.num_hops if shape[1] is None else shape[1],
+               sampler.fanout if shape[2] is None else shape[2])
+        if key in sampler._sig_memo and not np.array_equal(
+                sampler.signature(*shape), sampler.signature_fresh(*shape)):
+            state._count_stale(lag, 0.0, "stale_signatures")
+
+
+@pytest.mark.parametrize("policy", ["none", "targeted"])
+def test_check_batch_mixes_stale_fresh_and_degraded(policy):
+    """One batch holding a stale memoised sample (twice), a fresh memoised
+    one, an unmemoised one and degraded requests: ``check_batch`` counts
+    what the per-shape check counts and leaves the same memo state."""
+    twins = [_stream_state(policy, with_result_cache=False)
+             for _ in range(2)]
+    delta = twins[0][0]
+    stale = 0
+    for _, sampler, _, _ in twins:
+        sampler.extract(stale)
+        sampler.signature(stale)
+    fresh_src = next(v for v in range(delta.num_vertices)
+                     if not delta.has_edge(v, stale))
+    before = {v: twins[0][1].extract_fresh(v).vertex_ids
+              for v in range(1, delta.num_vertices)}
+    for _, _, state, _ in twins:
+        state.apply(1.0, _edge_event(0, fresh_src, stale))
+    fresh = next(v for v, ids in before.items() if np.array_equal(
+        ids, twins[0][1].extract_fresh(v).vertex_ids))
+    unmemoised = next(v for v in before if v != fresh)
+    for _, sampler, _, _ in twins:
+        sampler.extract(fresh)
+        sampler.signature(fresh)
+
+    class _Batch:
+        requests = [
+            Request(0, stale, 1.5),
+            Request(1, fresh, 1.5),
+            Request(2, stale, 1.5, degrade_level=1, degrade_hops=1,
+                    degrade_fanout=2),
+            Request(3, unmemoised, 1.5),
+            Request(4, stale, 1.5),
+            Request(5, unmemoised, 1.5, degrade_level=2, degrade_hops=0,
+                    degrade_fanout=1),
+        ]
+
+    twins[0][2].check_batch(_Batch, now=1.5)
+    _sequential_check_batch(twins[1][2], _Batch)
+    (_, batched, _, stats), (_, sequential, _, expected) = twins
+    assert stats == expected
+    assert stats.checks == 3
+    assert stats.stale_samples == (1 if policy == "none" else 0)
+    assert stats.stale_signatures == 0
+    for memo in ("_memo", "_sig_memo"):
+        a, b = getattr(batched, memo), getattr(sequential, memo)
+        assert a.keys() == b.keys()
+        assert a.stats == b.stats
+    assert batched._registered == sequential._registered
+
+
 @pytest.mark.parametrize("policy", ["none", "targeted"])
 def test_halo_cache_kill(policy):
     """Sharded execution: a ghost-feature halo entry outlives a feature
