@@ -506,11 +506,9 @@ def fused_batch_service_time_s(chip: Chip, sampler, model, batch: Batch,
         "combination": report.combination_cycles,
         "dram_busy": report.dram_stats.busy_cycles,
     }
-    # The put order fixes the LRU state.  It is the iteration order of the
-    # Python set of the batch's vertices; a set of ints iterates in an
-    # order fixed by its sequence of distinct insertions, which is the
-    # fused graph's first-seen vertex order.
-    vertices = list(set(fused.vertex_ids.tolist()))
+    # The put order fixes the LRU state: the fused graph's vertex ids,
+    # which are distinct and in first-seen order over the batch's samples.
+    vertices = fused.vertex_ids.tolist()
     hits = charge_features(chip.feature_cache, vertices, cache_key, stream,
                            now)
     reuse_fraction = hits / len(vertices) if vertices else 0.0

@@ -4,13 +4,19 @@ import pytest
 
 from repro.graphs import load_dataset
 from repro.models import build_model
+from repro.core import HyGCNConfig
 from repro.serving import (
+    Batch,
+    Chip,
     FleetConfig,
+    Request,
     RequestGenerator,
     ServingSimulator,
+    SubgraphSampler,
     WorkloadConfig,
     run_serving,
 )
+from repro.serving.fleet import fused_batch_service_time_s
 
 NUM_REQUESTS = 200
 
@@ -51,6 +57,37 @@ class TestConservation:
         for record in report.records:
             assert record.completion_time_s >= record.service_start_s \
                 >= record.dispatch_time_s >= record.arrival_time_s
+
+
+class TestFeatureCachePutOrder:
+    """A batch puts its vertices in the fused graph's first-seen order."""
+
+    @staticmethod
+    def _lru(order, capacity, keys):
+        # recency list of an LRU after touching ``keys`` in order
+        for key in keys:
+            if key in order:
+                order.remove(key)
+            order.append(key)
+        return order[-capacity:]
+
+    def test_lru_order_under_cache_pressure(self, graph, model):
+        capacity = 40
+        chip = Chip(0, HyGCNConfig(), feature_cache_size=capacity)
+        sampler = SubgraphSampler(graph, num_hops=2, fanout=8, seed=0)
+        expected = []
+        for batch_id, targets in enumerate(((3, 17, 250), (17, 600, 3))):
+            batch = Batch(batch_id, [Request(i, t, 0.0)
+                                     for i, t in enumerate(targets)], 0.0)
+            fused_batch_service_time_s(chip, sampler, model, batch, "IB",
+                                       reuse_discount=0.5)
+            fused, _, _ = sampler.fuse_requests(batch.requests, "check")
+            put_order = fused.vertex_ids.tolist()
+            # the working set of one batch overflows the cache
+            assert len(put_order) > capacity
+            expected = self._lru(expected, capacity, put_order)
+            assert chip.feature_cache.keys() == expected
+        assert chip.feature_cache.stats.evictions > 0
 
 
 class TestDispatchPolicies:
