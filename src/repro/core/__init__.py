@@ -1,7 +1,7 @@
 """The HyGCN accelerator: engines, coordinator, memory handler, simulator."""
 
 from .config import HyGCNConfig, PipelineMode
-from .sparsity import EffectualWindow, SparsityEliminator, SparsityReport
+from .sparsity import SparsityEliminator, SparsityReport
 from .programming_model import EdgeMVMProgram, ExecutionTrace
 from .aggregation_engine import AggregationEngine, IntervalAggregation
 from .systolic import SystolicArrayModel, SystolicGroupCost
@@ -23,7 +23,6 @@ from .quantization import (
 __all__ = [
     "HyGCNConfig",
     "PipelineMode",
-    "EffectualWindow",
     "SparsityEliminator",
     "SparsityReport",
     "EdgeMVMProgram",

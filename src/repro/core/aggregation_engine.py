@@ -28,7 +28,9 @@ interval it:
 
 The output is a list of :class:`IntervalAggregation` transactions carrying the
 compute-cycle cost, the DRAM transfers and the buffer traffic of each interval;
-the Coordinator composes them with the Combination Engine's transactions.
+the Coordinator composes them with the Combination Engine's transactions.  The
+transfers are stream-tagged arrays; the input-feature runs are the Sparsity
+Eliminator's ``(starts, stops)`` windows, scaled to bytes.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import numpy as np
 from ..graphs.graph import Graph
 from ..graphs.sampling import NeighborSampler
 from ..hw.buffer import DoubleBuffer
-from ..hw.dram import Transfer
+from ..hw.dram import StreamTransfers
 from ..models.layers import LayerWorkload
 from .config import HyGCNConfig
 from .sparsity import SparsityEliminator
@@ -63,7 +65,7 @@ class IntervalAggregation:
     input_feature_bytes: int
     edge_bytes: int
     aggregation_buffer_bytes: int
-    dram_transfers: List[Transfer] = field(default_factory=list)
+    dram_transfers: List[StreamTransfers] = field(default_factory=list)
 
 
 class AggregationEngine:
@@ -124,12 +126,14 @@ class AggregationEngine:
             sources = indices[indptr[start]:indptr[stop]]
             num_edges = int(sources.size)
             baseline_rows = n
+            # the input-feature runs: the effectual windows, or one run over
+            # all rows (none without edges) when elimination is off
             if cfg.enable_sparsity_elimination:
                 report = eliminator.eliminate(sources, n, baseline_rows=baseline_rows)
-                loaded_rows = report.loaded_rows
+                first_rows, run_rows = report.starts, report.stops - report.starts
             else:
-                report = None
-                loaded_rows = baseline_rows if num_edges else 0
+                first_rows, run_rows = np.array([0]), np.array([baseline_rows if num_edges else 0])
+            loaded_rows = int(run_rows.sum())
 
             # --- compute: vertex-disperse mode keeps every SIMD lane busy ---
             simd_ops = (num_edges + num_vertices) * feature_length
@@ -138,16 +142,10 @@ class AggregationEngine:
             # --- DRAM traffic -------------------------------------------------
             input_bytes = loaded_rows * bytes_per_feature_row
             edge_bytes = num_edges * bytes_per_edge
-            # the edge array streams sequentially from the CSC structure; input
-            # features load as one run per effectual window, or one run over
-            # all rows when sparsity elimination is off
-            transfers = [("edges", 0, edge_bytes)]
-            if report is not None:
-                transfers += [("input_features", w.start * bytes_per_feature_row,
-                               w.num_rows * bytes_per_feature_row)
-                              for w in report.windows]
-            else:
-                transfers.append(("input_features", 0, input_bytes))
+            # the edge array streams sequentially from the CSC structure
+            transfers = [("edges", np.array([0]), np.array([edge_bytes])),
+                         ("input_features", first_rows * bytes_per_feature_row,
+                          run_rows * bytes_per_feature_row)]
 
             # --- on-chip buffer traffic --------------------------------------
             # the double buffer holds one interval's edges at a time

@@ -16,8 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Sequence
 
+import numpy as np
+
 from ..hw.buffer import ScratchpadBuffer
-from ..hw.dram import Transfer
+from ..hw.dram import StreamTransfers
 from ..models.layers import LayerWorkload
 from .aggregation_engine import IntervalAggregation
 from .config import HyGCNConfig, PipelineMode
@@ -39,7 +41,7 @@ class IntervalCombination:
     weight_buffer_read_bytes: int
     output_buffer_bytes: int
     activation_ops: int
-    dram_transfers: List[Transfer] = field(default_factory=list)
+    dram_transfers: List[StreamTransfers] = field(default_factory=list)
 
 
 class CombinationEngine:
@@ -101,10 +103,10 @@ class CombinationEngine:
             weight_dram = weight_bytes_total if fetch_weights else 0
             output_dram = vertices * out_bytes_per_vertex
             transfers = [
-                ("weights", 0, weight_dram),
+                ("weights", np.array([0]), np.array([weight_dram])),
                 ("output_features",
-                 agg.interval_index * out_bytes_per_vertex * max(vertices, 1),
-                 output_dram),
+                 np.array([agg.interval_index * out_bytes_per_vertex * max(vertices, 1)]),
+                 np.array([output_dram])),
             ]
 
             # --- on-chip buffer traffic --------------------------------------

@@ -6,12 +6,14 @@ Engine.  Their fill/drain traffic arrives concurrently; handled naively the
 interleaving destroys DRAM row-buffer locality and confines each stream to a
 few banks.
 
-The engines hand the handler *transfers*, contiguous ``(stream, address,
-num_bytes)`` runs; :class:`~repro.hw.dram.HBMModel` alone splits them into
-row-buffer-sized requests.  The coordinated handler orders a batch of
-concurrent requests by the fixed priority ``edges > input features >
-weights > output features`` (one stable sort), so same-stream requests
-issue back to back and restore row-buffer hits, and the HBM model maps the
+The engines hand the handler *transfers*, contiguous runs as stream-tagged
+arrays (:data:`~repro.hw.dram.StreamTransfers`: one stream name with its
+address and byte arrays); :class:`~repro.hw.dram.HBMModel` alone splits them
+into row-buffer-sized requests.  The coordinated handler orders a batch of
+concurrent transfers by the fixed priority ``edges > input features >
+weights > output features`` (one stable sort of the batch's stream
+entries, before the split), so same-stream requests issue back to back
+and restore row-buffer hits, and the HBM model maps the
 low address bits to channel and bank, exposing channel- and bank-level
 parallelism.  The uncoordinated handler -- the ablation baseline of
 Fig. 17 -- round-robins one request per stream at a time, streams in order
@@ -27,7 +29,7 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from ..hw.dram import DRAMStats, HBMModel, Transfer
+from ..hw.dram import DRAMStats, HBMModel, StreamTransfers
 from .config import HyGCNConfig
 
 __all__ = ["AccessBatchResult", "MemoryAccessHandler", "ACCESS_PRIORITY"]
@@ -65,26 +67,33 @@ class MemoryAccessHandler:
         self.coordinated = config.enable_memory_coordination
         self.hbm = HBMModel(config.hbm, interleave_low_bits=self.coordinated)
 
-    def service_batch(self, transfers: Sequence[Transfer]) -> AccessBatchResult:
-        """Service one batch of concurrent transfers and attribute cycles per stream."""
-        transfers = [t for t in transfers if t[2] > 0]
+    def service_batch(self, transfers: Sequence[StreamTransfers]
+                      ) -> AccessBatchResult:
+        """Service one batch of concurrent transfers and attribute cycles per
+        stream; streams count in order of their first entry that moves data."""
         bytes_by_stream: Dict[str, int] = {}
         for stream, _, num_bytes in transfers:
-            bytes_by_stream[stream] = bytes_by_stream.get(stream, 0) + num_bytes
-        if not transfers:
+            moved = int(num_bytes.sum())
+            if moved > 0:
+                bytes_by_stream[stream] = bytes_by_stream.get(stream, 0) + moved
+        if not bytes_by_stream:
             return AccessBatchResult(DRAMStats(), {}, {})
         streams = list(bytes_by_stream)
         if self.coordinated:
-            # Code streams by priority rank, so one stable sort on the code
-            # issues same-stream requests back to back.
             streams.sort(key=lambda s: _RANK.get(s, len(_RANK)))
+        # a stream that moves nothing has no code, and its entries no request
         code = {stream: i for i, stream in enumerate(streams)}
-        transfer, addresses, sizes = self.hbm.split(
-            [t[1] for t in transfers], [t[2] for t in transfers])
-        stream_of = np.array([code[t[0]] for t in transfers])[transfer]
         if self.coordinated:
-            order = np.argsort(stream_of, kind="stable")
-        else:
+            # Streams are coded by priority rank, so issuing the entries in
+            # code order (a stable sort) issues same-stream requests back
+            # to back.
+            transfers = sorted(transfers, key=lambda t: code.get(t[0], 0))
+        transfer, addresses, sizes = self.hbm.split(
+            np.concatenate([t[1] for t in transfers]),
+            np.concatenate([t[2] for t in transfers]))
+        stream_of = np.repeat([code.get(t[0], 0) for t in transfers],
+                              [t[1].size for t in transfers])[transfer]
+        if not self.coordinated:
             # Round robin: every stream's n-th request before any (n+1)-th,
             # streams in order of first appearance (their codes).
             grouped = np.argsort(stream_of, kind="stable")
@@ -93,8 +102,9 @@ class MemoryAccessHandler:
             turn[grouped] = (np.arange(stream_of.size)
                              - np.repeat(np.cumsum(counts) - counts, counts))
             order = np.lexsort((stream_of, turn))
-        stats = self.hbm.service(streams, stream_of[order], addresses[order],
-                                 sizes[order])
+            stream_of, addresses, sizes = \
+                stream_of[order], addresses[order], sizes[order]
+        stats = self.hbm.service(streams, stream_of, addresses, sizes)
         # Attribute the busy time to streams proportionally to bytes moved:
         # the row-hit benefit of coordination is shared by all streams.
         total_bytes = sum(bytes_by_stream.values())

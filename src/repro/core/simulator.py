@@ -14,9 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Union
 
+import numpy as np
+
 from ..graphs.graph import Graph
 from ..hw.buffer import BufferStats
-from ..hw.dram import DRAMStats, Transfer
+from ..hw.dram import DRAMStats, StreamTransfers
 from ..hw.energy import EnergyModel
 from ..models.base import GCNModel
 from ..models.diffpool import DiffPoolModel
@@ -157,7 +159,7 @@ class HyGCNSimulator:
         stream_bytes: Dict[str, int] = {}
         total_stats = DRAMStats()
 
-        def service(transfers: List[Transfer]) -> AccessBatchResult:
+        def service(transfers: List[StreamTransfers]) -> AccessBatchResult:
             nonlocal total_stats
             result = memory.service_batch(transfers)
             total_stats = total_stats.merge(result.stats)
@@ -167,7 +169,7 @@ class HyGCNSimulator:
 
         if pipelined:
             for step in range(num_intervals + 1):
-                batch: List[Transfer] = []
+                batch: List[StreamTransfers] = []
                 if step < num_intervals:
                     batch.extend(agg_tasks[step].dram_transfers)
                 if step > 0:
@@ -202,8 +204,9 @@ class HyGCNSimulator:
         bytes_per_vertex = workload.combination.mlp.input_size * self.config.bytes_per_value
         for agg, comb in zip(agg_tasks, comb_tasks):
             spill = agg.num_vertices * bytes_per_vertex
-            agg.dram_transfers.append(("output_features", agg.interval_index * spill, spill))
-            comb.dram_transfers.append(("input_features", agg.interval_index * spill, spill))
+            address, num_bytes = np.array([agg.interval_index * spill]), np.array([spill])
+            agg.dram_transfers.append(("output_features", address, num_bytes))
+            comb.dram_transfers.append(("input_features", address, num_bytes))
 
     def _run_diffpool_matmuls(self, model: DiffPoolModel, graph: Graph) -> LayerReport:
         """Account the three Eq. 8 matrix multiplications on the Combination Engine."""

@@ -12,46 +12,37 @@ interval, the adjacency column block is scanned top-to-bottom with a window of
 The recorded *effectual windows* are the only source-feature ranges the
 Aggregation Engine loads from DRAM.  Without elimination the engine loads
 every source row for every interval.
+
+Windows are ``(starts, stops)`` arrays, found in a few array passes: a row
+bitmap gives the ascending effectual rows, one ``searchsorted`` gives each
+the first row its window does not cover, the greedy walk follows those
+indices, and shrinking is one gather of every window's last covered row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["EffectualWindow", "SparsityReport", "SparsityEliminator"]
-
-
-@dataclass(frozen=True)
-class EffectualWindow:
-    """A contiguous source-row range ``[start, stop)`` that must be loaded."""
-
-    start: int
-    stop: int
-
-    @property
-    def num_rows(self) -> int:
-        return self.stop - self.start
-
-    def __post_init__(self) -> None:
-        if self.stop <= self.start:
-            raise ValueError("window must contain at least one row")
+__all__ = ["SparsityReport", "SparsityEliminator"]
 
 
 @dataclass
 class SparsityReport:
-    """Outcome of sparsity elimination for one destination interval."""
+    """Outcome of sparsity elimination for one destination interval: window
+    ``i`` loads source rows ``[starts[i], stops[i])``, in ascending order."""
 
-    windows: List[EffectualWindow]
+    starts: np.ndarray
+    stops: np.ndarray
     total_rows: int          # rows the baseline (no elimination) would load
     effectual_rows: int      # rows with at least one edge
 
     @property
     def loaded_rows(self) -> int:
         """Rows actually loaded after sliding + shrinking."""
-        return sum(w.num_rows for w in self.windows)
+        return int((self.stops - self.starts).sum())
 
     @property
     def eliminated_rows(self) -> int:
@@ -79,31 +70,16 @@ class SparsityEliminator:
         self.window_height = window_height
 
     # ------------------------------------------------------------------ #
-    def windows_for_rows(self, effectual_rows: Sequence[int], num_rows: int) -> List[EffectualWindow]:
-        """Compute effectual windows from the sorted set of rows holding edges.
+    def windows_for_rows(self, effectual_rows: Sequence[int], num_rows: int
+                         ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(starts, stops)`` of the effectual windows over the rows holding edges.
 
         ``effectual_rows`` are the source-vertex rows with at least one edge
-        into the current interval; ``num_rows`` is the total number of source
-        rows (graph vertices).
+        into the current interval (duplicates allowed); ``num_rows`` is the
+        total number of source rows (graph vertices).
         """
-        rows = np.unique(np.asarray(effectual_rows, dtype=np.int64))
-        if rows.size and (rows[0] < 0 or rows[-1] >= num_rows):
-            raise ValueError("effectual rows out of range")
-        windows: List[EffectualWindow] = []
-        i = 0
-        height = self.window_height
-        while i < len(rows):
-            # Sliding: the window's top row lands on the next effectual row.
-            win_start = int(rows[i])
-            win_end_excl = min(win_start + height, num_rows)
-            # All effectual rows covered by this (pre-shrink) window; the next
-            # window's search starts below its pre-shrink bottom row.
-            j = int(np.searchsorted(rows, win_end_excl, side="left"))
-            covered_last = int(rows[j - 1])
-            # Shrinking: pull the bottom up to the last effectual row.
-            windows.append(EffectualWindow(win_start, covered_last + 1))
-            i = j
-        return windows
+        report = self.eliminate(effectual_rows, num_rows)
+        return report.starts, report.stops
 
     def eliminate(self, source_rows: Sequence[int], num_rows: int,
                   baseline_rows: int = None) -> SparsityReport:
@@ -121,11 +97,26 @@ class SparsityEliminator:
             to ``num_rows`` (i.e. the whole feature matrix, interval by
             interval, per Algorithm 2).
         """
-        rows = np.unique(np.asarray(source_rows, dtype=np.int64)) if len(source_rows) \
-            else np.empty(0, dtype=np.int64)
-        windows = self.windows_for_rows(rows, num_rows) if rows.size else []
+        source_rows = np.asarray(source_rows, dtype=np.int64)
+        if source_rows.size and (source_rows.min() < 0
+                                 or source_rows.max() >= num_rows):
+            raise ValueError("effectual rows out of range")
+        # the ascending effectual rows: the set bits of a row bitmap
+        present = np.zeros(num_rows, dtype=bool)
+        present[source_rows] = True
+        rows = present.nonzero()[0]
+        # Sliding: a window slid onto row i covers the rows below
+        # rows[i] + height, so the next window slides onto rows[past[i]]
+        # (a window clamped at num_rows covers every row left).
+        past = rows.searchsorted(rows + self.window_height)
+        jumps, tops, i = past.tolist(), [], 0
+        while i < len(jumps):
+            tops.append(i)
+            i = jumps[i]
         return SparsityReport(
-            windows=windows,
+            starts=rows[tops],
+            # Shrinking: each window's bottom moves up to the last row it covers.
+            stops=rows[past[tops] - 1] + 1,
             total_rows=num_rows if baseline_rows is None else baseline_rows,
             effectual_rows=int(rows.size),
         )

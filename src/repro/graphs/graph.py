@@ -110,15 +110,9 @@ class CSRMatrix:
 
     def transpose(self) -> "CSRMatrix":
         """Return the transposed structure (rows become columns)."""
-        counts = np.zeros(self.num_cols + 1, dtype=np.int64)
-        if self.nnz:
-            np.add.at(counts, self.indices + 1, 1)
-        indptr = np.cumsum(counts)
-        if self.nnz == 0:
-            return CSRMatrix(indptr, np.empty(0, dtype=np.int64), self.num_rows)
-        row_of_edge = np.repeat(np.arange(self.num_rows), np.diff(self.indptr))
-        order = np.argsort(self.indices, kind="stable")
-        return CSRMatrix(indptr, row_of_edge[order], self.num_rows)
+        rows = np.arange(self.num_rows).repeat(self.indptr[1:] - self.indptr[:-1])
+        return CSRMatrix.from_arrays(self.indices, rows, self.num_cols,
+                                     self.num_rows, deduplicate=False)
 
     @classmethod
     def from_arrays(

@@ -1,7 +1,7 @@
 """Generic hardware substrate: on-chip buffers, HBM model, energy and area models."""
 
 from .buffer import BufferStats, DoubleBuffer, PingPongBuffer, ScratchpadBuffer
-from .dram import DRAMStats, HBMConfig, HBMModel, Transfer
+from .dram import DRAMStats, HBMConfig, HBMModel, StreamTransfers
 from .energy import EnergyBreakdown, EnergyModel, EnergyParams
 from .area import AreaPowerModel, AreaPowerConfig, ModuleBudget, PAPER_TABLE7
 
@@ -13,7 +13,7 @@ __all__ = [
     "DRAMStats",
     "HBMConfig",
     "HBMModel",
-    "Transfer",
+    "StreamTransfers",
     "EnergyBreakdown",
     "EnergyModel",
     "EnergyParams",

@@ -14,9 +14,10 @@ effects the evaluation depends on:
   bits select channel and bank, letting independent streams proceed in
   parallel.
 
-The engines hand over *transfers* -- contiguous ``(stream, address,
-num_bytes)`` runs such as one edge array or one effectual feature window.
-:meth:`HBMModel.split` is the only place a transfer is cut into
+The engines hand over *transfers* -- contiguous runs such as one edge
+array or one effectual feature window -- as stream-tagged arrays
+(:data:`StreamTransfers`: one stream name, one address array, one byte
+array).  :meth:`HBMModel.split` is the only place transfers are cut into
 row-buffer-sized requests, and :meth:`HBMModel.service` services a whole
 ordered batch of requests as arrays.  Each stream owns a disjoint address
 region, numbered in order of first service.  The coordinated map takes
@@ -33,7 +34,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["HBMConfig", "DRAMStats", "HBMModel", "Transfer"]
+__all__ = ["HBMConfig", "DRAMStats", "HBMModel", "StreamTransfers"]
 
 
 @dataclass(frozen=True)
@@ -109,11 +110,12 @@ class DRAMStats:
         )
 
 
-#: One contiguous off-chip transfer: ``(stream, byte address, num_bytes)``.
+#: Contiguous off-chip transfers of one stream: ``(stream, byte addresses,
+#: num_bytes)``, two parallel ``int64`` arrays with one entry per transfer.
 #: ``stream`` names the buffer's logical data stream (``edges``,
-#: ``input_features``, ``weights``, ``output_features``); the address lies in
-#: that stream's own flat space.
-Transfer = Tuple[str, int, int]
+#: ``input_features``, ``weights``, ``output_features``); the addresses lie
+#: in that stream's own flat space.
+StreamTransfers = Tuple[str, np.ndarray, np.ndarray]
 
 
 class HBMModel:
@@ -132,10 +134,15 @@ class HBMModel:
         #: each stream is confined to a channel subset, modelling the naive
         #: address map used in the no-coordination ablation.
         self.interleave_low_bits = interleave_low_bits
+        channels, banks = self.config.num_channels, self.config.banks_per_channel
         #: open row per bank, indexed by ``channel * banks_per_channel + bank``
-        self._open_rows = np.full(
-            self.config.num_channels * self.config.banks_per_channel, -1,
-            dtype=np.int64)
+        self._open_rows = np.full(channels * banks, -1, dtype=np.int64)
+        #: coordinated map: ``block % (channels * banks)`` -> bank index, the
+        #: low bits picking the channel and the bits above them the bank
+        low = np.arange(channels * banks)
+        self._bank_of_low = low % channels * banks + low // channels
+        #: bank index dtype: a stable sort of 8- or 16-bit keys is a radix sort
+        self._bank_key = np.min_scalar_type(channels * banks - 1)
         #: stream -> region index, in order of first service; distinct
         #: streams get distinct high-order address regions so rows from
         #: different streams never alias.
@@ -175,28 +182,25 @@ class HBMModel:
             return DRAMStats()
         for stream in streams:
             self._stream_regions.setdefault(stream, len(self._stream_regions))
-        region = np.array([self._stream_regions[s] for s in streams],
-                          dtype=np.int64)[stream_of]
+        regions = np.array([self._stream_regions[s] for s in streams],
+                           dtype=np.int64)
         # 1 TiB per stream keeps regions disjoint for any realistic input.
-        block = ((region << 40) + addresses) // cfg.row_buffer_bytes
+        block = ((regions[stream_of] << 40) + addresses) // cfg.row_buffer_bytes
         banks = cfg.banks_per_channel
         if self.interleave_low_bits:
-            channel = block % cfg.num_channels
-            bank = (block // cfg.num_channels) % banks
-            row = block // (cfg.num_channels * banks)
+            row, low = np.divmod(block, cfg.num_channels * banks)
+            bank_of = self._bank_of_low[low]
         else:
             # Naive map: the stream id picks the channel, so concurrent streams
             # collide on a few channels and banks see frequent row conflicts.
-            channel = region % cfg.num_channels
-            bank = block % banks
-            row = block // banks
+            row, bank = np.divmod(block, banks)
+            bank_of = (regions % cfg.num_channels * banks)[stream_of] + bank
 
         # A request hits when its row is the one its bank has open: the row
         # of the bank's previous request, or for the bank's first request the
         # row left open by earlier calls.  Group requests by bank, keeping
         # service order within each bank.
-        bank_of = channel * banks + bank
-        order = np.argsort(bank_of, kind="stable")
+        order = bank_of.astype(self._bank_key).argsort(kind="stable")
         bank_of = bank_of[order]
         row = row[order]
         starts = np.empty(count, dtype=bool)
@@ -215,8 +219,10 @@ class HBMModel:
         transfer = -(-num_bytes[order] // cfg.channel_bytes_per_cycle)
         latency = cfg.cas_cycles + transfer + np.where(
             hit, 0, cfg.precharge_cycles + cfg.activate_cycles)
-        channel_busy = np.zeros(cfg.num_channels, dtype=np.int64)
-        np.add.at(channel_busy, bank_of // banks, latency)
+        # float sums of int64 latencies are exact far below 2**53
+        channel_busy = np.bincount(bank_of, weights=latency,
+                                   minlength=self._open_rows.size) \
+            .reshape(cfg.num_channels, banks).sum(axis=1).astype(np.int64)
         hits = int(np.count_nonzero(hit))
         return DRAMStats(
             requests=count,

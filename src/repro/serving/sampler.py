@@ -67,7 +67,9 @@ samples.  A lone extraction is the one-root call of the same core.  The
 batch call sites -- ``fuse_requests``, ``fused_size`` and the streaming
 consistency check -- fetch their memo misses through
 :meth:`SubgraphSampler.extract_many`, which replays the memo traffic of
-sequential :meth:`SubgraphSampler.extract` calls exactly.
+sequential :meth:`SubgraphSampler.extract` calls exactly.  ``fuse`` and
+``fused_size`` have no per-sample loop either: they work on the samples'
+concatenated ``(vertex_ids, indptr, indices)``.
 ``tests/graphs/test_csc_equivalence.py`` checks every output bit for bit
 against the scalar reference oracle.
 """
@@ -179,10 +181,6 @@ class SubgraphSampler:
         self.invalidated_signatures = 0
         self._colptr = graph.colptr
         self._row = graph.row
-        # global id -> local id scratch table for fuse, -1 = unseen; reset
-        # to -1 for exactly the touched entries after every call, so each
-        # call pays O(subgraph), not O(graph)
-        self._local_lut = np.full(graph.num_vertices, -1, dtype=np.int64)
         # first-occurrence scratch for _first_seen; never reset -- every
         # query overwrites the entries it reads before reading them
         self._pos_lut = np.empty(graph.num_vertices, dtype=np.int64)
@@ -203,7 +201,7 @@ class SubgraphSampler:
         """Catch up with a mutated base graph (no-op on immutable graphs).
 
         Called at every public entry point.  Refreshes the cached
-        ``colptr``/``row`` references and grows the scratch LUTs when the
+        ``colptr``/``row`` references and grows the scratch LUT when the
         graph gained vertices -- this structural part always runs, so the
         sampler never crashes on a grown graph -- then applies the memo
         :attr:`invalidation` policy to the entries the mutations made
@@ -219,10 +217,7 @@ class SubgraphSampler:
         self._colptr = self.graph.colptr
         self._row = self.graph.row
         n = self.graph.num_vertices
-        if n > self._local_lut.size:
-            grown = np.full(n, -1, dtype=np.int64)
-            grown[:self._local_lut.size] = self._local_lut
-            self._local_lut = grown
+        if n > self._pos_lut.size:
             self._pos_lut = np.empty(n, dtype=np.int64)
         if self.invalidation == "flush":
             self._flush_memos()
@@ -336,7 +331,8 @@ class SubgraphSampler:
 
         Sort-free O(n) dedup: scattering positions in *reverse* makes the
         earliest index win, so an element is a first occurrence exactly
-        when the scratch table still holds its own index.  Stale scratch
+        when the scratch table still holds its own index; the table keeps
+        every value's first index until the next call.  Stale scratch
         entries are harmless -- only entries in ``values`` are read, and
         those were all just written.
         """
@@ -667,9 +663,8 @@ class SubgraphSampler:
         samples = self.extract_many(shapes)
         if not samples:
             return 0, 0
-        naive = sum(sample.num_vertices for sample in samples)
-        union = np.concatenate([sample.vertex_ids for sample in samples])
-        return int(self._first_seen(union).sum()), naive
+        vertex_ids = np.concatenate([sample.vertex_ids for sample in samples])
+        return int(self._first_seen(vertex_ids).sum()), int(vertex_ids.size)
 
     def fuse_requests(self, requests: Sequence, name: str
                       ) -> Tuple[RowViewGraph, int, int]:
@@ -699,33 +694,37 @@ class SubgraphSampler:
         id space -- the fused subgraph HyGCN's aggregation engine benefits
         from when co-batched neighbourhoods intersect.  Local ids follow
         first-seen order over ``samples`` (deterministic for a deterministic
-        sample order).  The fused graph sets ``memoize_workloads = False``:
-        fusions are unique per dispatch, so a workload-memo entry would only
-        push out entries of single-sample graphs, which repeat.
+        sample order).  The samples' CSRs are stacked, not walked: every
+        edge is mapped in a few passes over their concatenated arrays.  The
+        fused graph sets ``memoize_workloads = False``: fusions are unique
+        per dispatch, so a workload-memo entry would only push out entries
+        of single-sample graphs, which repeat.
         """
         if not samples:
             raise ValueError("fuse requires at least one sample")
         self._sync()
-        concat = np.concatenate([s.vertex_ids for s in samples])
-        order = concat[self._first_seen(concat)]
-        lut = self._local_lut
-        lut[order] = np.arange(order.size)
-        rows_parts: List[np.ndarray] = [_NO_EDGES]
-        cols_parts: List[np.ndarray] = [_NO_EDGES]
-        for sample in samples:
-            csr = sample.graph.csr
-            if csr.nnz == 0:
-                continue
-            vid = sample.vertex_ids
-            # sample-local (v -> u) out-edges mapped to fused local ids
-            v_global = vid[np.repeat(np.arange(csr.num_rows),
-                                     np.diff(csr.indptr))]
-            u_global = vid[csr.indices]
-            rows_parts.append(lut[v_global])
-            cols_parts.append(lut[u_global])
-        lut[order] = -1  # reset only the touched scratch entries
-        csr = CSRMatrix.from_arrays(np.concatenate(rows_parts),
-                                    np.concatenate(cols_parts), order.size)
+        # the samples' arrays, each concatenated once: position p of
+        # ``vertex_ids`` is row p of the stacked sample CSRs
+        csrs = [sample.graph.csr for sample in samples]
+        vertex_ids = np.concatenate([sample.vertex_ids for sample in samples])
+        first = self._first_seen(vertex_ids)
+        order = vertex_ids[first]
+        # fused local id of every stacked row: the rank of its vertex's
+        # first occurrence among all first occurrences
+        local = (first.cumsum() - 1)[self._pos_lut[vertex_ids]]
+        indptr = np.concatenate([csr.indptr for csr in csrs])
+        num_rows = np.array([csr.num_rows for csr in csrs])
+        # sample i's indptr ends at ends[i]; its last entry is its edge count
+        ends = np.cumsum(num_rows + 1)
+        # row degrees: the diffs across sample junctions belong to no row
+        degrees = np.delete(np.diff(indptr), ends[:-1] - 1)
+        # column indices are sample-local rows: shift each by the first
+        # stacked row of its sample
+        first_row = np.cumsum(num_rows) - num_rows
+        cols = np.concatenate([csr.indices for csr in csrs]) \
+            + first_row.repeat(indptr[ends - 1])
+        csr = CSRMatrix.from_arrays(local.repeat(degrees), local[cols],
+                                    order.size)
         order.setflags(write=False)
         fused = RowViewGraph(csr, self.graph, order, name=name)
         fused.memoize_workloads = False

@@ -1,10 +1,15 @@
 """Tests for the accelerator configuration and the sparsity eliminator."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import HyGCNConfig, PipelineMode, SparsityEliminator
-from repro.core.sparsity import EffectualWindow
+
+
+def windows(report):
+    """The report's windows as ``(start, stop)`` pairs."""
+    return list(zip(report.starts.tolist(), report.stops.tolist()))
 
 
 class TestHyGCNConfig:
@@ -56,38 +61,36 @@ class TestHyGCNConfig:
 class TestSparsityEliminator:
     def test_empty_rows_no_windows(self):
         report = SparsityEliminator(4).eliminate([], num_rows=100)
-        assert report.windows == []
+        assert windows(report) == []
         assert report.loaded_rows == 0
         assert report.sparsity_reduction == 0.0 or report.total_rows == 100
 
     def test_single_row(self):
         report = SparsityEliminator(4).eliminate([10], num_rows=100)
-        assert report.windows == [EffectualWindow(10, 11)]
+        assert windows(report) == [(10, 11)]
         assert report.loaded_rows == 1
         assert report.eliminated_rows == 99
 
     def test_sliding_skips_empty_prefix(self):
         report = SparsityEliminator(4).eliminate([50, 51], num_rows=100)
-        assert report.windows[0].start == 50
+        assert report.starts[0] == 50
 
     def test_shrinking_trims_empty_suffix(self):
         # rows 0 and 1 effectual, window height 8: window shrinks to [0, 2)
         report = SparsityEliminator(8).eliminate([0, 1], num_rows=100)
-        assert report.windows == [EffectualWindow(0, 2)]
+        assert windows(report) == [(0, 2)]
 
     def test_multiple_windows(self):
         rows = [0, 1, 20, 21, 22]
         report = SparsityEliminator(4).eliminate(rows, num_rows=100)
-        assert len(report.windows) == 2
-        assert report.windows[0] == EffectualWindow(0, 2)
-        assert report.windows[1] == EffectualWindow(20, 23)
+        assert windows(report) == [(0, 2), (20, 23)]
         assert report.loaded_rows == 5
         assert report.residual_waste == 0
 
     def test_window_spanning_gap_has_residual_waste(self):
         # rows 0 and 3 fall in one height-4 window; rows 1-2 are wasted loads
         report = SparsityEliminator(4).eliminate([0, 3], num_rows=100)
-        assert report.windows == [EffectualWindow(0, 4)]
+        assert windows(report) == [(0, 4)]
         assert report.residual_waste == 2
 
     def test_duplicates_collapsed(self):
@@ -102,9 +105,12 @@ class TestSparsityEliminator:
         with pytest.raises(ValueError):
             SparsityEliminator(0)
 
-    def test_window_validation(self):
-        with pytest.raises(ValueError):
-            EffectualWindow(5, 5)
+    def test_windows_hold_at_least_one_row(self):
+        starts, stops = SparsityEliminator(3).windows_for_rows(
+            [7, 0, 5, 5, 9, 2], num_rows=10)
+        assert starts.tolist() == [0, 5, 9]
+        assert stops.tolist() == [3, 8, 10]
+        assert (stops > starts).all()
 
     def test_dense_rows_one_window_per_block(self):
         rows = list(range(100))
@@ -125,14 +131,12 @@ class TestSparsityEliminator:
     def test_property_windows_cover_all_effectual_rows(self, rows, height):
         report = SparsityEliminator(height).eliminate(rows, num_rows=200)
         covered = set()
-        for w in report.windows:
-            covered.update(range(w.start, w.stop))
+        for start, stop in windows(report):
+            covered.update(range(start, stop))
         assert set(rows) <= covered
         # windows never load more than the baseline and never overlap
         assert report.loaded_rows <= 200
-        sorted_windows = sorted(report.windows, key=lambda w: w.start)
-        for a, b in zip(sorted_windows, sorted_windows[1:]):
-            assert a.stop <= b.start
+        assert np.all(report.stops[:-1] <= report.starts[1:])
 
     @settings(max_examples=30, deadline=None)
     @given(

@@ -22,6 +22,12 @@ def gcn_workload(graph, hidden=32):
     return build_gcn(graph.feature_length, hidden_sizes=(hidden,)).workloads(graph)[0]
 
 
+def runs(batch):
+    """``(stream, address, num_bytes)`` transfers as one-run stream entries."""
+    return [(stream, np.array([address]), np.array([num_bytes]))
+            for stream, address, num_bytes in batch]
+
+
 def serviced_streams(handler, batch):
     """The stream of every request ``handler`` sends to its HBM model, in order."""
     seen = []
@@ -38,8 +44,8 @@ def serviced_streams(handler, batch):
 
 class TestMemoryAccessHandler:
     def make_interleaved_batch(self, per_stream=32, chunk=2048):
-        return [(stream, i * chunk, chunk)
-                for i in range(per_stream) for stream in ACCESS_PRIORITY]
+        return runs([(stream, i * chunk, chunk)
+                     for i in range(per_stream) for stream in ACCESS_PRIORITY])
 
     def test_priority_ordering(self):
         handler = MemoryAccessHandler(HyGCNConfig(enable_memory_coordination=True))
@@ -55,7 +61,7 @@ class TestMemoryAccessHandler:
     def test_uncoordinated_round_robin(self):
         handler = MemoryAccessHandler(HyGCNConfig(enable_memory_coordination=False))
         # one transfer of two rows per stream, streams listed in reverse
-        batch = [(stream, 0, 4096) for stream in reversed(ACCESS_PRIORITY)]
+        batch = runs([(stream, 0, 4096) for stream in reversed(ACCESS_PRIORITY)])
         streams = serviced_streams(handler, batch)
         # one request from each stream per turn, in order of first appearance
         assert streams == 2 * list(reversed(ACCESS_PRIORITY))
@@ -88,8 +94,8 @@ class TestMemoryAccessHandler:
 
     def test_open_rows_persist_across_batches(self):
         handler = MemoryAccessHandler(HyGCNConfig())
-        first = handler.service_batch([("edges", 0, 8192)])
-        again = handler.service_batch([("edges", 0, 8192)])
+        first = handler.service_batch(runs([("edges", 0, 8192)]))
+        again = handler.service_batch(runs([("edges", 0, 8192)]))
         assert first.stats.row_hits == 0
         assert again.stats.row_misses == 0
 

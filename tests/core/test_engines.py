@@ -109,7 +109,7 @@ class TestAggregationEngine:
         g = erdos_renyi_graph(64, 256, feature_length=16, seed=0)
         tasks = AggregationEngine(small_config()).process_layer(gcn_workload(g))
         for t in tasks:
-            moved = sum(num_bytes for _, _, num_bytes in t.dram_transfers)
+            moved = sum(int(num_bytes.sum()) for _, _, num_bytes in t.dram_transfers)
             assert moved == t.input_feature_bytes + t.edge_bytes
 
     def test_buffer_traffic_recorded(self):

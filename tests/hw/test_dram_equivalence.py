@@ -7,9 +7,15 @@ services them as arrays.  ``_dram_reference.py`` does the same work one
 streams in random order, unaligned addresses, empty and multi-row sizes,
 several batches on one handler so open rows and stream regions carry over
 -- every ``DRAMStats`` field, energy included, and the per-stream cycle and
-byte attribution must match exactly.
+byte attribution must match exactly.  The handler takes each run of
+consecutive same-stream transfers as one stream-tagged array entry, so a
+stream may tag several entries of one batch; the oracle takes the
+transfers one by one.
 """
 
+from itertools import groupby
+
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core import HyGCNConfig, MemoryAccessHandler
@@ -33,6 +39,17 @@ def transfer_batch(draw):
         max_size=12))
 
 
+def stream_entries(batch):
+    """Consecutive same-stream transfers as one ``(stream, addresses,
+    num_bytes)`` array entry each."""
+    entries = []
+    for stream, run in groupby(batch, key=lambda t: t[0]):
+        run = list(run)
+        entries.append((stream, np.array([t[1] for t in run], dtype=np.int64),
+                        np.array([t[2] for t in run], dtype=np.int64)))
+    return entries
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     coordinated=st.booleans(),
@@ -47,7 +64,7 @@ def test_service_batch_matches_reference(coordinated, num_channels,
         HyGCNConfig(hbm=hbm, enable_memory_coordination=coordinated))
     reference = ReferenceHandler(hbm, coordinated)
     for batch in batches:
-        got = handler.service_batch(batch)
+        got = handler.service_batch(stream_entries(batch))
         want = reference.service_batch(batch)
         assert got.stats == want.stats  # == on every field, energy_pj too
         assert got.cycles_by_stream == want.cycles_by_stream
