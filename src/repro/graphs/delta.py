@@ -88,9 +88,10 @@ class DeltaGraph(Graph):
         self._feature_overlay: Dict[int, np.ndarray] = {}
         # (version, vertex) per applied mutation, for targeted invalidation
         self._dirty_log: List[Tuple[int, int]] = []
-        #: version of the last feature write (or creation) per vertex;
-        #: vertices absent from the map carry their base features.
-        self._feature_versions: Dict[int, int] = {}
+        #: version of the last feature write (or creation) per vertex, 0
+        #: for a vertex that still carries its base features; grows with
+        #: the vertex count
+        self._feature_versions = np.zeros(self.num_vertices, dtype=np.int64)
         # feature snapshot, built on read; None once a feature write or a
         # new vertex has made it stale
         self._features: Optional[np.ndarray] = base.features
@@ -135,7 +136,8 @@ class DeltaGraph(Graph):
         self._new_features.append(row)
         self._features = None
         self._mutated(vertex, structure=True)
-        self._feature_versions[vertex] = self.version
+        self._feature_versions = np.append(self._feature_versions,
+                                           self.version)
         return vertex
 
     def write_features(self, vertex: int, features: np.ndarray) -> None:
@@ -185,7 +187,11 @@ class DeltaGraph(Graph):
 
     def feature_version(self, vertex: int) -> int:
         """Version of the last feature write to ``vertex`` (0 = base)."""
-        return self._feature_versions.get(int(vertex), 0)
+        return int(self._feature_versions[vertex])
+
+    def feature_versions(self, vertices: np.ndarray) -> np.ndarray:
+        """:meth:`feature_version` of each of ``vertices``, in one gather."""
+        return self._feature_versions[vertices]
 
     @property
     def pending_mutations(self) -> int:

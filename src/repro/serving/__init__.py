@@ -49,7 +49,7 @@ from .batching import (
     make_signature_fn,
     resolve_signature_hops,
 )
-from .cache import CacheStats, LRUCache
+from .cache import CacheStats, FeatureCache, LRUCache
 from .control import (
     AUTOSCALE_POLICIES,
     AutoscalePolicy,
@@ -221,6 +221,7 @@ __all__ = [
     "ControlStats",
     "DegradeLevel",
     "EWMAPolicy",
+    "FeatureCache",
     "FleetConfig",
     "FleetSpec",
     "HeteroStats",

@@ -1,21 +1,26 @@
-"""LRU caches with hit-rate accounting for the serving stack.
+"""Caches with hit-rate accounting for the serving stack.
 
 Production GNN serving deployments put small caches in front of the
 accelerator fleet: a *result* cache that answers repeat requests for
 recently-inferred vertices without touching a chip, and per-chip *feature*
 caches that model on-chip reuse of vertex features across consecutive
-batches.  Both roles are served by the same :class:`LRUCache` here; the
-:class:`CacheStats` counters feed the hit-rate column of the serving report.
+batches.  The result cache (like the sampler memos and the halo caches) is
+the key-at-a-time :class:`LRUCache`; a feature cache is a
+:class:`FeatureCache`, which charges a whole batch of vertex ids in a few
+array passes.  Both keep :class:`CacheStats` counters, which feed the
+hit-rate columns of the serving report.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Dict, Hashable, List, Optional, Tuple
 
-__all__ = ["CacheStats", "LRUCache", "charge_features"]
+import numpy as np
+
+__all__ = ["CacheStats", "FeatureCache", "LRUCache", "charge_features"]
 
 
 @dataclass
@@ -97,33 +102,6 @@ class LRUCache:
             return self._entries.popitem(last=False)
         return None
 
-    def charge(self, keys: Sequence[Hashable],
-               values: Iterable[object]) -> List[Tuple[int, object]]:
-        """``get`` every key, then ``put`` every ``(key, value)`` pair.
-
-        One call with the same counters and final state as those per-key
-        calls: every lookup precedes every put, and each insertion evicts
-        as it goes.  Returns ``(position, value)`` of each hit, in key
-        order, with the value the lookup found.
-        """
-        entries, stats = self._entries, self.stats
-        hits = [(i, entries[k]) for i, k in enumerate(keys) if k in entries]
-        for i, _ in hits:
-            entries.move_to_end(keys[i])
-        stats.hits += len(hits)
-        stats.misses += len(keys) - len(hits)
-        if self.capacity:
-            for key, value in zip(keys, values):
-                if key in entries:
-                    entries.move_to_end(key)
-                else:
-                    stats.insertions += 1
-                    if len(entries) >= self.capacity:
-                        entries.popitem(last=False)
-                        stats.evictions += 1
-                entries[key] = value
-        return hits
-
     def peek(self, key: Hashable, default: Optional[object] = None) -> Optional[object]:
         """Read ``key`` without touching recency or the hit/miss counters."""
         return self._entries.get(key, default)
@@ -150,19 +128,192 @@ class LRUCache:
         self._entries.clear()
 
 
-def charge_features(cache: LRUCache, vertices: List[int], key=None,
-                    stream=None, now: float = 0.0) -> int:
+class FeatureCache:
+    """A chip's fixed-capacity LRU feature cache, kept as stamp arrays.
+
+    Lines live in per-tenant namespaces over vertex ids: the key of a line
+    is ``v`` for the anonymous single tenant (``tenant=None``) and
+    ``(tenant, v)`` otherwise, so ids aliasing across tenants' graphs never
+    share a line.  Each namespace holds an ``int64`` stamp array and value
+    array, grown on demand as a mutating graph adds vertices; a line is
+    resident while its stamp is positive.  One clock, shared by every
+    namespace, stamps each put, so the least recently used line is the
+    resident one with the smallest stamp.
+
+    :meth:`charge` has the semantics of a ``get`` per key followed by a
+    ``put`` per key on an :class:`LRUCache` of the same capacity: the same
+    hits, counters, resident lines and recency order.  A capacity of zero
+    disables the cache.
+    """
+
+    def __init__(self, capacity: int):
+        if capacity < 0:
+            raise ValueError("capacity must be >= 0")
+        self.capacity = int(capacity)
+        self.stats = CacheStats()
+        self._stamps: Dict[Optional[str], np.ndarray] = {}
+        self._values: Dict[Optional[str], np.ndarray] = {}
+        self._clock = 0
+        self._resident = 0
+
+    def __len__(self) -> int:
+        return self._resident
+
+    def _arrays(self, tenant: Optional[str],
+                size: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``tenant``'s stamp and value arrays, covering ids below ``size``."""
+        stamps = self._stamps.get(tenant)
+        if stamps is None or stamps.size < size:
+            old = 0 if stamps is None else stamps.size
+            for arrays in (self._stamps, self._values):
+                grown = np.zeros(max(size, 2 * old), dtype=np.int64)
+                if old:
+                    grown[:old] = arrays[tenant]
+                arrays[tenant] = grown
+        return self._stamps[tenant], self._values[tenant]
+
+    def charge(self, tenant: Optional[str], vertex_ids,
+               values) -> Tuple[np.ndarray, np.ndarray]:
+        """Look up every vertex, then put every ``(vertex, value)`` pair.
+
+        ``vertex_ids`` are distinct and in put order; ``values`` is one
+        ``int64`` per vertex, or one for all.  Every lookup precedes every
+        put, and each insertion evicts the least recently used line as it
+        goes.  Returns the positions of the hits in ``vertex_ids`` and the
+        values the lookups found there.
+        """
+        ids = np.asarray(vertex_ids, dtype=np.int64)
+        n = ids.size
+        stats = self.stats
+        capacity = self.capacity
+        if not capacity or not n:
+            stats.misses += n
+            empty = np.zeros(0, dtype=np.int64)
+            return empty, empty
+        stamps, stored = self._arrays(tenant, int(ids.max()) + 1)
+        positions = np.flatnonzero(stamps[ids])
+        found = stored[ids[positions]]
+        hits = positions.size
+        misses = n - hits
+        stats.hits += hits
+        stats.misses += misses
+        values = np.broadcast_to(np.asarray(values, dtype=np.int64), n)
+        if n <= capacity:
+            # every batch line's new stamp is larger than any other line's,
+            # so the excess evicts only lines outside the batch
+            stamps[ids] = np.arange(self._clock + 1, self._clock + n + 1)
+            stored[ids] = values
+            self._clock += n
+            stats.insertions += misses
+            self._resident += misses
+            excess = self._resident - capacity
+            if excess > 0:
+                self._evict(excess)
+            return positions, found
+        # The batch overflows the cache and evicts its own earlier keys:
+        # the lines outside the batch go first, then the hits not yet put
+        # (in key order), then the batch's own puts.  A hit that an
+        # eviction reaches before its put is inserted again.
+        hit = positions.tolist()
+        outside = self._resident - hits
+        size, front, insertions = self._resident, 0, misses
+        for i in range(n):
+            if front < hits and hit[front] == i:
+                front += 1
+                continue
+            size += 1
+            if size > capacity:
+                size -= 1
+                if outside:
+                    outside -= 1
+                elif front < hits:
+                    front += 1
+                    insertions += 1
+        stats.insertions += insertions
+        stats.evictions += self._resident + insertions - capacity
+        for line_stamps in self._stamps.values():
+            line_stamps.fill(0)
+        kept = ids[n - capacity:]
+        stamps[kept] = np.arange(self._clock + 1, self._clock + capacity + 1)
+        stored[kept] = values[n - capacity:]
+        self._clock += capacity
+        self._resident = capacity
+        return positions, found
+
+    def _evict(self, excess: int) -> None:
+        """Drop the ``excess`` least recently used lines."""
+        ages = np.concatenate([stamps[stamps > 0]
+                               for stamps in self._stamps.values()])
+        cutoff = np.partition(ages, excess - 1)[excess - 1]
+        for stamps in self._stamps.values():
+            stamps[stamps <= cutoff] = 0
+        self.stats.evictions += excess
+        self._resident -= excess
+
+    def _line(self, key: Hashable) -> Optional[Tuple[Optional[str], int]]:
+        """``(tenant, vertex)`` of ``key``'s resident line, else ``None``."""
+        tenant, vertex = key if isinstance(key, tuple) else (None, key)
+        stamps = self._stamps.get(tenant)
+        if stamps is None or not 0 <= vertex < stamps.size \
+                or not stamps[vertex]:
+            return None
+        return tenant, int(vertex)
+
+    def peek(self, key: Hashable,
+             default: Optional[int] = None) -> Optional[int]:
+        """Read ``key``'s value without touching recency or the counters."""
+        line = self._line(key)
+        if line is None:
+            return default
+        tenant, vertex = line
+        return int(self._values[tenant][vertex])
+
+    def invalidate(self, key: Hashable) -> bool:
+        """Drop one line if resident; returns whether anything was dropped.
+
+        Like :meth:`LRUCache.invalidate`, no counter moves.
+        """
+        line = self._line(key)
+        if line is None:
+            return False
+        tenant, vertex = line
+        self._stamps[tenant][vertex] = 0
+        self._resident -= 1
+        return True
+
+    def keys(self) -> List[Hashable]:
+        """Snapshot of the resident keys, LRU-first."""
+        lines = []
+        for tenant, stamps in self._stamps.items():
+            ids = np.flatnonzero(stamps)
+            keys = ids.tolist() if tenant is None \
+                else [(tenant, v) for v in ids.tolist()]
+            lines.extend(zip(stamps[ids].tolist(), keys))
+        lines.sort(key=itemgetter(0))
+        return [key for _, key in lines]
+
+    def clear(self) -> None:
+        """Drop every line (the counters are kept)."""
+        for stamps in self._stamps.values():
+            stamps.fill(0)
+        self._resident = 0
+
+
+def charge_features(cache: FeatureCache, vertex_ids: np.ndarray,
+                    tenant: Optional[str] = None, stream=None,
+                    now: float = 0.0) -> int:
     """Charge one batch's feature reads to a chip cache; returns the hits.
 
-    ``vertices`` (global ids, in put order) are cached under ``key(v)``, or
-    ``v`` without a ``key``.  Streaming runs store each line's feature
-    version and check every hit against it; other runs store ``True``.
+    ``vertex_ids`` (distinct global ids, in put order) are cached in
+    ``tenant``'s namespace.  Streaming runs store each line's feature
+    version and report a hit on a line older than its vertex's current
+    version as a stale serve; other runs store 0.
     """
-    keys = vertices if key is None else [key(v) for v in vertices]
     if stream is None:
-        return len(cache.charge(keys, repeat(True)))
-    version = stream.graph.feature_version
-    found = cache.charge(keys, [version(v) for v in vertices])
-    for i, stamp in found:
-        stream.on_feature_hit(vertices[i], stamp, now)
-    return len(found)
+        return cache.charge(tenant, vertex_ids, 0)[0].size
+    versions = stream.graph.feature_versions(vertex_ids)
+    positions, stored = cache.charge(tenant, vertex_ids, versions)
+    for i in np.flatnonzero(stored < versions[positions]).tolist():
+        stream.on_feature_hit(int(vertex_ids[positions[i]]), int(stored[i]),
+                              now)
+    return positions.size

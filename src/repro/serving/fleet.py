@@ -84,7 +84,7 @@ from .batching import (
     make_signature_fn,
     resolve_signature_hops,
 )
-from .cache import LRUCache, charge_features
+from .cache import FeatureCache, LRUCache, charge_features
 from .control import ControlConfig, ControlObservation, ControlPlane, TenantBinding
 from .hetero import (
     DEFAULT_SHAPE,
@@ -295,7 +295,7 @@ class Chip:
         #: push dispatch only: ``(batch, tenant runtime)`` awaiting service
         self.queue: Deque[Tuple[Batch, "TenantRuntime"]] = deque()
         self.current: Optional[Batch] = None
-        self.feature_cache = LRUCache(feature_cache_size)
+        self.feature_cache = FeatureCache(feature_cache_size)
         self.stats = ChipStats(chip_id=chip_id, shape=shape)
         self.state = "active"
         self.added_s = 0.0
@@ -463,7 +463,8 @@ def _build_dispatch(policy: str, num_vertices: int, num_chips: int,
 # --------------------------------------------------------------------------- #
 def fused_batch_service_time_s(chip: Chip, sampler, model, batch: Batch,
                                dataset_name: str, reuse_discount: float,
-                               cache_key=None, account: bool = True,
+                               tenant: Optional[str] = None,
+                               account: bool = True,
                                stream=None, now: float = 0.0) -> float:
     """Simulated execution time of the fused subgraph batch on ``chip``.
 
@@ -478,10 +479,9 @@ def fused_batch_service_time_s(chip: Chip, sampler, model, batch: Batch,
 
     The chip's feature-cache hit fraction further discounts the simulated
     time by up to ``reuse_discount`` (warm features skip their DRAM
-    stream).  ``cache_key`` maps a global vertex id to the feature-cache
-    key -- multi-tenant serving passes ``lambda v: (tenant, v)`` so
-    numerically-aliasing vertex ids from different tenants' graphs never
-    share cache entries.
+    stream).  ``tenant`` names the feature-cache namespace -- multi-tenant
+    serving passes the tenant's name so numerically-aliasing vertex ids
+    from different tenants' graphs never share cache entries.
 
     Degraded requests (control-plane ladder) carry per-request hop/fanout
     overrides; subgraph *sharing* requires both the target and the sampling
@@ -508,14 +508,14 @@ def fused_batch_service_time_s(chip: Chip, sampler, model, batch: Batch,
     }
     # The put order fixes the LRU state: the fused graph's vertex ids,
     # which are distinct and in first-seen order over the batch's samples.
-    vertices = fused.vertex_ids.tolist()
-    hits = charge_features(chip.feature_cache, vertices, cache_key, stream,
-                           now)
-    reuse_fraction = hits / len(vertices) if vertices else 0.0
+    lookups = fused.vertex_ids.size
+    hits = charge_features(chip.feature_cache, fused.vertex_ids, tenant,
+                           stream, now)
+    reuse_fraction = hits / lookups if lookups else 0.0
     service_s = report.execution_time_s * (1.0 - reuse_discount * reuse_fraction)
     if account:
         chip.stats.vertices_simulated += fused.num_vertices
-        chip.stats.feature_lookups += len(vertices)
+        chip.stats.feature_lookups += lookups
         chip.stats.feature_hits += hits
     return service_s
 
@@ -826,9 +826,10 @@ class TenantRuntime:
         self.sampler = SubgraphSampler(graph, num_hops=config.num_hops,
                                        fanout=config.fanout, seed=seed)
         self.result_cache = LRUCache(config.cache_size)
-        #: Feature/halo-cache key of a vertex: ``(tenant, vertex)``, so ids
-        #: aliasing across tenants' graphs never share an entry (``None``
-        #: = the vertex id itself, for the anonymous single tenant).
+        #: Feature-cache key of a vertex, as the streaming invalidation
+        #: names it: ``(tenant, vertex)``, so ids aliasing across tenants'
+        #: graphs never share an entry (``None`` = the vertex id itself, for
+        #: the anonymous single tenant).
         self.cache_key = (lambda v: (name, v)) if name else None
         #: Probe-batch service time per chip shape (memoised globally).
         self.probe_by_shape: Dict[str, float] = {
@@ -927,7 +928,7 @@ class TenantRuntime:
         return fused_batch_service_time_s(
             chip, self.sampler, self.model, batch,
             dataset_name=self.dataset_name, reuse_discount=reuse_discount,
-            cache_key=self.cache_key, stream=self.stream, now=now)
+            tenant=self.name or None, stream=self.stream, now=now)
 
     def estimate_cost_s(self, batch: Batch) -> float:
         """Estimated fused service time: EWMA seconds/vertex x fused size.
@@ -1202,7 +1203,7 @@ class _FleetSimulator:
                     rt.sampler, rt.model, rt.dataset_name, sharding,
                     feature_bytes=feature_bytes[name],
                     stats=self.sharding_stats, halo_caches=halo_caches,
-                    key_fn=rt.cache_key)
+                    tenant=name or None)
         #: Consistency stats of a mutating run (``None`` when static); every
         #: tenant serves its own graph, so each gets its own
         #: :class:`~repro.serving.streaming.StreamState`, but they all fold

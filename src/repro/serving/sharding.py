@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -201,9 +201,9 @@ class ShardExecutor:
 
     One executor per (run, tenant): it owns the plan and the sampler/model
     binding, while ``stats`` and the per-chip ``halo_caches`` are fleet-wide
-    and shared across tenants (``key_fn`` maps vertex ids to
-    ``(tenant, vertex)`` keys, mirroring the feature-cache convention;
-    ``None`` keys by vertex id).
+    and shared across tenants (``tenant`` keys their lines by
+    ``(tenant, vertex)``, mirroring the feature-cache convention; ``None``
+    keys by vertex id).
 
     The executor never touches the event loop: the fleet calls
     :meth:`service_time_s` exactly where the unsharded path calls
@@ -214,7 +214,8 @@ class ShardExecutor:
     def __init__(self, plan: ShardPlan, chips: Sequence, sampler, model,
                  dataset_name: str, config: ShardingConfig,
                  feature_bytes: int, stats: ShardingStats,
-                 halo_caches: List[LRUCache], key_fn=None):
+                 halo_caches: List[LRUCache],
+                 tenant: Optional[str] = None):
         if len(chips) < plan.num_shards:
             raise ValueError(
                 f"chip group of {len(chips)} cannot host {plan.num_shards} "
@@ -233,7 +234,8 @@ class ShardExecutor:
             self.stats.shard_requests = [0] * plan.num_shards
         self.stats.fold_plan(plan)
         self.halo_caches = halo_caches
-        self._key_fn = key_fn if key_fn is not None else (lambda v: v)
+        self.tenant = tenant
+        self._key_fn = (lambda v: (tenant, v)) if tenant else (lambda v: v)
         #: armed by :class:`~repro.serving.streaming.StreamState` on
         #: mutating runs; ``None`` keeps the static fast path untouched.
         self.stream = None
@@ -365,8 +367,8 @@ class ShardExecutor:
             phase_cycles["dram_busy"] += report.dram_stats.busy_cycles
             # per-chip feature-cache reuse, same semantics as the unsharded
             # path: warm features skip their DRAM stream on this chip
-            feature_hits = charge_features(chip.feature_cache, union.tolist(),
-                                           self._key_fn, self.stream, now)
+            feature_hits = charge_features(chip.feature_cache, union,
+                                           self.tenant, self.stream, now)
             reuse_fraction = feature_hits / union.size if union.size else 0.0
             compute_s = report.execution_time_s \
                 * (1.0 - reuse_discount * reuse_fraction)

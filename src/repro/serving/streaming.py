@@ -468,15 +468,15 @@ class StreamState:
                                       sampler._signature_of(recomputed)):
                     self._count_stale(lag, 0.0, "stale_signatures")
 
-    def on_feature_hit(self, vertex: int, stamp, now: float,
+    def on_feature_hit(self, vertex: int, stamp: int, now: float,
                        counter: str = "stale_features") -> None:
-        """Consistency probe on a feature-cache hit; a halo-cache hit
-        counts as ``"stale_halo"``."""
+        """Consistency probe on a cache hit on a line holding feature
+        version ``stamp``; a halo-cache hit counts as ``"stale_halo"``.
+        The feature-cache charge compares versions in one array pass and
+        calls this only for the stale hits."""
         current = self.graph.feature_version(vertex)
-        if isinstance(stamp, bool):
-            stamp = 0
-        if int(stamp) < current:
-            self._count_stale(current - int(stamp),
+        if stamp < current:
+            self._count_stale(current - stamp,
                               now - self._last_mutation_s.get(vertex, now),
                               counter)
 

@@ -30,7 +30,8 @@ request ids and a ``tenant`` tag on every request.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Mapping, Optional, Sequence
+from operator import itemgetter
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -357,13 +358,15 @@ def merge_tenant_streams(
     break by tenant name then original id, keeping the merge deterministic
     regardless of dict insertion order.
     """
-    tagged: List[Request] = []
+    tagged: List[Tuple[float, str, int, Request]] = []
     for name, stream in streams.items():
         if not name:
             raise ValueError("tenant names must be non-empty")
-        tagged.extend(replace(r, tenant=name) for r in stream)
-    tagged.sort(key=lambda r: (r.arrival_time_s, r.tenant, r.request_id))
-    return [replace(r, request_id=i) for i, r in enumerate(tagged)]
+        tagged.extend((r.arrival_time_s, name, r.request_id, r)
+                      for r in stream)
+    tagged.sort(key=itemgetter(0, 1, 2))
+    return [replace(r, tenant=name, request_id=i)
+            for i, (_, name, _, r) in enumerate(tagged)]
 
 
 def split_tenant_stream(requests: Sequence[Request]) -> Dict[str, List[Request]]:

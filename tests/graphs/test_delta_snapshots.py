@@ -101,3 +101,19 @@ def test_edge_insert_keeps_the_feature_snapshot():
     assert delta.features is features
     assert delta.colptr is not colptr and delta.row is not row
     assert delta.has_edge(src, dst) and delta.num_edges == row.size + 1
+
+
+def test_feature_versions_track_writes_and_new_vertices():
+    """The gathered versions equal the per-vertex probe, over a vertex
+    range that grows; a version read out never changes afterwards."""
+    delta = DeltaGraph(_base())
+    before = delta.feature_versions(np.arange(delta.num_vertices))
+    assert not before.any()
+    delta.write_features(3, np.full(delta.feature_length, 5.0))
+    assert delta.add_edge(*_absent_edge(delta))
+    new = delta.add_vertex(np.full(delta.feature_length, 3.0))
+    ids = np.arange(delta.num_vertices)
+    versions = delta.feature_versions(ids)
+    assert versions.tolist() == [delta.feature_version(v) for v in ids]
+    assert versions[3] == 1 and versions[new] == 3
+    assert np.count_nonzero(versions) == 2 and not before.any()

@@ -40,7 +40,7 @@ from hypothesis import strategies as st
 from repro.graphs import DeltaGraph, graphs_equal, load_dataset, to_csc
 from repro.graphs.csc import CSCGraph
 from repro.graphs.generators import power_law_graph
-from repro.serving.cache import LRUCache
+from repro.serving.cache import FeatureCache, LRUCache, charge_features
 from repro.serving.fleet import FleetConfig, run_serving
 from repro.serving.sampler import SubgraphSampler
 from repro.serving.sharding import ShardingConfig
@@ -256,7 +256,7 @@ def test_compaction_is_invisible_mid_stream():
 # --------------------------------------------------------------------------- #
 class _FakeChip:
     def __init__(self, capacity=64):
-        self.feature_cache = LRUCache(capacity)
+        self.feature_cache = FeatureCache(capacity)
 
 
 def _stream_state(policy, *, with_result_cache=True, chips=0, seed=3):
@@ -312,19 +312,20 @@ def test_feature_cache_kill(policy):
     """A per-chip feature-cache entry outlives a feature write under
     ``none`` (stale stamp on hit) and is dropped under ``targeted``."""
     delta, sampler, state, stats = _stream_state(policy, chips=2)
-    vertex = 5
-    stamp = delta.feature_version(vertex)
+    vertex = np.array([5])
     for chip in state.chips:
-        chip.feature_cache.put(vertex, stamp)
-    state.apply(1.0, _feature_event(0, vertex))
+        assert charge_features(chip.feature_cache, vertex,
+                               stream=state) == 0
+    state.apply(1.0, _feature_event(0, 5))
     if policy == "none":
-        cached = state.chips[0].feature_cache.peek(vertex)
-        assert cached is not None
-        state.on_feature_hit(vertex, cached, now=2.0)
+        assert state.chips[0].feature_cache.peek(5) \
+            < delta.feature_version(5)
+        assert charge_features(state.chips[0].feature_cache, vertex,
+                               stream=state, now=2.0) == 1
         assert stats.stale_features == 1
         assert stats.invalidations["feature"] == 0
     else:
-        assert all(chip.feature_cache.peek(vertex) is None
+        assert all(chip.feature_cache.peek(5) is None
                    for chip in state.chips)
         assert stats.invalidations["feature"] == 2
         assert stats.stale_features == 0

@@ -162,6 +162,16 @@ class TestMergeTenantStreams:
         back = split_tenant_stream(merged)
         assert len(back["a"]) == 2 and len(back["b"]) == 1
 
+    def test_merge_breaks_arrival_ties_by_tenant_then_id(self):
+        streams = {
+            "b": [Request(1, 9, 0.5), Request(0, 8, 0.5)],
+            "a": [Request(3, 7, 0.5), Request(2, 6, 0.7)],
+        }
+        merged = merge_tenant_streams(streams)
+        assert [(r.tenant, r.target_vertex) for r in merged] == \
+            [("a", 7), ("b", 8), ("b", 9), ("a", 6)]
+        assert [r.request_id for r in merged] == [0, 1, 2, 3]
+
     def test_merge_rejects_empty_tenant_name(self):
         with pytest.raises(ValueError):
             merge_tenant_streams({"": [Request(0, 1, 0.0)]})
