@@ -12,7 +12,6 @@ flip them off one at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 from ..hw.dram import HBMConfig
 from ..hw.energy import EnergyParams
@@ -136,16 +135,6 @@ class HyGCNConfig:
         re-streams features from DRAM.
         """
         return self.input_buffer_bytes // 2
-
-    @property
-    def edge_working_bytes(self) -> int:
-        """Usable Edge Buffer bytes per shard (double buffered).
-
-        Half the physical buffer, same ping-pong scheme as the Input
-        Buffer; bounds the CSR edge slice held on chip while a shard's
-        edges are walked.
-        """
-        return self.edge_buffer_bytes // 2
 
     # ------------------------------------------------------------------ #
     # Workload-dependent tiling

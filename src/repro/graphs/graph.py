@@ -12,7 +12,7 @@ layout the samplers run on (see ``docs/core.md``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -82,11 +82,6 @@ class CSRMatrix:
     def degrees(self) -> np.ndarray:
         """Return the per-row non-zero counts."""
         return np.diff(self.indptr)
-
-    def iter_rows(self) -> Iterator[Tuple[int, np.ndarray]]:
-        """Iterate over ``(row_index, column_indices)`` pairs."""
-        for i in range(self.num_rows):
-            yield i, self.row(i)
 
     def block(self, start: int, stop: int) -> "CSRMatrix":
         """The diagonal block of rows and columns ``[start, stop)``.

@@ -2,13 +2,16 @@
 
 Production GNN serving deployments put small caches in front of the
 accelerator fleet: a *result* cache that answers repeat requests for
-recently-inferred vertices without touching a chip, and per-chip *feature*
-caches that model on-chip reuse of vertex features across consecutive
-batches.  The result cache (like the sampler memos and the halo caches) is
-the key-at-a-time :class:`LRUCache`; a feature cache is a
-:class:`FeatureCache`, which charges a whole batch of vertex ids in a few
-array passes.  Both keep :class:`CacheStats` counters, which feed the
-hit-rate columns of the serving report.
+recently-inferred vertices without touching a chip, and chip-local caches
+of vertex features.  The result cache (like the sampler memos) is the
+key-at-a-time :class:`LRUCache`.  Both chip-local caches -- each chip's
+*feature* cache and, on a sharded fleet, its *halo* cache of ghost
+features -- are :class:`FeatureCache` stamp arrays, which charge a whole
+batch of vertex ids in a few array passes: :func:`charge_features` charges a
+batch's feature reads and :func:`charge_halo` a shard's ghosts.  A line
+is addressed by ``(tenant, vertex)``, with ``tenant=None`` for the
+anonymous single tenant.  All caches keep :class:`CacheStats` counters,
+which feed the hit-rate columns of the serving report.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ from typing import Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["CacheStats", "FeatureCache", "LRUCache", "charge_features"]
+__all__ = ["CacheStats", "FeatureCache", "LRUCache", "charge_features",
+           "charge_halo"]
 
 
 @dataclass
@@ -131,10 +135,11 @@ class LRUCache:
 class FeatureCache:
     """A chip's fixed-capacity LRU feature cache, kept as stamp arrays.
 
-    Lines live in per-tenant namespaces over vertex ids: the key of a line
-    is ``v`` for the anonymous single tenant (``tenant=None``) and
-    ``(tenant, v)`` otherwise, so ids aliasing across tenants' graphs never
-    share a line.  Each namespace holds an ``int64`` stamp array and value
+    Lines live in per-tenant namespaces over vertex ids, so ids aliasing
+    across tenants' graphs never share a line; every method names a line
+    by ``(tenant, vertex)``, with ``tenant=None`` for the anonymous single
+    tenant (:meth:`keys` lists ``v`` for it and ``(tenant, v)`` for the
+    others).  Each namespace holds an ``int64`` stamp array and value
     array, grown on demand as a mutating graph adds vertices; a line is
     resident while its stamp is positive.  One clock, shared by every
     namespace, stamps each put, so the least recently used line is the
@@ -172,6 +177,20 @@ class FeatureCache:
                 arrays[tenant] = grown
         return self._stamps[tenant], self._values[tenant]
 
+    def lookup(self, tenant: Optional[str],
+               vertex_ids) -> Tuple[np.ndarray, np.ndarray]:
+        """Positions of the resident ``vertex_ids`` and their values.
+
+        Touches neither recency nor the counters.
+        """
+        ids = np.asarray(vertex_ids, dtype=np.int64)
+        if not self.capacity or not ids.size:
+            empty = np.zeros(0, dtype=np.int64)
+            return empty, empty
+        stamps, stored = self._arrays(tenant, int(ids.max()) + 1)
+        positions = np.flatnonzero(stamps[ids])
+        return positions, stored[ids[positions]]
+
     def charge(self, tenant: Optional[str], vertex_ids,
                values) -> Tuple[np.ndarray, np.ndarray]:
         """Look up every vertex, then put every ``(vertex, value)`` pair.
@@ -184,19 +203,16 @@ class FeatureCache:
         """
         ids = np.asarray(vertex_ids, dtype=np.int64)
         n = ids.size
-        stats = self.stats
-        capacity = self.capacity
-        if not capacity or not n:
-            stats.misses += n
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty
-        stamps, stored = self._arrays(tenant, int(ids.max()) + 1)
-        positions = np.flatnonzero(stamps[ids])
-        found = stored[ids[positions]]
+        positions, found = self.lookup(tenant, ids)
         hits = positions.size
         misses = n - hits
+        stats = self.stats
         stats.hits += hits
         stats.misses += misses
+        capacity = self.capacity
+        if not capacity or not n:
+            return positions, found
+        stamps, stored = self._stamps[tenant], self._values[tenant]
         values = np.broadcast_to(np.asarray(values, dtype=np.int64), n)
         if n <= capacity:
             # every batch line's new stamp is larger than any other line's,
@@ -250,33 +266,25 @@ class FeatureCache:
         self.stats.evictions += excess
         self._resident -= excess
 
-    def _line(self, key: Hashable) -> Optional[Tuple[Optional[str], int]]:
-        """``(tenant, vertex)`` of ``key``'s resident line, else ``None``."""
-        tenant, vertex = key if isinstance(key, tuple) else (None, key)
+    def _holds(self, tenant: Optional[str], vertex: int) -> bool:
         stamps = self._stamps.get(tenant)
-        if stamps is None or not 0 <= vertex < stamps.size \
-                or not stamps[vertex]:
-            return None
-        return tenant, int(vertex)
+        return stamps is not None and 0 <= vertex < stamps.size \
+            and bool(stamps[vertex])
 
-    def peek(self, key: Hashable,
+    def peek(self, tenant: Optional[str], vertex: int,
              default: Optional[int] = None) -> Optional[int]:
-        """Read ``key``'s value without touching recency or the counters."""
-        line = self._line(key)
-        if line is None:
+        """Read a line's value without touching recency or the counters."""
+        if not self._holds(tenant, vertex):
             return default
-        tenant, vertex = line
         return int(self._values[tenant][vertex])
 
-    def invalidate(self, key: Hashable) -> bool:
+    def invalidate(self, tenant: Optional[str], vertex: int) -> bool:
         """Drop one line if resident; returns whether anything was dropped.
 
         Like :meth:`LRUCache.invalidate`, no counter moves.
         """
-        line = self._line(key)
-        if line is None:
+        if not self._holds(tenant, vertex):
             return False
-        tenant, vertex = line
         self._stamps[tenant][vertex] = 0
         self._resident -= 1
         return True
@@ -299,6 +307,25 @@ class FeatureCache:
         self._resident = 0
 
 
+def _versions(stream, vertex_ids: np.ndarray) -> np.ndarray:
+    """Current feature version of each vertex (0 on unstreamed runs)."""
+    if stream is None:
+        return np.zeros(vertex_ids.size, dtype=np.int64)
+    return stream.graph.feature_versions(vertex_ids)
+
+
+def _report_stale(stream, vertex_ids: np.ndarray, positions: np.ndarray,
+                  found: np.ndarray, versions: np.ndarray, now: float,
+                  counter: str) -> None:
+    """Count each hit at ``positions`` whose line is older than its
+    vertex's current version as a stale serve."""
+    if stream is None:
+        return
+    for i in np.flatnonzero(found < versions[positions]).tolist():
+        stream.on_feature_hit(int(vertex_ids[positions[i]]), int(found[i]),
+                              now, counter)
+
+
 def charge_features(cache: FeatureCache, vertex_ids: np.ndarray,
                     tenant: Optional[str] = None, stream=None,
                     now: float = 0.0) -> int:
@@ -309,11 +336,31 @@ def charge_features(cache: FeatureCache, vertex_ids: np.ndarray,
     version and report a hit on a line older than its vertex's current
     version as a stale serve; other runs store 0.
     """
-    if stream is None:
-        return cache.charge(tenant, vertex_ids, 0)[0].size
-    versions = stream.graph.feature_versions(vertex_ids)
-    positions, stored = cache.charge(tenant, vertex_ids, versions)
-    for i in np.flatnonzero(stored < versions[positions]).tolist():
-        stream.on_feature_hit(int(vertex_ids[positions[i]]), int(stored[i]),
-                              now)
+    versions = _versions(stream, vertex_ids)
+    positions, found = cache.charge(tenant, vertex_ids, versions)
+    _report_stale(stream, vertex_ids, positions, found, versions, now,
+                  "stale_features")
+    return positions.size
+
+
+def charge_halo(cache: FeatureCache, ghosts: np.ndarray,
+                tenant: Optional[str] = None, stream=None,
+                now: float = 0.0) -> int:
+    """Charge one shard's ghost reads to its halo cache; returns the hits.
+
+    Unlike a feature charge, a hit is only refreshed: every hit is touched
+    (in ghost order) before any miss is stored, and it keeps the version
+    it was stored with, so a stale halo line stays stale until it is
+    evicted or invalidated.  The misses are then stored, in ghost order,
+    with their current version.  One :meth:`FeatureCache.charge` over the
+    hits followed by the misses does exactly that.
+    """
+    positions, found = cache.lookup(tenant, ghosts)
+    missed = np.ones(ghosts.size, dtype=bool)
+    missed[positions] = False
+    versions = _versions(stream, ghosts)
+    cache.charge(tenant, np.concatenate([ghosts[positions], ghosts[missed]]),
+                 np.concatenate([found, versions[missed]]))
+    _report_stale(stream, ghosts, positions, found, versions, now,
+                  "stale_halo")
     return positions.size

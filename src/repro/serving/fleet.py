@@ -141,6 +141,8 @@ _COST_EWMA_ALPHA = 0.3
 #: SLO is ten service times (queueing + batching headroom over raw service).
 _TIMEOUT_SERVICE_MULTIPLE = 2.0
 _SLO_SERVICE_MULTIPLE = 10.0
+#: Simulated latency of a request answered from the result cache.
+_CACHE_HIT_LATENCY_S = 1e-6
 
 
 @dataclass(frozen=True)
@@ -190,7 +192,6 @@ class FleetConfig:
     fanout: int = 8
     feature_cache_size: int = 8192
     reuse_discount: float = 0.35
-    cache_hit_latency_s: float = 1e-6
     overlap_k: Optional[int] = None
     min_overlap: float = 0.0
     pool_factor: int = 4
@@ -315,6 +316,37 @@ class Chip:
     def outstanding_requests(self) -> int:
         queued = sum(batch.size for batch, _ in self.queue)
         return queued + (self.current.size if self.current else 0)
+
+    def execute(self, model, fused, put_order: np.ndarray, dataset_name: str,
+                reuse_discount: float, tenant: Optional[str] = None,
+                stream=None, now: float = 0.0):
+        """Run ``fused`` on this chip; returns ``(service_s, phase_cycles)``.
+
+        The one execution step of an unsharded batch and of a shard's
+        sub-batch: the cycle model, then the feature-cache charge of the
+        fused vertices in ``put_order`` (in ``tenant``'s namespace), then
+        the reuse discount -- the hit fraction shortens the simulated time
+        by up to ``reuse_discount``, as warm features skip their DRAM
+        stream -- and the chip's accounting.  ``phase_cycles`` is the cycle
+        model's phase breakdown, which the batch's trace span carries (see
+        :mod:`repro.serving.observe`).
+        """
+        report = self.simulator.run_model(model, fused,
+                                          dataset_name=dataset_name)
+        hits = charge_features(self.feature_cache, put_order, tenant, stream,
+                               now)
+        lookups = put_order.size
+        self.stats.vertices_simulated += fused.num_vertices
+        self.stats.feature_lookups += lookups
+        self.stats.feature_hits += hits
+        reuse_fraction = hits / lookups if lookups else 0.0
+        return report.execution_time_s \
+            * (1.0 - reuse_discount * reuse_fraction), {
+                "total": report.total_cycles,
+                "aggregation": report.aggregation_cycles,
+                "combination": report.combination_cycles,
+                "dram_busy": report.dram_stats.busy_cycles,
+            }
 
 
 class _RoundRobinDispatch:
@@ -464,7 +496,6 @@ def _build_dispatch(policy: str, num_vertices: int, num_chips: int,
 def fused_batch_service_time_s(chip: Chip, sampler, model, batch: Batch,
                                dataset_name: str, reuse_discount: float,
                                tenant: Optional[str] = None,
-                               account: bool = True,
                                stream=None, now: float = 0.0) -> float:
     """Simulated execution time of the fused subgraph batch on ``chip``.
 
@@ -477,11 +508,13 @@ def fused_batch_service_time_s(chip: Chip, sampler, model, batch: Batch,
     ``overlap_ratio`` so the cost models and :class:`BatchingStats` see the
     measured dedup, not an estimate.
 
-    The chip's feature-cache hit fraction further discounts the simulated
-    time by up to ``reuse_discount`` (warm features skip their DRAM
-    stream).  ``tenant`` names the feature-cache namespace -- multi-tenant
-    serving passes the tenant's name so numerically-aliasing vertex ids
-    from different tenants' graphs never share cache entries.
+    The fused graph runs through :meth:`Chip.execute`, whose feature-cache
+    hit fraction further discounts the simulated time by up to
+    ``reuse_discount``.  The put order is the fused graph's vertex ids,
+    which are distinct and in first-seen order over the batch's samples.
+    ``tenant`` names the feature-cache namespace -- multi-tenant serving
+    passes the tenant's name so numerically-aliasing vertex ids from
+    different tenants' graphs never share cache entries.
 
     Degraded requests (control-plane ladder) carry per-request hop/fanout
     overrides; subgraph *sharing* requires both the target and the sampling
@@ -496,27 +529,9 @@ def fused_batch_service_time_s(chip: Chip, sampler, model, batch: Batch,
     batch.naive_vertices = naive_vertices
     batch.overlap_ratio = 1.0 - fused.num_vertices / naive_vertices \
         if naive_vertices else 0.0
-    report = chip.simulator.run_model(model, fused, dataset_name=dataset_name)
-    # stamp the cycle-model phase breakdown for the observability layer
-    # (cheap property sums over the layer reports; the batch's trace span
-    # carries it -- see repro.serving.observe)
-    batch.phase_cycles = {
-        "total": report.total_cycles,
-        "aggregation": report.aggregation_cycles,
-        "combination": report.combination_cycles,
-        "dram_busy": report.dram_stats.busy_cycles,
-    }
-    # The put order fixes the LRU state: the fused graph's vertex ids,
-    # which are distinct and in first-seen order over the batch's samples.
-    lookups = fused.vertex_ids.size
-    hits = charge_features(chip.feature_cache, fused.vertex_ids, tenant,
-                           stream, now)
-    reuse_fraction = hits / lookups if lookups else 0.0
-    service_s = report.execution_time_s * (1.0 - reuse_discount * reuse_fraction)
-    if account:
-        chip.stats.vertices_simulated += fused.num_vertices
-        chip.stats.feature_lookups += lookups
-        chip.stats.feature_hits += hits
+    service_s, batch.phase_cycles = chip.execute(
+        model, fused, fused.vertex_ids, dataset_name, reuse_discount, tenant,
+        stream, now)
     return service_s
 
 
@@ -551,8 +566,11 @@ def probe_batch_service_time_s(hw: HyGCNConfig, sampler, model,
     """Service time of one full batch of distinct uniformly-drawn targets.
 
     The probe calibrates arrival rates and resolves the adaptive timeout /
-    SLO defaults; it runs on a throwaway cold chip so it never perturbs the
-    fleet's caches or accounting.  Results are memoised on
+    SLO defaults.  It runs on throwaway state -- a cold chip and a
+    memo-less copy of ``sampler`` (same graph, shape and seed, so the same
+    samples) -- so it never perturbs the fleet's caches, accounting or the
+    run sampler's memos, and a probe-memo hit leaves the run exactly as a
+    probe that executes.  Results are memoised on
     (hw, model, dataset, batch shape, sampling shape, seed) -- the probe is
     deterministic in exactly those inputs -- so repeated startups and
     scale-up events pay for it once per configuration.
@@ -572,20 +590,12 @@ def probe_batch_service_time_s(hw: HyGCNConfig, sampler, model,
     probe = Batch(batch_id=-1, requests=[
         Request(request_id=-1 - i, target_vertex=int(t), arrival_time_s=0.0)
         for i, t in enumerate(targets)], created_time_s=0.0)
-    probe_chip = Chip(-1, hw, feature_cache_size=0)
-    # on a mutable graph the probe must not leave sampler-memo residue:
-    # whether this call executes or hits _PROBE_CACHE would otherwise leak
-    # into the run's invalidation accounting (run-to-run nondeterminism)
-    mutable = getattr(sampler, "_mutable", False)
-    memo_before = set(sampler._memo.keys()) | set(sampler._sig_memo.keys()) \
-        if mutable else None
-    service_s = fused_batch_service_time_s(probe_chip, sampler, model, probe,
-                                           dataset_name=dataset_name,
-                                           reuse_discount=0.0, account=False)
-    if mutable:
-        added = (set(sampler._memo.keys())
-                 | set(sampler._sig_memo.keys())) - memo_before
-        sampler.forget(added)
+    probe_sampler = SubgraphSampler(sampler.graph, num_hops=sampler.num_hops,
+                                    fanout=sampler.fanout, seed=sampler.seed,
+                                    memo_size=0)
+    service_s = fused_batch_service_time_s(
+        Chip(-1, hw, feature_cache_size=0), probe_sampler, model, probe,
+        dataset_name=dataset_name, reuse_discount=0.0)
     _PROBE_CACHE[key] = service_s
     return service_s
 
@@ -826,11 +836,6 @@ class TenantRuntime:
         self.sampler = SubgraphSampler(graph, num_hops=config.num_hops,
                                        fanout=config.fanout, seed=seed)
         self.result_cache = LRUCache(config.cache_size)
-        #: Feature-cache key of a vertex, as the streaming invalidation
-        #: names it: ``(tenant, vertex)``, so ids aliasing across tenants'
-        #: graphs never share an entry (``None`` = the vertex id itself, for
-        #: the anonymous single tenant).
-        self.cache_key = (lambda v: (name, v)) if name else None
         #: Probe-batch service time per chip shape (memoised globally).
         self.probe_by_shape: Dict[str, float] = {
             shape: probe_batch_service_time_s(
@@ -1187,15 +1192,15 @@ class _FleetSimulator:
             self.sharding_stats = ShardingStats(
                 num_shards=sharding.num_shards,
                 partitioner=sharding.partitioner)
-            # one halo-cache list for the whole fleet, keyed like the
-            # feature caches; capacity is sized by the largest feature
-            # vector so no tenant over-fits it
+            # one halo-cache list for the whole fleet, in the feature
+            # caches' tenant namespaces; capacity is sized by the largest
+            # feature vector so no tenant over-fits it
             feature_bytes = {
                 name: rt.graph.feature_length * rt.graph.features.dtype.itemsize
                 for name, rt in runtimes.items()}
             capacity = int(sharding.halo_cache_mb * (1 << 20)
                            / max(max(feature_bytes.values()), 1))
-            halo_caches = [LRUCache(capacity)
+            halo_caches = [FeatureCache(capacity)
                            for _ in range(sharding.num_shards)]
             for name, rt in runtimes.items():
                 rt.shard_executor = ShardExecutor(
@@ -1216,9 +1221,8 @@ class _FleetSimulator:
             for rt in runtimes.values():
                 rt.stream = StreamState(
                     rt.graph, rt.sampler, updates, self.consistency,
-                    result_cache=rt.result_cache, chips=self.chips,
-                    feature_key=rt.cache_key,
-                    shard_executor=rt.shard_executor)
+                    tenant=rt.name or None, result_cache=rt.result_cache,
+                    chips=self.chips, shard_executor=rt.shard_executor)
         #: The control plane of the most recent run (None when fixed).
         self.control: Optional[ControlPlane] = None
 
@@ -1531,7 +1535,7 @@ class _FleetSimulator:
                 if rt.result_cache.get(request.target_vertex) is not None:
                     if rt.stream is not None:
                         rt.stream.on_result_hit(request.target_vertex, now)
-                    done = now + fleet.cache_hit_latency_s
+                    done = now + _CACHE_HIT_LATENCY_S
                     records.append(RequestRecord(
                         request_id=request.request_id,
                         target_vertex=request.target_vertex,

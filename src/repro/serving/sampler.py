@@ -290,21 +290,6 @@ class SubgraphSampler:
                 if not entry:
                     del self._vertex_keys[v]
 
-    def forget(self, keys: Iterable[Tuple]) -> None:
-        """Silently drop memo entries: no invalidation counting, no cache
-        counter perturbation.
-
-        Probe hygiene for mutating runs: the calibration probe shares the
-        run's sampler, and any memo entries it left behind would make the
-        run's invalidation accounting depend on whether the process-wide
-        probe memo hit (run-to-run nondeterminism).  Static runs never need
-        this -- their memo state does not feed any reported number.
-        """
-        for key in keys:
-            self._memo.invalidate(key)
-            self._sig_memo.invalidate(key)
-            self._release(key)
-
     def memo_version(self, target_vertex: int, num_hops: Optional[int],
                      fanout: Optional[int]) -> Optional[int]:
         """Graph version the live memo entry for this shape was computed at

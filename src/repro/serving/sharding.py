@@ -10,15 +10,17 @@ owning chips:
 
 1. the sampler splits a batch's requests by the owner of their target
    vertex; each shard's sub-batch fuses (deduped union) and runs through
-   the owning chip's cycle model exactly like a single-chip batch;
+   the owning chip's ``Chip.execute``, the step an unsharded batch takes;
 2. fused sub-batch vertices owned by *other* shards are **ghosts**: their
    features travel as modelled halo-exchange traffic -- a DRAM read at the
    owner plus a transfer over the :class:`InterconnectConfig` link
    (parameterised like :class:`repro.hw.dram.HBMConfig`: bandwidth in
    GB/s == bytes/ns, a per-message latency, a message payload size);
-3. each chip keeps a **halo cache** (LRU over ghost vertex ids) so hot
-   ghost features are exchanged once while warm, with hit/byte accounting
-   in :class:`~repro.serving.stats.ShardingStats`;
+3. each chip keeps a **halo cache** (a
+   :class:`~repro.serving.cache.FeatureCache` over ghost vertex ids,
+   charged by :func:`~repro.serving.cache.charge_halo`) so hot ghost
+   features are exchanged once while warm, with hit/byte accounting in
+   :class:`~repro.serving.stats.ShardingStats`;
 4. the batch completes at a **gather barrier**: max over shards of
    (exchange + compute), plus one gather transfer returning the non-leader
    shards' target outputs to the group leader (chip 0, the only
@@ -52,7 +54,7 @@ from ..graphs.partition import (
     hash_partition,
     locality_partition,
 )
-from .cache import LRUCache, charge_features
+from .cache import FeatureCache, charge_halo
 from .stats import ShardingStats
 
 __all__ = [
@@ -201,9 +203,8 @@ class ShardExecutor:
 
     One executor per (run, tenant): it owns the plan and the sampler/model
     binding, while ``stats`` and the per-chip ``halo_caches`` are fleet-wide
-    and shared across tenants (``tenant`` keys their lines by
-    ``(tenant, vertex)``, mirroring the feature-cache convention; ``None``
-    keys by vertex id).
+    and shared across tenants (each tenant's ghosts live in the ``tenant``
+    namespace, as its feature-cache lines do).
 
     The executor never touches the event loop: the fleet calls
     :meth:`service_time_s` exactly where the unsharded path calls
@@ -214,7 +215,7 @@ class ShardExecutor:
     def __init__(self, plan: ShardPlan, chips: Sequence, sampler, model,
                  dataset_name: str, config: ShardingConfig,
                  feature_bytes: int, stats: ShardingStats,
-                 halo_caches: List[LRUCache],
+                 halo_caches: List[FeatureCache],
                  tenant: Optional[str] = None):
         if len(chips) < plan.num_shards:
             raise ValueError(
@@ -235,7 +236,6 @@ class ShardExecutor:
         self.stats.fold_plan(plan)
         self.halo_caches = halo_caches
         self.tenant = tenant
-        self._key_fn = (lambda v: (tenant, v)) if tenant else (lambda v: v)
         #: armed by :class:`~repro.serving.streaming.StreamState` on
         #: mutating runs; ``None`` keeps the static fast path untouched.
         self.stream = None
@@ -272,25 +272,6 @@ class ShardExecutor:
                 self.stream.note_shard_plan_miss(missing)
         return self._owner
 
-    def flush_halo_caches(self, stats) -> int:
-        """Clear every chip's halo cache (the ``flush`` policy)."""
-        dropped = 0
-        for cache in self.halo_caches:
-            dropped += len(cache)
-            cache.clear()
-        stats.invalidations["halo"] += dropped
-        return dropped
-
-    def invalidate_halo(self, vertex: int, stats) -> int:
-        """Drop ``vertex``'s entry from every halo cache (``targeted``)."""
-        key = self._key_fn(int(vertex))
-        dropped = 0
-        for cache in self.halo_caches:
-            if cache.invalidate(key):
-                dropped += 1
-        stats.invalidations["halo"] += dropped
-        return dropped
-
     # ------------------------------------------------------------------ #
     def _halo_exchange_s(self, shard: int, ghosts: np.ndarray,
                          hbm_gbps: float,
@@ -299,29 +280,18 @@ class ShardExecutor:
 
         Misses cost a DRAM read at the owner (``bytes / hbm_gbps`` ns) plus
         the interconnect transfer; hits are served from the halo cache for
-        free.  Returns ``(seconds, hits, misses)``.  On mutating runs the
-        cached value is the ghost's feature version at insertion time
-        (``True`` otherwise -- both are cache hits under ``is not None``),
-        which is what lets :meth:`StreamState.on_feature_hit` detect a stale
-        ghost served under the ``none`` policy.
+        free.  Returns ``(seconds, hits, misses)``.  On mutating runs a
+        line holds the ghost's feature version at insertion time, which is
+        what lets a stale ghost served under the ``none`` policy count as
+        ``stale_halo``.
         """
-        cache = self.halo_caches[shard]
-        key = self._key_fn
-        stream = self.stream
-        misses = []
-        for v in ghosts.tolist():
-            stamp = cache.get(key(v))
-            if stamp is None:
-                misses.append(v)
-            elif stream is not None:
-                stream.on_feature_hit(v, stamp, now, "stale_halo")
-        for v in misses:
-            cache.put(key(v), True if stream is None
-                      else stream.graph.feature_version(v))
-        moved = len(misses) * self.feature_bytes
+        hits = charge_halo(self.halo_caches[shard], ghosts, self.tenant,
+                           self.stream, now)
+        misses = ghosts.size - hits
+        moved = misses * self.feature_bytes
         dram_s = moved / hbm_gbps * 1e-9 if moved else 0.0
         return dram_s + self.config.interconnect.transfer_time_s(moved), \
-            ghosts.size - len(misses), len(misses)
+            hits, misses
 
     def service_time_s(self, batch, reuse_discount: float,
                        now: float = 0.0) -> float:
@@ -345,8 +315,7 @@ class ShardExecutor:
                               []).append(request)
         prefix = f"{batch.tenant}-" if batch.tenant else ""
         timings: List[ShardTiming] = []
-        phase_cycles = {"total": 0, "aggregation": 0, "combination": 0,
-                       "dram_busy": 0}
+        phase_cycles: Dict[str, int] = {}
         fused_total = naive_total = 0
         for shard in sorted(groups):
             requests = groups[shard]
@@ -359,19 +328,12 @@ class ShardExecutor:
             ghosts = union[owner[union] != shard]
             exchange_s, hits, misses = self._halo_exchange_s(
                 shard, ghosts, chip.hw.hbm.peak_bandwidth_gbps, now=now)
-            report = chip.simulator.run_model(self.model, fused,
-                                              dataset_name=self.dataset_name)
-            phase_cycles["total"] += report.total_cycles
-            phase_cycles["aggregation"] += report.aggregation_cycles
-            phase_cycles["combination"] += report.combination_cycles
-            phase_cycles["dram_busy"] += report.dram_stats.busy_cycles
-            # per-chip feature-cache reuse, same semantics as the unsharded
-            # path: warm features skip their DRAM stream on this chip
-            feature_hits = charge_features(chip.feature_cache, union,
-                                           self.tenant, self.stream, now)
-            reuse_fraction = feature_hits / union.size if union.size else 0.0
-            compute_s = report.execution_time_s \
-                * (1.0 - reuse_discount * reuse_fraction)
+            # the union is put in ascending order (a lone sample: its own)
+            compute_s, phases = chip.execute(
+                self.model, fused, union, self.dataset_name, reuse_discount,
+                self.tenant, self.stream, now)
+            phase_cycles = {phase: phase_cycles.get(phase, 0) + cycles
+                            for phase, cycles in phases.items()}
             timings.append(ShardTiming(
                 shard=shard, chip_id=chip.chip_id, requests=len(requests),
                 fused_vertices=fused.num_vertices,
@@ -380,9 +342,6 @@ class ShardExecutor:
                 exchange_s=exchange_s, compute_s=compute_s))
             fused_total += fused.num_vertices
             naive_total += naive
-            chip.stats.vertices_simulated += fused.num_vertices
-            chip.stats.feature_lookups += int(union.size)
-            chip.stats.feature_hits += feature_hits
         batch.fused_vertices = fused_total
         batch.naive_vertices = naive_total
         batch.overlap_ratio = 1.0 - fused_total / naive_total \

@@ -743,10 +743,6 @@ class ControlStats:
         return peak
 
     @property
-    def total_offered(self) -> int:
-        return sum(a.offered for a in self.admission.values())
-
-    @property
     def total_shed(self) -> int:
         return sum(a.shed for a in self.admission.values())
 

@@ -30,8 +30,8 @@ service time *is* a stale serve, not randomness.  See ``docs/streaming.md``.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -251,21 +251,21 @@ class StreamState:
     :class:`~repro.serving.stats.ConsistencyStats`.
 
     ``chips`` is the live chip roster (the same list object the scaler
-    mutates, so elastic fleets stay covered); ``feature_key`` maps a vertex
-    id to the per-chip feature-cache key the service-time model uses.
+    mutates, so elastic fleets stay covered); ``tenant`` is the namespace
+    of this graph's lines in the chip-local caches (``None`` for the
+    anonymous single tenant).
     """
 
     def __init__(self, graph: DeltaGraph, sampler, stream: UpdateStream,
-                 stats: ConsistencyStats, *, result_cache=None, chips=None,
-                 feature_key=None, shard_executor=None):
+                 stats: ConsistencyStats, *, tenant: Optional[str] = None,
+                 result_cache=None, chips=None, shard_executor=None):
         self.graph = graph
         self.sampler = sampler
         self.stream = stream
         self.stats = stats
+        self.tenant = tenant
         self.result_cache = result_cache
         self.chips = chips if chips is not None else []
-        self.feature_key = feature_key if feature_key is not None \
-            else (lambda v: v)
         self.shard_executor = shard_executor
         sampler.invalidation = stream.policy
         # vertex -> result-cache keys whose cached answer sampled it
@@ -341,13 +341,11 @@ class StreamState:
                 count += dropped
             self._vertex_results.clear()
             self._result_meta.clear()
-            for chip in self.chips:
-                dropped = len(chip.feature_cache)
-                chip.feature_cache.clear()
-                stats.invalidations["feature"] += dropped
+            for kind, cache in self._chip_caches():
+                dropped = len(cache)
+                cache.clear()
+                stats.invalidations[kind] += dropped
                 count += dropped
-            if self.shard_executor is not None:
-                count += self.shard_executor.flush_halo_caches(stats)
             # the sampler flushes lazily at its next call; force it now so
             # the drop counters land on this update
             before = self.sampler.invalidated_samples \
@@ -363,20 +361,27 @@ class StreamState:
                             stats.invalidations["result"] += 1
                             count += 1
                         self._result_meta.pop(key, None)
+            caches = self._chip_caches()
             for v in feature_writes:
-                key = self.feature_key(v)
-                for chip in self.chips:
-                    if chip.feature_cache.invalidate(key):
-                        stats.invalidations["feature"] += 1
+                for kind, cache in caches:
+                    if cache.invalidate(self.tenant, v):
+                        stats.invalidations[kind] += 1
                         count += 1
-                if self.shard_executor is not None:
-                    count += self.shard_executor.invalidate_halo(v, stats)
             before = self.sampler.invalidated_samples \
                 + self.sampler.invalidated_signatures
             self.sampler._sync()
             count += (self.sampler.invalidated_samples
                       + self.sampler.invalidated_signatures) - before
         return count
+
+    def _chip_caches(self) -> List[Tuple[str, object]]:
+        """``(kind, cache)`` of every chip-local cache holding feature
+        lines: each chip's feature cache, then each halo cache."""
+        caches = [("feature", chip.feature_cache) for chip in self.chips]
+        if self.shard_executor is not None:
+            caches += [("halo", cache)
+                       for cache in self.shard_executor.halo_caches]
+        return caches
 
     def finalize(self) -> None:
         """Fold this state's counters into the stats (end of run).

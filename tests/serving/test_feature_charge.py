@@ -1,5 +1,5 @@
 """Differential tests: the stamp-array :class:`FeatureCache` against the
-per-key OrderedDict loop it replaced (``_cache_reference.py``).
+per-key OrderedDict loops it replaced (``_cache_reference.py``).
 
 Hypothesis feeds the same random script to a ``FeatureCache`` and to the
 oracle, each on its own fresh cache.  A script interleaves batch charges
@@ -10,6 +10,10 @@ plain ids (single-tenant serving) or ``(tenant, vertex)`` pairs
 (multi-tenant serving), mixed in one cache.  Capacities run from 0 (a
 disabled cache) through 1 to well below the batch size, so batches that
 evict their own earlier keys are common.
+
+The halo charge (:func:`~repro.serving.cache.charge_halo`) is scripted
+the same way against the sharded path's old per-ghost loop, with feature
+writes between charges so that hits on stale lines occur.
 
 The end-to-end tests serve whole runs with a 64-line feature cache, small
 enough that every chip evicts, once on ``FeatureCache`` and once with each
@@ -23,11 +27,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _cache_reference import ReferenceFeatureCache
+from _cache_reference import ReferenceFeatureCache, reference_halo_charge
 from repro.graphs import load_dataset
 from repro.models.model_zoo import clear_workloads_cache
 from repro.serving import FeatureCache, FleetConfig, TenantConfig
 from repro.serving import fleet as fleet_module
+from repro.serving.cache import charge_halo
 from repro.serving.fleet import clear_probe_cache, run_serving
 from repro.serving.streaming import clear_update_stream_cache
 from repro.serving.tenancy import run_multi_tenant
@@ -60,16 +65,22 @@ def scripts(draw):
     return ops
 
 
-def _key(tenant, vertex):
-    return vertex if tenant is None else (tenant, vertex)
+def _line(key):
+    """``(tenant, vertex)`` of a key as ``keys()`` lists it."""
+    return key if isinstance(key, tuple) else (None, key)
 
 
-def _state(cache, probes):
+def _state(cache, probes, values=True):
+    """Counters, resident keys (LRU-first) and values, and the values at
+    the ``(tenant, vertex)`` probes."""
     stats = cache.stats
     keys = cache.keys()
-    return (stats.hits, stats.misses, stats.insertions, stats.evictions,
-            len(cache), keys, [cache.peek(k) for k in keys],
-            [cache.peek(k, "absent") for k in probes])
+    state = (stats.hits, stats.misses, stats.insertions, stats.evictions,
+             len(cache), keys)
+    if not values:
+        return state
+    return state + ([cache.peek(*_line(k)) for k in keys],
+                    [cache.peek(*line, "absent") for line in probes])
 
 
 @settings(max_examples=400, deadline=None)
@@ -96,11 +107,11 @@ def test_charge_matches_per_key_loop(capacity, script):
             got = cache.charge(tenant, np.array(ids, dtype=np.int64), values)
             want = oracle.charge(tenant, ids, values)
             assert [a.tolist() for a in got] == [a.tolist() for a in want]
-            probes = [_key(tenant, v) for v in ids]
+            probes = [(tenant, v) for v in ids]
         elif op[0] == "invalidate":
-            key = _key(op[1], op[2])
-            assert cache.invalidate(key) == oracle.invalidate(key)
-            probes = [key]
+            line = op[1:]
+            assert cache.invalidate(*line) == oracle.invalidate(*line)
+            probes = [line]
         else:
             cache.clear()
             oracle.clear()
@@ -114,12 +125,96 @@ def test_charge_broadcasts_one_value():
     for ids in ([1, 2, 3], [3, 4], [1, 3]):
         got, want = cache.charge(None, ids, 0), oracle.charge(None, ids, 0)
         assert [a.tolist() for a in got] == [a.tolist() for a in want]
-        assert _state(cache, ids) == _state(oracle, ids)
+        probes = [(None, v) for v in ids]
+        assert _state(cache, probes) == _state(oracle, probes)
 
 
 def test_capacity_must_be_non_negative():
     with pytest.raises(ValueError):
         FeatureCache(-1)
+
+
+# --------------------------------------------------------------------------- #
+# The halo charge: refresh every hit, then store the misses
+# --------------------------------------------------------------------------- #
+class _Versions:
+    """A stream stand-in: per-vertex feature versions, and the stale hits
+    it is told of (``StreamState.on_feature_hit`` counts only those)."""
+
+    def __init__(self):
+        self.graph = self
+        self.versions = np.zeros(LARGE, dtype=np.int64)
+        self.stale = []
+
+    def feature_versions(self, ids):
+        return self.versions[ids]
+
+    def feature_version(self, vertex):
+        return int(self.versions[vertex])
+
+    def on_feature_hit(self, vertex, stamp, now, counter="stale_features"):
+        if stamp < self.feature_version(vertex):
+            self.stale.append((vertex, stamp, now, counter))
+
+
+@st.composite
+def halo_scripts(draw):
+    tenants = draw(st.sampled_from(TENANT_SETS))
+    vertices = st.integers(min_value=0, max_value=LARGE - 1)
+    ops = []
+    for _ in range(draw(st.integers(min_value=1, max_value=10))):
+        tenant = draw(st.sampled_from(tenants))
+        kind = draw(st.sampled_from(("charge",) * 4
+                                    + ("write", "invalidate", "clear")))
+        if kind == "charge":
+            ops.append(("charge", tenant,
+                        draw(st.lists(vertices, unique=True, max_size=20))))
+        elif kind == "write":
+            ops.append(("write", draw(st.lists(vertices, unique=True,
+                                               min_size=1, max_size=8))))
+        elif kind == "invalidate":
+            ops.append(("invalidate", tenant, draw(vertices)))
+        else:
+            ops.append(("clear",))
+    return ops
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(min_value=0, max_value=8), st.booleans(), halo_scripts())
+# a hit is refreshed before the miss is stored: 2 outlives 1
+@example(2, False, [("charge", None, [1, 2]), ("charge", None, [3, 2])])
+# a hit keeps the version it was stored with, and is served stale again
+@example(2, True, [("charge", "cr", [1, 2]), ("write", [1]),
+                   ("charge", "cr", [2, 1]), ("charge", "cr", [1])])
+# the misses overflow the cache and evict the refreshed hits
+@example(3, True, [("charge", None, [5, 6, 7]), ("write", [6]),
+                   ("charge", None, [1, 6, 2, 3, 4])])
+def test_halo_charge_matches_per_ghost_loop(capacity, streamed, script):
+    cache, oracle = FeatureCache(capacity), ReferenceFeatureCache(capacity)
+    ours, theirs = (_Versions(), _Versions()) if streamed else (None, None)
+    for step, op in enumerate(script):
+        probes = []
+        if op[0] == "charge":
+            _, tenant, ids = op
+            ghosts = np.array(ids, dtype=np.int64)
+            assert charge_halo(cache, ghosts, tenant, ours, float(step)) \
+                == reference_halo_charge(oracle._lru, ghosts, tenant, theirs,
+                                         float(step))
+            probes = [(tenant, v) for v in ids]
+        elif op[0] == "write":
+            for stream in (ours, theirs):
+                if stream is not None:
+                    stream.versions[op[1]] += 1
+        elif op[0] == "invalidate":
+            assert cache.invalidate(*op[1:]) == oracle.invalidate(*op[1:])
+        else:
+            cache.clear()
+            oracle.clear()
+        # unstreamed lines hold 0 here and True in the old loop
+        assert _state(cache, probes, streamed) \
+            == _state(oracle, probes, streamed)
+        if streamed:
+            assert ours.stale == theirs.stale
 
 
 # --------------------------------------------------------------------------- #

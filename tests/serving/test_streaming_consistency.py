@@ -318,14 +318,14 @@ def test_feature_cache_kill(policy):
                                stream=state) == 0
     state.apply(1.0, _feature_event(0, 5))
     if policy == "none":
-        assert state.chips[0].feature_cache.peek(5) \
+        assert state.chips[0].feature_cache.peek(None, 5) \
             < delta.feature_version(5)
         assert charge_features(state.chips[0].feature_cache, vertex,
                                stream=state, now=2.0) == 1
         assert stats.stale_features == 1
         assert stats.invalidations["feature"] == 0
     else:
-        assert all(chip.feature_cache.peek(5) is None
+        assert all(chip.feature_cache.peek(None, 5) is None
                    for chip in state.chips)
         assert stats.invalidations["feature"] == 2
         assert stats.stale_features == 0
