@@ -22,24 +22,27 @@ serving sampler's memo invalidation, the consistency tracker) query with
 
 The arrays read back are bit-for-bit those of a ``CSCGraph`` rebuilt from
 scratch at the same version: sources ascend within each column, matching
-what :class:`~repro.graphs.graph.CSRMatrix` construction produces, and
-``features`` is assembled from the base rows and the pending overrides on
-first read after a feature write or new vertex.  So the samplers run
-unmodified on a mutating graph and agree with a cold rebuild
-(``tests/serving/test_streaming_consistency.py``).  A mutation never
-writes into an array already handed out: it replaces the array, so a
-reader's reference keeps describing the version it was taken at.
+what :class:`~repro.graphs.graph.CSRMatrix` construction produces.  Feature
+rows written or created since the last read of ``features`` wait in a
+per-vertex row log (one row per vertex, the latest); the next read folds
+them into a fresh matrix, which becomes the one the following read
+returns.  The serving path never reads the matrix (it charges feature
+*lines* by id and version), so a streaming run never copies it.  The
+samplers run unmodified on a mutating graph and agree with a cold
+rebuild (``tests/serving/test_streaming_consistency.py``).  A mutation
+never writes into an array already handed out: it replaces the array, so
+a reader's reference keeps describing the version it was taken at.
 
-:meth:`compact` promotes the current feature matrix to the new base and
-clears the delta logs (the version is unchanged: compaction is a
-representation change, not a mutation).  ``compact_every`` auto-compacts
-after that many pending mutations, bounding the override log a feature
-read folds in.
+:meth:`compact` ends a pending window: it resets
+:attr:`pending_mutations` and counts one compaction, and it moves no data
+(the version is unchanged: compaction is a representation change, not a
+mutation).  ``compact_every`` auto-compacts after that many pending
+mutations.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -81,20 +84,23 @@ class DeltaGraph(Graph):
         # vertex insertion, so an array once handed out stays valid
         self._colptr = base.colptr
         self._row = base.row
-        self._base_features = base.features
-        # pending (uncompacted) deltas
+        # the feature matrix as of the last fold, plus every row written or
+        # created since (vertex -> its latest row); a read folds the log
+        self._features = base.features
+        self._feature_rows: Dict[int, np.ndarray] = {}
+        # the pending-mutation count since the last compaction: inserted
+        # edges, vertices added past ``_compacted_vertices`` and distinct
+        # writes to vertices below it
         self._pending_edges = 0
-        self._new_features: List[np.ndarray] = []
-        self._feature_overlay: Dict[int, np.ndarray] = {}
-        # (version, vertex) per applied mutation, for targeted invalidation
-        self._dirty_log: List[Tuple[int, int]] = []
+        self._compacted_vertices = self.num_vertices
+        self._pending_writes: Set[int] = set()
+        # the vertex of each applied mutation: the mutation that made
+        # version v is entry v - 1, so the log is sorted by version
+        self._dirty_log: List[int] = []
         #: version of the last feature write (or creation) per vertex, 0
         #: for a vertex that still carries its base features; grows with
         #: the vertex count
         self._feature_versions = np.zeros(self.num_vertices, dtype=np.int64)
-        # feature snapshot, built on read; None once a feature write or a
-        # new vertex has made it stale
-        self._features: Optional[np.ndarray] = base.features
         self._csr_cache: Optional[CSRMatrix] = None
         self._csc_cache: Optional[CSCMatrix] = None
 
@@ -133,8 +139,7 @@ class DeltaGraph(Graph):
                 f"graph's feature length {self.feature_length}")
         vertex = self.num_vertices
         self._colptr = np.append(self._colptr, self._colptr[-1])
-        self._new_features.append(row)
-        self._features = None
+        self._feature_rows[vertex] = row
         self._mutated(vertex, structure=True)
         self._feature_versions = np.append(self._feature_versions,
                                            self.version)
@@ -151,28 +156,25 @@ class DeltaGraph(Graph):
             raise ValueError(
                 f"feature row of length {row.size} does not match the "
                 f"graph's feature length {self.feature_length}")
-        base_vertices = self._base_features.shape[0]
-        if vertex >= base_vertices:
-            self._new_features[vertex - base_vertices] = row
-        else:
-            self._feature_overlay[vertex] = row
-        self._features = None
+        self._feature_rows[vertex] = row
+        if vertex < self._compacted_vertices:
+            self._pending_writes.add(vertex)
         self._mutated(vertex, structure=False)
         self._feature_versions[vertex] = self.version
 
     def compact(self) -> None:
-        """Promote the current feature snapshot to the new base and clear
-        the logs (the structure arrays are always current).
+        """End the pending window: :attr:`pending_mutations` restarts at 0
+        and :attr:`compactions` counts one more.
 
         A representation change only: the version, dirty log and
         feature-version stamps are untouched, so consumers cannot tell a
         compacted graph from an uncompacted one (asserted by the
-        differential suite).
+        differential suite).  No feature row moves here; the next read of
+        :attr:`features` folds the row log, compacted or not.
         """
-        self._base_features = self.features
         self._pending_edges = 0
-        self._new_features = []
-        self._feature_overlay = {}
+        self._compacted_vertices = self.num_vertices
+        self._pending_writes = set()
         self.compactions += 1
 
     # ------------------------------------------------------------------ #
@@ -181,9 +183,9 @@ class DeltaGraph(Graph):
     def dirty_since(self, version: int) -> np.ndarray:
         """Vertices whose in-neighbourhood or features changed after
         ``version`` (ascending, deduplicated)."""
-        touched = {vertex for ver, vertex in self._dirty_log
-                   if ver > version}
-        return np.array(sorted(touched), dtype=np.int64)
+        # entry i of the log was applied at version i + 1
+        return np.unique(np.array(self._dirty_log[max(int(version), 0):],
+                                  dtype=np.int64))
 
     def feature_version(self, vertex: int) -> int:
         """Version of the last feature write to ``vertex`` (0 = base)."""
@@ -196,8 +198,9 @@ class DeltaGraph(Graph):
     @property
     def pending_mutations(self) -> int:
         """Mutations applied since the last compaction."""
-        return (self._pending_edges + len(self._new_features)
-                + len(self._feature_overlay))
+        return (self._pending_edges
+                + self.num_vertices - self._compacted_vertices
+                + len(self._pending_writes))
 
     def has_edge(self, src: int, dst: int) -> bool:
         """Whether the in-edge ``src -> dst`` exists."""
@@ -213,7 +216,7 @@ class DeltaGraph(Graph):
 
     def _mutated(self, vertex: int, structure: bool) -> None:
         self.version += 1
-        self._dirty_log.append((self.version, vertex))
+        self._dirty_log.append(vertex)
         if structure:
             self._csr_cache = None
             self._csc_cache = None
@@ -234,17 +237,16 @@ class DeltaGraph(Graph):
     @property
     def features(self) -> np.ndarray:
         """The feature matrix at this version: a fresh array per version
-        with pending writes, built on first read."""
-        if self._features is None:
-            base_vertices = self._base_features.shape[0]
+        with feature writes or new vertices, folded on first read."""
+        if self._feature_rows:
+            folded = self._features.shape[0]
             features = np.empty((self.num_vertices, self.feature_length),
                                 dtype=np.float64)
-            features[:base_vertices] = self._base_features
-            for i, extra in enumerate(self._new_features):
-                features[base_vertices + i] = extra
-            for vertex, override in self._feature_overlay.items():
-                features[vertex] = override
+            features[:folded] = self._features
+            for vertex, row in self._feature_rows.items():
+                features[vertex] = row
             self._features = features
+            self._feature_rows = {}
         return self._features
 
     @property
@@ -257,7 +259,7 @@ class DeltaGraph(Graph):
 
     @property
     def feature_length(self) -> int:
-        return int(self._base_features.shape[1])
+        return int(self._features.shape[1])
 
     @property
     def csr(self) -> CSRMatrix:

@@ -1442,6 +1442,7 @@ class _FleetSimulator:
             key = (rt.name, batch.batch_id)
             dispatched = dispatched_at.pop(key)
             started = started_at.pop(key)
+            cached = []
             for request in batch.requests:
                 records.append(RequestRecord(
                     request_id=request.request_id,
@@ -1462,13 +1463,14 @@ class _FleetSimulator:
                 # result cache so later hits never silently inherit the loss
                 if request.degrade_level == 0:
                     rt.result_cache.put(request.target_vertex, now)
-                    if rt.stream is not None:
-                        rt.stream.register_result(request.target_vertex, now)
+                    cached.append(request.target_vertex)
                 in_flight -= 1
                 completions_interval += 1
                 if now - request.arrival_time_s > rt.slo_s:
                     violations_interval += 1
                 backlog_cost_s -= request_cost_s.pop(request.request_id, 0.0)
+            if rt.stream is not None:
+                rt.stream.register_results(cached, now)
             if observe is not None:
                 observe.on_batch_complete(now, chip, batch, dispatched,
                                           started)

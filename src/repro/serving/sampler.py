@@ -24,14 +24,19 @@ in-degree ``d`` keeps the neighbours at positions
 uniform phase drawn per over-fanout vertex.  Positions are strictly
 increasing (``d / fanout > 1``), so exactly ``fanout`` distinct neighbours
 survive and every neighbour's inclusion probability is ``fanout / d`` --
-a classic systematic sample.  The phase stream is
-``rng = default_rng((seed, target))`` (constructed lazily on the first hop
-that needs it) drawing ``rng.random(n)`` per hop, ``n`` = that hop's
-over-fanout frontier-vertex count in frontier order; under-fanout vertices
-keep their full lists and never consume entropy.  One phase per vertex --
-not one draw per candidate edge -- keeps selection O(fanout) even at the
-1e4-degree hubs of power-law graphs, and the whole hop vectorizes into a
-handful of array ops; any implementation consuming the same phase stream
+a classic systematic sample.  Each target owns one phase stream, its
+**phase prefix**: the values ``default_rng((seed, target)).random(k)``
+returns, for any ``k``.  An extraction rooted at ``target`` reads that
+prefix in order -- hop by hop, each hop's over-fanout frontier vertices in
+frontier order -- whatever its shape; under-fanout vertices keep their
+full lists and read no phase.  PCG64 doubles are one output each, so
+``random(a)`` followed by ``random(b)`` equals ``random(a + b)``: a prefix
+drawn once and extended by re-seeding and drawing longer is the same
+stream, and the sampler keeps each target's prefix instead of seeding a
+Generator per root per call.  One phase per vertex -- not one draw per
+candidate edge -- keeps selection O(fanout) even at the 1e4-degree hubs of
+power-law graphs, and the whole hop vectorizes into a handful of array
+ops; any implementation consuming the same phase stream
 reproduces the selection bit for bit, which is what lets the scalar
 reference in ``tests/graphs/_reference.py`` check this module
 differentially.
@@ -91,6 +96,11 @@ __all__ = ["SubgraphSample", "SubgraphSampler", "estimate_jaccard",
 #: similarity estimate's standard error around 1/sqrt(16) = 0.25, plenty to
 #: rank co-batching candidates, at 128 bytes per signature.
 SIGNATURE_HASHES = 16
+
+#: Shortest phase prefix drawn per target: covers a default two-hop
+#: extraction (one root phase plus at most ``fanout`` = 8 hop-1 phases), so
+#: a target is seeded once however many shapes and calls read it.
+_MIN_PHASES = 16
 
 _NO_EDGES = np.empty(0, dtype=np.int64)
 _NO_EDGES.setflags(write=False)
@@ -156,6 +166,10 @@ class SubgraphSampler:
         self.seed = int(seed)
         self._memo = LRUCache(memo_size)
         self._sig_memo = LRUCache(memo_size)
+        # target -> its phase prefix (module docstring); one short array
+        # per distinct target that ever had an over-fanout vertex, valid
+        # across graph versions since phases depend on (seed, target) only
+        self._phase_prefix: Dict[int, np.ndarray] = {}
         #: Memo policy on a mutating graph (one with a ``version``
         #: attribute, i.e. a :class:`~repro.graphs.delta.DeltaGraph`):
         #: ``"targeted"`` drops exactly the memo entries whose sample
@@ -416,9 +430,8 @@ class SubgraphSampler:
         one pass per hop over fused ``root * num_vertices + v`` keys
         (``root`` is the position in ``targets``):
 
-        * each root draws its phases from its own
-          ``default_rng((seed, target))``, in its frontier order, as the
-          module-level determinism contract requires;
+        * each root reads its target's phase prefix in its frontier
+          order, as the module-level determinism contract requires;
         * vertices are numbered in discovery order over the whole call, and
           a root's vertices are discovered in its first-seen order over its
           concatenated per-hop neighbour stream.  Hop 1 needs no grouping:
@@ -440,9 +453,8 @@ class SubgraphSampler:
         if num_roots == 0:
             return []
         colptr, row = self._colptr, self._row
-        # Seeding a Generator costs ~17us and consumes no entropy, so each
-        # root's is constructed on the first hop that draws from it.
-        rngs: List[Optional[np.random.Generator]] = [None] * num_roots
+        # phases each root has read from its target's prefix so far
+        used = [0] * num_roots
         # the frontier's global ids, owning roots (ascending) and discovery
         # ids; root r is discovered r-th
         frontier = roots = np.array(targets, dtype=np.int64)
@@ -484,7 +496,7 @@ class SubgraphSampler:
                         = row[rel + (starts[full] - f_start).repeat(f_counts)]
                 # random-phase strided selection, whole hop at once:
                 # positions floor((u + j) * d / fanout) per over-fanout vertex
-                u = self._phases(rngs, targets, f_root[over])
+                u = self._phases(used, targets, f_root[over])
                 step = degs[over] / fanout
                 offs = (u[:, None] * step[:, None]
                         + np.arange(fanout)[None, :] * step[:, None]
@@ -558,24 +570,33 @@ class SubgraphSampler:
             start = stop
         return samples
 
-    def _phases(self, rngs: List[Optional[np.random.Generator]],
-                targets: Sequence[int], over_roots: np.ndarray) -> np.ndarray:
+    def _phases(self, used: List[int], targets: Sequence[int],
+                over_roots: np.ndarray) -> np.ndarray:
         """One hop's phases: every root in ``over_roots`` (ascending, one
-        entry per over-fanout frontier vertex) draws its count from its own
-        ``default_rng((seed, target))``, built on its first draw."""
+        entry per over-fanout frontier vertex) reads its count from its
+        target's phase prefix, past the ``used[root]`` phases its earlier
+        hops read.  A prefix too short for the read is re-seeded and drawn
+        at least twice as long (exact: see the module docstring)."""
         if over_roots[0] == over_roots[-1]:
             bounds = [0, over_roots.size]
         else:
             bounds = [0, *((over_roots[1:] != over_roots[:-1]).nonzero()[0]
                            + 1).tolist(), over_roots.size]
+        prefixes = self._phase_prefix
         draws = []
         for lo, hi in zip(bounds, bounds[1:]):
             root = int(over_roots[lo])
-            rng = rngs[root]
-            if rng is None:
-                rng = rngs[root] = np.random.default_rng(
-                    (self.seed, targets[root]))
-            draws.append(rng.random(hi - lo))
+            target = targets[root]
+            start = used[root]
+            stop = used[root] = start + hi - lo
+            prefix = prefixes.get(target)
+            if prefix is None or prefix.size < stop:
+                size = max(stop, _MIN_PHASES,
+                           0 if prefix is None else 2 * prefix.size)
+                prefix = prefixes[target] = np.random.default_rng(
+                    (self.seed, target)).random(size)
+                prefix.setflags(write=False)
+            draws.append(prefix[start:stop])
         return draws[0] if len(draws) == 1 else np.concatenate(draws)
 
     def signature_fresh(self, target_vertex: int,

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -242,6 +242,87 @@ class _ResultMeta:
     vertices: np.ndarray
 
 
+class _ResultIndex:
+    """Which result-cache keys each vertex's mutation must drop.
+
+    Holds one ``vertex << 32 | key`` code per vertex of each registered
+    result's sample: a sorted array of distinct codes with a mask of the
+    popped ones, plus an unsorted tail of the codes logged since the last
+    merge.  :meth:`add` appends a batch's codes to the tail in one pass;
+    :meth:`pop` returns the distinct keys logged under any of the given
+    vertices and drops their codes, as popping each vertex's entry of a
+    vertex -> set-of-keys dict would.  Nothing else prunes a code: a key
+    stays logged under every vertex of every sample it was registered
+    with, also after its result left the cache (the semantics the
+    streaming pins were taken at).  A tail longer than a quarter of the
+    sorted codes (and than :attr:`MIN_TAIL`) is merged into them, dropping
+    popped and repeated codes, so the index holds the distinct live pairs
+    plus a bounded tail.
+    """
+
+    #: shortest tail worth a merge
+    MIN_TAIL = 1024
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self) -> None:
+        self._codes = np.empty(0, dtype=np.int64)
+        self._popped = np.empty(0, dtype=bool)
+        self._tail: List[np.ndarray] = []
+        self._tail_size = 0
+
+    def add(self, samples: Dict[int, np.ndarray]) -> None:
+        """Log each key under every vertex of its sample's ``vertex_ids``
+        (ids below 2**31)."""
+        arrays = list(samples.values())
+        codes = (np.concatenate(arrays) << 32) \
+            | np.repeat(list(samples), [vertices.size for vertices in arrays])
+        self._tail.append(codes)
+        self._tail_size += codes.size
+        if self._tail_size > max(self.MIN_TAIL, self._codes.size // 4):
+            self._merge()
+
+    def pop(self, vertices: Sequence[int]) -> List[int]:
+        """The distinct keys logged under any of ``vertices``, ascending;
+        their codes are dropped."""
+        found = []
+        for v in vertices:
+            lo, hi = self._codes.searchsorted((v << 32, (v + 1) << 32))
+            if lo < hi:
+                found.append(self._codes[lo:hi][~self._popped[lo:hi]])
+                self._popped[lo:hi] = True
+        if self._tail:
+            tail = self._tail[0] if len(self._tail) == 1 \
+                else np.concatenate(self._tail)
+            self._tail = [tail]
+            tail_vertices = tail >> 32
+            hit = tail_vertices == vertices[0]
+            for v in vertices[1:]:
+                hit |= tail_vertices == v
+            if hit.any():
+                found.append(tail[hit])
+                self._tail = [tail[~hit]]
+                self._tail_size = self._tail[0].size
+        if not found:
+            return []
+        return sorted(set((np.concatenate(found) & 0xFFFFFFFF).tolist()))
+
+    def _merge(self) -> None:
+        """Fold the tail into the sorted codes, dropping popped and repeated
+        codes: two sorted runs, merged by one stable (run-aware) sort."""
+        codes = np.concatenate((self._codes[~self._popped],
+                                np.sort(np.concatenate(self._tail))))
+        codes.sort(kind="stable")
+        distinct = np.empty(codes.size, dtype=bool)
+        distinct[:1] = True
+        np.not_equal(codes[1:], codes[:-1], out=distinct[1:])
+        self._codes = codes[distinct]
+        self._popped = np.zeros(self._codes.size, dtype=bool)
+        self._tail = []
+        self._tail_size = 0
+
+
 class StreamState:
     """Per-run update applier, cache invalidator and consistency tracker.
 
@@ -269,7 +350,7 @@ class StreamState:
         self.shard_executor = shard_executor
         sampler.invalidation = stream.policy
         # vertex -> result-cache keys whose cached answer sampled it
-        self._vertex_results: Dict[int, Set[int]] = {}
+        self._results = _ResultIndex()
         self._result_meta: Dict[int, _ResultMeta] = {}
         # version of each vertex's last structural/feature mutation, 0 if
         # none (the cheap staleness probe; equivalent to scanning
@@ -339,7 +420,7 @@ class StreamState:
                 self.result_cache.clear()
                 stats.invalidations["result"] += dropped
                 count += dropped
-            self._vertex_results.clear()
+            self._results.clear()
             self._result_meta.clear()
             for kind, cache in self._chip_caches():
                 dropped = len(cache)
@@ -355,12 +436,11 @@ class StreamState:
                       + self.sampler.invalidated_signatures) - before
         elif self.policy == "targeted" and dirty:
             if self.result_cache is not None:
-                for v in dirty:
-                    for key in self._vertex_results.pop(v, ()):
-                        if self.result_cache.invalidate(key):
-                            stats.invalidations["result"] += 1
-                            count += 1
-                        self._result_meta.pop(key, None)
+                for key in self._results.pop(dirty):
+                    if self.result_cache.invalidate(key):
+                        stats.invalidations["result"] += 1
+                        count += 1
+                    self._result_meta.pop(key, None)
             caches = self._chip_caches()
             for v in feature_writes:
                 for kind, cache in caches:
@@ -399,16 +479,27 @@ class StreamState:
     # ------------------------------------------------------------------ #
     # Consistency tracking (observation only; never changes timings)
     # ------------------------------------------------------------------ #
-    def register_result(self, target: int, now: float) -> None:
-        """Record the dependency set of a result just inserted into the
-        result cache (memoised extraction: dictionary-lookup cheap)."""
-        if self.result_cache is None:
+    def register_results(self, targets: Sequence[int], now: float) -> None:
+        """Record the dependency sets of a completed batch's results, just
+        inserted into the result cache: ``targets`` holds one entry per
+        non-degraded request, in batch order.
+
+        One :meth:`~repro.serving.sampler.SubgraphSampler.extract_many`
+        call leaves the sampler memo as per-request ``extract`` calls
+        would, and each distinct target's sample is logged in the result
+        index in one pass.
+        """
+        if self.result_cache is None or not targets:
             return
-        vertices = self.sampler.extract(target).vertex_ids
-        self._result_meta[target] = _ResultMeta(
-            version=self.graph.version, time_s=now, vertices=vertices)
-        for v in vertices.tolist():
-            self._vertex_results.setdefault(v, set()).add(target)
+        samples = self.sampler.extract_many(
+            [(target, None, None) for target in targets])
+        latest = {target: sample.vertex_ids
+                  for target, sample in zip(targets, samples)}
+        version = self.graph.version
+        for target, vertices in latest.items():
+            self._result_meta[target] = _ResultMeta(
+                version=version, time_s=now, vertices=vertices)
+        self._results.add(latest)
 
     def _count_stale(self, lag_versions: int, lag_seconds: float,
                      counter: str) -> None:

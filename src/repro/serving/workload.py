@@ -29,7 +29,7 @@ request ids and a ``tenant`` tag on every request.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -365,7 +365,10 @@ def merge_tenant_streams(
         tagged.extend((r.arrival_time_s, name, r.request_id, r)
                       for r in stream)
     tagged.sort(key=itemgetter(0, 1, 2))
-    return [replace(r, tenant=name, request_id=i)
+    # built directly, fields in declaration order: a third of the cost of
+    # dataclasses.replace, which the tenants' 10^4-request streams notice
+    return [Request(i, r.target_vertex, r.arrival_time_s, name,
+                    r.degrade_level, r.degrade_hops, r.degrade_fanout)
             for i, (_, name, _, r) in enumerate(tagged)]
 
 

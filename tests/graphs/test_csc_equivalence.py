@@ -115,6 +115,32 @@ def test_extract_fresh_many_matches_reference(data, kind, layout, num_hops,
         assert sample.graph.name == expected.name
 
 
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 7),
+       calls=st.lists(st.tuples(st.lists(st.integers(0, 59), min_size=1,
+                                         max_size=5),
+                                st.integers(0, 3), st.integers(1, 4)),
+                      min_size=1, max_size=6))
+def test_kept_phase_prefixes_match_reference_across_calls(seed, calls):
+    """One sampler keeps each target's phase prefix across a sequence of
+    calls of mixed shapes (three hops at fanout <= 4 outgrow the shortest
+    prefix, so prefixes are re-seeded longer mid-sequence); every root of
+    every call still equals the oracle's lone extraction, which seeds its
+    own Generator."""
+    graph = power_law_graph(60, 600, feature_length=2, seed=seed)
+    sampler = SubgraphSampler(graph, seed=seed)
+    for roots, num_hops, fanout in calls:
+        samples = sampler.extract_fresh_many(roots, num_hops, fanout)
+        for root, sample in zip(roots, samples):
+            vertices, expected = reference.extract(graph, root, num_hops,
+                                                   fanout, seed)
+            assert sample.vertex_ids.tolist() == list(vertices)
+            assert np.array_equal(sample.graph.csr.indptr,
+                                  expected.csr.indptr)
+            assert np.array_equal(sample.graph.csr.indices,
+                                  expected.csr.indices)
+
+
 @pytest.mark.parametrize("roots", [[-1], [0, -1], [3, 500], [500]])
 def test_extract_fresh_many_rejects_out_of_range_roots(roots):
     """numpy indexing would wrap ``-1`` to the last vertex silently."""

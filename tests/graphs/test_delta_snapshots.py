@@ -10,6 +10,8 @@ mutations that change it.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graphs import DeltaGraph, to_csc
 from repro.graphs.generators import power_law_graph
@@ -117,3 +119,123 @@ def test_feature_versions_track_writes_and_new_vertices():
     assert versions.tolist() == [delta.feature_version(v) for v in ids]
     assert versions[3] == 1 and versions[new] == 3
     assert np.count_nonzero(versions) == 2 and not before.any()
+
+
+# one mutation per entry: (kind, a, b) with a and b folded into range on
+# use; ``a`` stays small, so a feature write often lands on a vertex the
+# script added (the base graph has 40)
+_OPS = st.lists(
+    st.tuples(st.sampled_from(("edge", "feature", "vertex", "compact")),
+              st.integers(min_value=0, max_value=47),
+              st.integers(min_value=0, max_value=10 ** 6)),
+    min_size=1, max_size=30)
+
+
+def _apply(delta, op):
+    """Apply one op; returns the vertices it dirtied, in log order."""
+    kind, a, b = op
+    n = delta.num_vertices
+    if kind == "edge":
+        return [b % n] if delta.add_edge(a % n, b % n) else []
+    if kind == "feature":
+        delta.write_features(a % n, np.full(delta.feature_length, float(b)))
+        return [a % n]
+    if kind == "vertex":
+        new = delta.add_vertex(np.full(delta.feature_length, float(b)))
+        return [new] + ([a % n] if delta.add_edge(new, a % n) else [])
+    delta.compact()
+    return []
+
+
+@settings(max_examples=60, deadline=None)
+@given(_OPS)
+def test_dirty_since_matches_the_log_comprehension(ops):
+    """``dirty_since`` equals the set comprehension over a ``(version,
+    vertex)`` log that it replaced, for every version from before the
+    base to past the current one."""
+    delta = DeltaGraph(_base(), compact_every=4)
+    log = []
+    for op in ops:
+        before = delta.version
+        dirtied = _apply(delta, op)
+        log.extend(zip(range(before + 1, delta.version + 1), dirtied))
+        assert delta.version == before + len(dirtied)
+    for version in range(-1, delta.version + 2):
+        expected = np.array(sorted({v for ver, v in log if ver > version}),
+                            dtype=np.int64)
+        got = delta.dirty_since(version)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, expected), version
+
+
+class _PendingCount:
+    """The pending-mutation count by its definition: inserted edges,
+    vertices added since the last compaction and distinct writes to older
+    vertices, with auto-compaction after each mutation."""
+
+    def __init__(self, num_vertices, compact_every):
+        self.n = self.compacted_n = num_vertices
+        self.compact_every = compact_every
+        self.edges, self.writes, self.compactions = 0, set(), 0
+
+    @property
+    def pending(self):
+        return self.edges + self.n - self.compacted_n + len(self.writes)
+
+    def mutated(self):
+        if self.compact_every and self.pending >= self.compact_every:
+            self.compact()
+
+    def compact(self):
+        self.edges, self.writes, self.compacted_n = 0, set(), self.n
+        self.compactions += 1
+
+    def apply(self, op, dirtied):
+        kind, a, _ = op
+        if kind == "edge" and dirtied:
+            self.edges += 1
+            self.mutated()
+        elif kind == "feature":
+            if a % self.n < self.compacted_n:
+                self.writes.add(a % self.n)
+            self.mutated()
+        elif kind == "vertex":
+            self.n += 1
+            self.mutated()
+            self.edges += 1
+            self.mutated()
+        elif kind == "compact":
+            self.compact()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_OPS, st.sampled_from((0, 1, 3, 8)))
+def test_compaction_folds_features_on_read(ops, compact_every):
+    """A graph whose features are read only at the end folds its rows
+    then; its twin reads ``features`` after every op.  Versions,
+    compaction counts and pending-mutation counts agree with each other
+    and with the count's definition at every step, and both final
+    matrices equal the rows written."""
+    lazy = DeltaGraph(_base(), compact_every=compact_every)
+    eager = DeltaGraph(_base(), compact_every=compact_every)
+    count = _PendingCount(lazy.num_vertices, compact_every)
+    expected = _base().features.copy()
+    for op in ops:
+        kind, a, b = op
+        n = lazy.num_vertices
+        dirtied = _apply(lazy, op)
+        assert _apply(eager, op) == dirtied
+        eager.features
+        count.apply(op, dirtied)
+        if kind == "feature":
+            expected[a % n] = float(b)
+        elif kind == "vertex":
+            expected = np.vstack([expected,
+                                  np.full((1, lazy.feature_length),
+                                          float(b))])
+        assert lazy.version == eager.version
+        assert lazy.compactions == eager.compactions == count.compactions
+        assert lazy.pending_mutations == eager.pending_mutations \
+            == count.pending
+    assert np.array_equal(lazy.features, expected)
+    assert np.array_equal(eager.features, expected)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graphs import Graph, load_dataset
 from repro.serving import SubgraphSampler
@@ -90,3 +92,20 @@ class TestSubgraphSampler:
             call(3, num_hops=-1, fanout=None)
         with pytest.raises(ValueError, match="fanout"):
             call(3, num_hops=None, fanout=0)
+
+
+# --------------------------------------------------------------------------- #
+# Phase prefixes (the module docstring's determinism contract)
+# --------------------------------------------------------------------------- #
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32),
+       st.integers(min_value=0, max_value=10 ** 6),
+       st.lists(st.integers(min_value=0, max_value=40), max_size=8))
+def test_split_phase_draws_equal_one_long_draw(seed, target, chunks):
+    """``random(a)`` then ``random(b)`` from one Generator equals
+    ``random(a + b)`` from a fresh one: what makes a kept prefix, and a
+    prefix extended by re-seeding, the same phase stream."""
+    rng = np.random.default_rng((seed, target))
+    split = [rng.random(k) for k in chunks]
+    whole = np.random.default_rng((seed, target)).random(sum(chunks))
+    assert np.array_equal(np.concatenate([np.empty(0), *split]), whole)

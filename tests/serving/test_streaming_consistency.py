@@ -291,7 +291,7 @@ def test_result_cache_kill(policy):
     target = 0
     sample = sampler.extract(target)
     state.result_cache.put(target, object())
-    state.register_result(target, now=0.0)
+    state.register_results([target], now=0.0)
     # mutate a vertex inside the cached result's dependency set
     dirty = int(sample.vertex_ids[-1])
     state.apply(1.0, _feature_event(0, dirty))

@@ -1,18 +1,21 @@
 """Tests for multi-tenant serving: WFQ fairness, SLO accounting, determinism."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.serving import (
     FleetConfig,
     Request,
+    RequestGenerator,
     TenantConfig,
     WFQScheduler,
     load_tenant_specs,
     merge_tenant_streams,
     run_multi_tenant,
     split_tenant_stream,
+    WorkloadConfig,
 )
 from repro.serving.batcher import Batch
 from repro.__main__ import main
@@ -175,6 +178,25 @@ class TestMergeTenantStreams:
     def test_merge_rejects_empty_tenant_name(self):
         with pytest.raises(ValueError):
             merge_tenant_streams({"": [Request(0, 1, 0.0)]})
+
+    def test_merge_equals_replace_on_two_large_streams(self):
+        """Two 6,000-request streams (CR and IB sized, skew 1.2, colliding
+        ids, one stamped with degradation fields) merge to exactly what
+        re-tagging each request with ``dataclasses.replace`` gives."""
+        streams = {}
+        for name, vertices, rate in (("cr", 2708, 5e5), ("ib", 1000, 2.5e5)):
+            cfg = WorkloadConfig(num_requests=6000, rate_rps=rate,
+                                 popularity_skew=1.2, seed=len(name))
+            streams[name] = RequestGenerator(vertices, cfg).generate()
+        streams["ib"] = [replace(r, degrade_level=1, degrade_hops=1,
+                                 degrade_fanout=2) if r.request_id % 7 == 0
+                         else r for r in streams["ib"]]
+        tagged = sorted(((r.arrival_time_s, name, r.request_id, r)
+                         for name, stream in streams.items()
+                         for r in stream), key=lambda t: t[:3])
+        expected = [replace(r, tenant=name, request_id=i)
+                    for i, (_, name, _, r) in enumerate(tagged)]
+        assert merge_tenant_streams(streams) == expected
 
 
 # --------------------------------------------------------------------------- #
