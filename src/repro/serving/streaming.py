@@ -530,9 +530,12 @@ class StreamState:
         memo-bypassing recomputation at the current graph version.
 
         The batch's distinct shapes are fetched from the memo with one
-        :meth:`~repro.serving.sampler.SubgraphSampler.extract_many` call and
-        recomputed with one ``extract_fresh_shapes`` call; a sample's fresh
-        signature is minhashed from its fresh recomputation.
+        :meth:`~repro.serving.sampler.SubgraphSampler.extract_many` call.
+        A memo entry extracted at the current graph version is its own
+        recomputation, since extraction is deterministic per ``(seed,
+        target, hops, fanout)`` and graph version; the older entries are
+        recomputed with one ``extract_fresh_shapes`` call.  A sample's
+        fresh signature is minhashed from its recomputation.
         """
         if not self.stream.check:
             return
@@ -547,10 +550,13 @@ class StreamState:
         # entry older than this call, which that fetch leaves in place
         versions = [sampler.memo_version(*shape) for shape in shapes]
         memos = sampler.extract_many(shapes)
-        fresh = sampler.extract_fresh_shapes(shapes)
-        for shape, version, memo, recomputed in zip(shapes, versions, memos,
-                                                    fresh):
-            lag = self.graph.version - (version or 0)
+        current = self.graph.version
+        fresh = iter(sampler.extract_fresh_shapes(
+            [shape for shape, version in zip(shapes, versions)
+             if version != current]))
+        for shape, version, memo in zip(shapes, versions, memos):
+            recomputed = memo if version == current else next(fresh)
+            lag = current - (version or 0)
             if not np.array_equal(memo.vertex_ids, recomputed.vertex_ids):
                 self._count_stale(lag, 0.0, "stale_samples")
                 continue

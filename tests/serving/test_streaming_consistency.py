@@ -442,6 +442,42 @@ def test_check_batch_mixes_stale_fresh_and_degraded(policy):
     assert batched._registered == sequential._registered
 
 
+def test_check_batch_trusts_current_samples_but_not_older_signatures():
+    """Under ``none``, a sample re-extracted at the current version after
+    its memo entry was evicted is its own recomputation (no fresh
+    extraction runs), but the signature memoised before the update is
+    still checked against it and counted stale, as the per-shape check
+    counts it."""
+    twins = [_stream_state("none", with_result_cache=False)
+             for _ in range(2)]
+    delta = twins[0][0]
+    target = 0
+    fresh_src = next(v for v in range(delta.num_vertices)
+                     if not delta.has_edge(v, target))
+    for _, sampler, state, _ in twins:
+        sampler._memo.capacity = 2
+        sampler.signature(target)
+        state.apply(1.0, _edge_event(0, fresh_src, target))
+        for other in (1, 2):  # evict the sample, keep the signature
+            sampler.extract(other)
+        sampler.extract(target)  # re-extracted at the current version
+        assert sampler.memo_version(target, None, None) == delta.version
+
+    class _Batch:
+        requests = [Request(0, target, 1.5)]
+
+    (_, batched, state, stats), (_, _, reference, expected) = twins
+    calls = []
+    extract_fresh_many = batched.extract_fresh_many
+    batched.extract_fresh_many = lambda *a: calls.append(a) \
+        or extract_fresh_many(*a)
+    state.check_batch(_Batch, now=1.5)
+    _sequential_check_batch(reference, _Batch)
+    assert calls == []
+    assert stats == expected
+    assert stats.stale_samples == 0 and stats.stale_signatures == 1
+
+
 @pytest.mark.parametrize("policy", ["none", "targeted"])
 def test_halo_cache_kill(policy):
     """Sharded execution: a ghost-feature halo entry outlives a feature
