@@ -2,13 +2,13 @@
 
 A completed batch registers its results with one
 :meth:`~repro.serving.streaming.StreamState.register_results` call into an
-array pair log (:class:`~repro.serving.streaming._ResultIndex`).  Both are
-checked against the per-request registration and dict-of-sets index they
+array index of ``(vertex, key)`` codes
+(:class:`~repro.serving.streaming._ResultIndex`).  Both are checked
+against the per-request registration and dict-of-sets index they
 replaced, kept in ``tests/serving/_streaming_reference.py``:
 
 * the index alone, under hypothesis scripts of adds over a growing vertex
-  range, pops and clears, from a capacity small enough to squeeze and
-  grow many times;
+  range, pops and clears, with tails short enough to merge many times;
 * whole stream states on twin graphs, under scripts of batch
   registrations (duplicates included), edge, feature and vertex updates
   and result hits, for each invalidation policy: drops, metas, stale
