@@ -184,7 +184,7 @@ class TestMergeTenantStreams:
         ids, one stamped with degradation fields) merge to exactly what
         re-tagging each request with ``dataclasses.replace`` gives."""
         streams = {}
-        for name, vertices, rate in (("cr", 2708, 5e5), ("ib", 1000, 2.5e5)):
+        for name, vertices, rate in (("cr", 2708, 5e5), ("ib", 2647, 2.5e5)):
             cfg = WorkloadConfig(num_requests=6000, rate_rps=rate,
                                  popularity_skew=1.2, seed=len(name))
             streams[name] = RequestGenerator(vertices, cfg).generate()
