@@ -64,6 +64,7 @@ scaling timeline plus chip-seconds accounting.
 from __future__ import annotations
 
 import heapq
+import itertools
 import logging
 from collections import deque
 
@@ -601,29 +602,59 @@ def probe_batch_service_time_s(hw: HyGCNConfig, sampler, model,
 
 
 class FleetScaler:
-    """Executes the control plane's sizing decisions on a chip roster.
+    """The event loop's one handle on the elastic control plane.
 
-    The event loop stays in charge of its event heap (``schedule_ready``
-    pushes the loop's ``_CHIP_READY`` event), and the dispatch stage picks
-    which active chip a scale-in should drain (``drain_victim`` -- push
-    chips hold private queues, pull chips take from the shared WFQ stage).
-
-    On a heterogeneous fleet a :class:`~repro.serving.hetero.ShapeChooser`
-    decides *which shape* each scale-up commissions (and drains on the way
-    down); homogeneous fleets pass
-    ``None`` and every new chip takes the fleet's base shape.
+    Built only on elastic runs, it binds a fresh :class:`ControlPlane` and
+    owns all it observes: the admission backlog, the interval's counters,
+    the busy-time snapshot and the per-request cost EWMA.  The loop calls
+    it at arrivals, cache misses (:meth:`admit`), service starts,
+    completions and the ``_CONTROL`` / ``_CHIP_READY`` events, which the
+    scaler pushes itself.  Scale-downs drain the victim the dispatch stage
+    picks; on a heterogeneous fleet a
+    :class:`~repro.serving.hetero.ShapeChooser` picks the shape each
+    scale-up adds and each scale-down drains.
     """
 
-    def __init__(self, chips: List[Chip], control: ControlPlane,
-                 new_chip, schedule_ready, drain_victim,
-                 shape_chooser: Optional[ShapeChooser] = None, observe=None):
+    def __init__(self, config: ControlConfig, fleet: FleetConfig,
+                 chips: List[Chip], runtimes: Sequence[TenantRuntime],
+                 shapes: Dict[str, HyGCNConfig], push, drain_victim,
+                 t0: float, observe=None):
         self.chips = chips
-        self.control = control
+        self._fleet = fleet
+        self._runtimes = runtimes
+        self._shapes = shapes
+        self._push = push           # (time_s, kind, payload) -> None
         self._observe = observe     # the loop's Instrumentation, or None
-        self._new_chip = new_chip            # (shape | None) -> Chip (unrostered)
-        self._schedule_ready = schedule_ready  # (chip) -> None
+        # fleet-wide per-request cost EWMA for the sizing policies
+        self._cost_per_request_s = float(np.mean(
+            [rt.cost_per_request_s for rt in runtimes]))
+        self.control = ControlPlane(config)
+        self.control.bind(
+            [TenantBinding(
+                name=rt.name, slo_s=rt.slo_s,
+                num_hops=rt.config.num_hops, fanout=rt.config.fanout,
+                weight=rt.weight,
+                capacity_per_chip_rps=rt.probe_batch_size
+                / max(rt.probe_service_s, 1e-12))
+             for rt in runtimes],
+            initial_chips=len(chips),
+            probe_service_s=min(rt.probe_service_s for rt in runtimes),
+            capacity_per_chip_rps=1.0 / max(self._cost_per_request_s, 1e-12))
+        self._shape_chooser: Optional[ShapeChooser] = None
         self._drain_victim = drain_victim    # (active chips) -> Chip
-        self._shape_chooser = shape_chooser
+        if len(shapes) > 1:
+            self._shape_chooser = ShapeChooser(
+                config.scale_shape, shapes,
+                scorers=[rt.shape_scorer for rt in runtimes
+                         if rt.shape_scorer is not None])
+            # heterogeneous scale-downs drain the shape the demand needs least
+            self._drain_victim = self._shape_chooser.retire_victim
+        self._backlog_cost_s = 0.0
+        self._request_cost_s: Dict[int, float] = {}
+        self._arrivals = self._completions = 0
+        self._violations = self._shed = 0
+        self._busy_snapshot_s = 0.0
+        push(t0 + self.control.control_interval_s, _CONTROL, None)
 
     def counts(self) -> Tuple[int, int, int]:
         """(active, warming, draining) sizes of the current roster."""
@@ -636,6 +667,85 @@ class FleetScaler:
             elif chip.state == "draining":
                 draining += 1
         return active, warming, draining
+
+    def on_arrival(self) -> None:
+        self._arrivals += 1
+
+    def admit(self, rt: TenantRuntime, request: Request,
+              now: float) -> Optional[Request]:
+        """Gate a cache-missing arrival: the request to batch (degraded
+        when the plane says so), or ``None`` when it is shed."""
+        schedulable = sum(1 for c in self.chips if c.schedulable)
+        decision = self.control.admit(
+            rt.name, now, self._backlog_cost_s / max(1, schedulable),
+            rt.cost_per_request_s,
+            overlap_ratio=rt.overlap_ewma if rt.overlap_aware else 0.0)
+        if self._observe is not None:
+            self._observe.on_admission(now, rt.name, decision)
+        if not decision.admitted:
+            self._shed += 1
+            return None
+        if decision.level > 0:
+            request = replace(request, degrade_level=decision.level,
+                              degrade_hops=decision.num_hops,
+                              degrade_fanout=decision.fanout)
+        cost = rt.cost_per_request_s * decision.cost_scale
+        self._request_cost_s[request.request_id] = cost
+        self._backlog_cost_s += cost
+        return request
+
+    def on_start(self, batch: Batch, service_s: float) -> None:
+        a = _COST_EWMA_ALPHA
+        self._cost_per_request_s = a * (service_s / batch.size) \
+            + (1 - a) * self._cost_per_request_s
+
+    def on_complete(self, chip: Chip, batch: Batch, slo_s: float,
+                    now: float) -> None:
+        """Count ``batch``'s completions, release its backlog and retire
+        ``chip`` if it was draining and has nothing left to serve."""
+        for request in batch.requests:
+            self._completions += 1
+            if now - request.arrival_time_s > slo_s:
+                self._violations += 1
+            self._backlog_cost_s -= self._request_cost_s.pop(
+                request.request_id, 0.0)
+        if chip.state == "draining" and not chip.queue:
+            self.retire(chip, now)
+
+    def tick(self, now: float, queue_depth: int, rearm: bool) -> None:
+        """One control interval: observe, decide, resize, reset the
+        interval's counters and (while the run goes on) re-arm."""
+        active, warming, draining = self.counts()
+        busy_total_s = sum(c.stats.busy_s for c in self.chips)
+        interval_s = self.control.control_interval_s
+        utilization = (busy_total_s - self._busy_snapshot_s) \
+            / (interval_s * max(1, active))
+        target = self.control.tick(ControlObservation(
+            now_s=now,
+            interval_s=interval_s,
+            active_chips=active,
+            warming_chips=warming,
+            draining_chips=draining,
+            queue_depth=queue_depth,
+            backlog_cost_s=self._backlog_cost_s,
+            arrivals=self._arrivals,
+            completions=self._completions,
+            violations=self._violations,
+            shed=self._shed,
+            utilization=min(1.0, utilization),
+            cost_per_request_s=self._cost_per_request_s,
+            # the tightest tenant SLO anchors the fleet delay signal
+            slo_s=min(rt.slo_s for rt in self._runtimes),
+        ))
+        self.scale_to(target, now)
+        self._busy_snapshot_s = busy_total_s
+        self._arrivals = self._completions = 0
+        self._violations = self._shed = 0
+        if rearm:
+            self._push(now + interval_s, _CONTROL, None)
+
+    def finalize(self, end_s: float) -> ControlStats:
+        return self.control.finalize(end_s, self.chips)
 
     def _record(self, now: float, action: str, chip: Chip) -> None:
         active, warming, draining = self.counts()
@@ -664,14 +774,19 @@ class FleetScaler:
         committed = sum(1 for c in self.chips
                         if c.state in ("active", "warming"))
         while committed < target:
-            shape = self._shape_chooser.shape_to_add() \
-                if self._shape_chooser is not None else None
-            chip = self._new_chip(shape)
+            if self._shape_chooser is not None:
+                shape = self._shape_chooser.shape_to_add()
+                hw = self._shapes[shape]
+            else:
+                shape, hw = self._fleet.base_shape, self._fleet.hw
+            # chips are never removed from the roster, so ids stay dense
+            chip = Chip(len(self.chips), hw, self._fleet.feature_cache_size,
+                        shape=shape)
             chip.added_s = now
             chip.ready_s = now + self.control.warmup_s
             if self.control.warmup_s > 0:
                 chip.state = "warming"
-                self._schedule_ready(chip)
+                self._push(chip.ready_s, _CHIP_READY, chip)
             else:
                 chip.state = "active"
             self.chips.append(chip)
@@ -1121,12 +1236,14 @@ class _FleetSimulator:
     MultiTenantSimulator` pulls.
 
     Passing a :class:`~repro.serving.control.ControlConfig` with any lever
-    armed makes the run *elastic*: the loop consults a fresh
-    :class:`~repro.serving.control.ControlPlane` on every cache-missing
-    arrival (admission / degradation) and at every control interval
-    (autoscaling between ``min_chips`` and ``max_chips``, with warm-up and
-    drain-before-remove semantics).  The initial fleet size is
-    ``num_chips`` clamped into the autoscaler's band.
+    armed makes the run *elastic*: :meth:`_serve` builds a
+    :class:`FleetScaler` around a fresh
+    :class:`~repro.serving.control.ControlPlane` and consults it on every
+    cache-missing arrival (admission / degradation) and at every control
+    interval (autoscaling between ``min_chips`` and ``max_chips``, with
+    warm-up and drain-before-remove semantics); fixed runs build none.
+    The initial fleet size is ``num_chips`` clamped into the autoscaler's
+    band.
     """
 
     def __init__(self, fleet: FleetConfig, runtimes: Dict[str, TenantRuntime],
@@ -1223,8 +1340,6 @@ class _FleetSimulator:
                     rt.graph, rt.sampler, updates, self.consistency,
                     tenant=rt.name or None, result_cache=rt.result_cache,
                     chips=self.chips, shard_executor=rt.shard_executor)
-        #: The control plane of the most recent run (None when fixed).
-        self.control: Optional[ControlPlane] = None
 
     def _serve(self, requests: Sequence[Request], stage,
                hetero: Optional[HeteroStats]) -> _Served:
@@ -1241,16 +1356,18 @@ class _FleetSimulator:
             rt.reset()
 
         events: List[Tuple[float, int, int, object]] = []
-        seq = 0
+        order = itertools.count()  # FIFO tie-break among equal timestamps
+
+        def push(time_s: float, kind: int, payload: object) -> None:
+            heapq.heappush(events, (time_s, next(order), kind, payload))
+
         for request in requests:
             rt = anonymous or runtimes.get(request.tenant)
             if rt is None:
                 raise ValueError(f"request tagged with unknown tenant "
                                  f"{request.tenant!r}")
             rt.arrivals_left += 1
-            heapq.heappush(events, (request.arrival_time_s, seq, _ARRIVAL,
-                                    request))
-            seq += 1
+            push(request.arrival_time_s, _ARRIVAL, request)
         if self.updates is not None:
             # updates enter the same heap; requests pushed first, so a
             # request at the identical timestamp wins the tie (a query
@@ -1259,9 +1376,7 @@ class _FleetSimulator:
                 if anonymous is None and event.tenant not in runtimes:
                     raise ValueError(f"update tagged with unknown tenant "
                                      f"{event.tenant!r}")
-                heapq.heappush(events, (event.arrival_time_s, seq, _UPDATE,
-                                        event))
-                seq += 1
+                push(event.arrival_time_s, _UPDATE, event)
 
         records: List[RequestRecord] = []
         # (tenant, batch_id) -> when the batch formed / started service
@@ -1276,64 +1391,12 @@ class _FleetSimulator:
             chip.added_s = t0
             chip.ready_s = t0
 
-        # ---------------- control plane (elastic runs only) --------------- #
-        control: Optional[ControlPlane] = None
+        # elastic runs only: the scaler owns every piece of control state
         scaler: Optional[FleetScaler] = None
-        backlog_cost_s = 0.0
-        request_cost_s: Dict[int, float] = {}
-        arrivals_interval = completions_interval = 0
-        violations_interval = shed_interval = 0
-        busy_snapshot_s = 0.0
-        # fleet-wide per-request cost EWMA for the sizing policies
-        fleet_cost_per_request_s = float(np.mean(
-            [rt.cost_per_request_s for rt in runtimes.values()]))
         if self.control_config is not None and requests:
-            control = ControlPlane(self.control_config)
-            control.bind(
-                [TenantBinding(
-                    name=rt.name, slo_s=rt.slo_s,
-                    num_hops=rt.config.num_hops, fanout=rt.config.fanout,
-                    weight=rt.weight,
-                    capacity_per_chip_rps=rt.probe_batch_size
-                    / max(rt.probe_service_s, 1e-12))
-                 for rt in runtimes.values()],
-                initial_chips=len(chips),
-                probe_service_s=min(rt.probe_service_s
-                                    for rt in runtimes.values()),
-                capacity_per_chip_rps=1.0
-                / max(fleet_cost_per_request_s, 1e-12))
-            self.control = control
-            heapq.heappush(events, (t0 + control.control_interval_s, seq,
-                                    _CONTROL, None))
-            seq += 1
-
-            def new_chip(shape: Optional[str] = None) -> Chip:
-                if shape is None:
-                    shape, hw = fleet.base_shape, fleet.hw
-                else:
-                    hw = self._shapes[shape]
-                # chips are never removed from the roster, so ids stay dense
-                return Chip(len(chips), hw, fleet.feature_cache_size,
-                            shape=shape)
-
-            def schedule_ready(chip: Chip) -> None:
-                nonlocal seq
-                heapq.heappush(events, (chip.ready_s, seq, _CHIP_READY, chip))
-                seq += 1
-
-            chooser: Optional[ShapeChooser] = None
-            if len(self._shapes) > 1:
-                chooser = ShapeChooser(
-                    self.control_config.scale_shape, self._shapes,
-                    scorers=[rt.shape_scorer for rt in runtimes.values()
-                             if rt.shape_scorer is not None])
-            scaler = FleetScaler(
-                chips, control, new_chip, schedule_ready,
-                # heterogeneous scale-downs drain the shape the demand
-                # needs least; homogeneous ones ask the dispatch stage
-                chooser.retire_victim if chooser is not None
-                else stage.drain_victim,
-                shape_chooser=chooser, observe=observe)
+            scaler = FleetScaler(self.control_config, fleet, chips,
+                                 list(runtimes.values()), self._shapes, push,
+                                 stage.drain_victim, t0, observe=observe)
 
         # ---------------- metrics scraping (instrumented runs) ------------ #
         metrics_interval_s = 0.0
@@ -1343,9 +1406,7 @@ class _FleetSimulator:
                 if observe.metrics_interval_s is not None \
                 else METRICS_PROBE_MULTIPLE * min(
                     rt.probe_service_s for rt in runtimes.values())
-            heapq.heappush(events, (t0 + metrics_interval_s, seq,
-                                    _METRICS, None))
-            seq += 1
+            push(t0 + metrics_interval_s, _METRICS, None)
 
         def metrics_snapshot(now: float) -> Dict:
             gauges: Dict = {
@@ -1379,11 +1440,9 @@ class _FleetSimulator:
             return gauges
 
         def schedule_flush(rt: TenantRuntime, now: float) -> None:
-            nonlocal seq
             deadline = rt.batcher.next_deadline(now)
             if deadline is not None and deadline != rt.scheduled_flush:
-                heapq.heappush(events, (max(deadline, now), seq, _FLUSH, rt))
-                seq += 1
+                push(max(deadline, now), _FLUSH, rt)
                 rt.scheduled_flush = deadline
 
         def submit(rt: TenantRuntime, batch: Batch, now: float) -> None:
@@ -1394,7 +1453,6 @@ class _FleetSimulator:
 
         def start(chip: Chip, rt: TenantRuntime, batch: Batch,
                   now: float) -> float:
-            nonlocal seq, fleet_cost_per_request_s
             # seal before costing: a batch being served can take no joins,
             # and the service time must cover its final membership
             rt.batcher.on_service_start(batch)
@@ -1412,13 +1470,11 @@ class _FleetSimulator:
                     {c.shape for c in chips if c.state == "active"},
                     note_demand=not stage.shape_aware)
             rt.observe_service(batch, service_s)
-            a = _COST_EWMA_ALPHA
-            fleet_cost_per_request_s = a * (service_s / batch.size) \
-                + (1 - a) * fleet_cost_per_request_s
+            if scaler is not None:
+                scaler.on_start(batch, service_s)
             chip.stats.busy_s += service_s
             rt.busy_s += service_s
-            heapq.heappush(events, (now + service_s, seq, _COMPLETION, chip))
-            seq += 1
+            push(now + service_s, _COMPLETION, chip)
             # the service observation may have tightened an SLO-aware
             # deadline for requests already pending -- re-arm the timer
             schedule_flush(rt, now)
@@ -1432,8 +1488,7 @@ class _FleetSimulator:
                                         for rt in runtimes.values())
 
         def complete(chip: Chip, now: float) -> None:
-            nonlocal in_flight, backlog_cost_s
-            nonlocal completions_interval, violations_interval
+            nonlocal in_flight
             batch = chip.current
             rt = runtimes[batch.tenant]
             chip.current = None
@@ -1465,53 +1520,14 @@ class _FleetSimulator:
                     rt.result_cache.put(request.target_vertex, now)
                     cached.append(request.target_vertex)
                 in_flight -= 1
-                completions_interval += 1
-                if now - request.arrival_time_s > rt.slo_s:
-                    violations_interval += 1
-                backlog_cost_s -= request_cost_s.pop(request.request_id, 0.0)
             if rt.stream is not None:
                 rt.stream.register_results(cached, now)
             if observe is not None:
                 observe.on_batch_complete(now, chip, batch, dispatched,
                                           started)
-            if chip.state == "draining" and not chip.queue:
-                scaler.retire(chip, now)
+            if scaler is not None:
+                scaler.on_complete(chip, batch, rt.slo_s, now)
             pump(now, chip)
-
-        def control_tick(now: float) -> None:
-            nonlocal seq, busy_snapshot_s
-            nonlocal arrivals_interval, completions_interval
-            nonlocal violations_interval, shed_interval
-            active, warming, draining = scaler.counts()
-            busy_total_s = sum(c.stats.busy_s for c in chips)
-            interval_s = control.control_interval_s
-            utilization = (busy_total_s - busy_snapshot_s) \
-                / (interval_s * max(1, active))
-            obs = ControlObservation(
-                now_s=now,
-                interval_s=interval_s,
-                active_chips=active,
-                warming_chips=warming,
-                draining_chips=draining,
-                queue_depth=in_flight,
-                backlog_cost_s=backlog_cost_s,
-                arrivals=arrivals_interval,
-                completions=completions_interval,
-                violations=violations_interval,
-                shed=shed_interval,
-                utilization=min(1.0, utilization),
-                cost_per_request_s=fleet_cost_per_request_s,
-                # the tightest tenant SLO anchors the fleet delay signal
-                slo_s=min(rt.slo_s for rt in runtimes.values()),
-            )
-            target = control.tick(obs)
-            scaler.scale_to(target, now)
-            busy_snapshot_s = busy_total_s
-            arrivals_interval = completions_interval = 0
-            violations_interval = shed_interval = 0
-            if running():
-                heapq.heappush(events, (now + interval_s, seq, _CONTROL, None))
-                seq += 1
 
         while events:
             now, _, kind, payload = heapq.heappop(events)
@@ -1521,9 +1537,7 @@ class _FleetSimulator:
                 # identical to an uninstrumented run
                 observe.scrape(now, metrics_snapshot(now))
                 if running():
-                    heapq.heappush(events, (now + metrics_interval_s, seq,
-                                            _METRICS, None))
-                    seq += 1
+                    push(now + metrics_interval_s, _METRICS, None)
                 continue
             in_flight_area += in_flight * (now - last_t)
             last_t = now
@@ -1531,7 +1545,8 @@ class _FleetSimulator:
                 request: Request = payload
                 rt = anonymous or runtimes[request.tenant]
                 rt.arrivals_left -= 1
-                arrivals_interval += 1
+                if scaler is not None:
+                    scaler.on_arrival()
                 if capture is not None:
                     capture.record(request)
                 if rt.result_cache.get(request.target_vertex) is not None:
@@ -1552,30 +1567,9 @@ class _FleetSimulator:
                         observe.on_cache_hit(now, request, done,
                                              tenant=rt.name)
                 else:
-                    admitted = True
-                    if control is not None:
-                        active_count = sum(1 for c in chips if c.schedulable)
-                        est_delay_s = backlog_cost_s / max(1, active_count)
-                        decision = control.admit(
-                            rt.name, now, est_delay_s, rt.cost_per_request_s,
-                            overlap_ratio=rt.overlap_ewma if rt.overlap_aware
-                            else 0.0)
-                        admitted = decision.admitted
-                        if observe is not None:
-                            observe.on_admission(now, rt.name, decision)
-                        if not admitted:
-                            shed_interval += 1
-                        elif decision.level > 0:
-                            request = replace(
-                                request,
-                                degrade_level=decision.level,
-                                degrade_hops=decision.num_hops,
-                                degrade_fanout=decision.fanout)
-                        if admitted:
-                            cost = rt.cost_per_request_s * decision.cost_scale
-                            request_cost_s[request.request_id] = cost
-                            backlog_cost_s += cost
-                    if admitted:
+                    if scaler is not None:
+                        request = scaler.admit(rt, request, now)
+                    if request is not None:  # not shed
                         in_flight += 1
                         # continuous batching: a formed-but-unstarted batch
                         # may absorb the request outright (its completion
@@ -1620,7 +1614,7 @@ class _FleetSimulator:
                 if observe is not None:
                     observe.on_update(now, payload, invalidated)
             elif kind == _CONTROL:
-                control_tick(now)
+                scaler.tick(now, in_flight, running())
             else:  # _CHIP_READY
                 if scaler.mark_ready(payload, now):
                     pump(now)
@@ -1658,8 +1652,7 @@ class _FleetSimulator:
         return _Served(
             records=records, span_s=span_s,
             avg_in_flight=in_flight_area / span_s if span_s > 0 else 0.0,
-            control=control.finalize(last_t, chips)
-            if control is not None else None)
+            control=scaler.finalize(last_t) if scaler is not None else None)
 
 
 class ServingSimulator(_FleetSimulator):
