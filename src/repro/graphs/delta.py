@@ -16,9 +16,9 @@ that change it:
 * **feature writes** -- per-vertex feature-row overrides.
 
 Every applied mutation bumps the monotonically increasing :attr:`version`
-and records the affected vertex in a dirty log, which consumers (the
-serving sampler's memo invalidation, the consistency tracker) query with
-:meth:`dirty_since`.
+and stamps the affected vertex with it, which consumers (the serving
+sampler's memo invalidation, the consistency tracker) query with
+:meth:`dirty_since` and :meth:`mutation_versions`.
 
 The arrays read back are bit-for-bit those of a ``CSCGraph`` rebuilt from
 scratch at the same version: sources ascend within each column, matching
@@ -42,7 +42,7 @@ mutations.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 import numpy as np
 
@@ -94,9 +94,9 @@ class DeltaGraph(Graph):
         self._pending_edges = 0
         self._compacted_vertices = self.num_vertices
         self._pending_writes: Set[int] = set()
-        # the vertex of each applied mutation: the mutation that made
-        # version v is entry v - 1, so the log is sorted by version
-        self._dirty_log: List[int] = []
+        #: version of the last mutation per vertex, 0 for a vertex never
+        #: mutated; grows with the vertex count
+        self._mutation_versions = np.zeros(self.num_vertices, dtype=np.int64)
         #: version of the last feature write (or creation) per vertex, 0
         #: for a vertex that still carries its base features; grows with
         #: the vertex count
@@ -140,6 +140,7 @@ class DeltaGraph(Graph):
         vertex = self.num_vertices
         self._colptr = np.append(self._colptr, self._colptr[-1])
         self._feature_rows[vertex] = row
+        self._mutation_versions = np.append(self._mutation_versions, 0)
         self._mutated(vertex, structure=True)
         self._feature_versions = np.append(self._feature_versions,
                                            self.version)
@@ -166,7 +167,7 @@ class DeltaGraph(Graph):
         """End the pending window: :attr:`pending_mutations` restarts at 0
         and :attr:`compactions` counts one more.
 
-        A representation change only: the version, dirty log and
+        A representation change only: the version and the mutation and
         feature-version stamps are untouched, so consumers cannot tell a
         compacted graph from an uncompacted one (asserted by the
         differential suite).  No feature row moves here; the next read of
@@ -183,9 +184,12 @@ class DeltaGraph(Graph):
     def dirty_since(self, version: int) -> np.ndarray:
         """Vertices whose in-neighbourhood or features changed after
         ``version`` (ascending, deduplicated)."""
-        # entry i of the log was applied at version i + 1
-        return np.unique(np.array(self._dirty_log[max(int(version), 0):],
-                                  dtype=np.int64))
+        return np.flatnonzero(self._mutation_versions > max(int(version), 0))
+
+    def mutation_versions(self, vertices: np.ndarray) -> np.ndarray:
+        """Version of the last mutation of each of ``vertices`` (0 = never
+        mutated), in one gather."""
+        return self._mutation_versions[vertices]
 
     def feature_version(self, vertex: int) -> int:
         """Version of the last feature write to ``vertex`` (0 = base)."""
@@ -216,7 +220,7 @@ class DeltaGraph(Graph):
 
     def _mutated(self, vertex: int, structure: bool) -> None:
         self.version += 1
-        self._dirty_log.append(vertex)
+        self._mutation_versions[vertex] = self.version
         if structure:
             self._csr_cache = None
             self._csc_cache = None

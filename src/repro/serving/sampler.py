@@ -236,13 +236,7 @@ class SubgraphSampler:
         if self.invalidation == "flush":
             self._flush_memos()
         elif self.invalidation == "targeted":
-            dirty = getattr(self.graph, "dirty_since", None)
-            if dirty is None:
-                # a mutable graph without change tracking: flush is the
-                # only sound fallback
-                self._flush_memos()
-            else:
-                self.invalidate_vertices(dirty(synced_from))
+            self.invalidate_vertices(self.graph.dirty_since(synced_from))
 
     def _flush_memos(self) -> None:
         self.invalidated_samples += len(self._memo)

@@ -204,9 +204,7 @@ class UpdateStream:
     """The ``updates=`` opt-in handed to a simulator (duck-typed hook).
 
     ``events`` interleave with query arrivals in the event loop;
-    ``policy`` picks the invalidation strategy; ``check`` arms the
-    differential consistency check at every service start (observation
-    only -- it never changes simulated timings);
+    ``policy`` picks the invalidation strategy;
     ``staleness_budget_versions`` is the number of graph versions a served
     result may lag before it counts as *beyond budget* (0 = any staleness
     violates); ``compact_every`` bounds the delta log
@@ -215,7 +213,6 @@ class UpdateStream:
 
     events: Sequence[UpdateEvent] = ()
     policy: str = "targeted"
-    check: bool = True
     staleness_budget_versions: int = 0
     compact_every: int = 64
 
@@ -230,7 +227,7 @@ class UpdateStream:
         """The slice of this stream addressed to ``tenant``."""
         return UpdateStream(
             events=[e for e in self.events if e.tenant == tenant],
-            policy=self.policy, check=self.check,
+            policy=self.policy,
             staleness_budget_versions=self.staleness_budget_versions,
             compact_every=self.compact_every)
 
@@ -352,10 +349,6 @@ class StreamState:
         # vertex -> result-cache keys whose cached answer sampled it
         self._results = _ResultIndex()
         self._result_meta: Dict[int, _ResultMeta] = {}
-        # version of each vertex's last structural/feature mutation, 0 if
-        # none (the cheap staleness probe; equivalent to scanning
-        # graph._dirty_log); grows with the vertex count
-        self._last_mutation = np.zeros(graph.num_vertices, dtype=np.int64)
         self._last_mutation_s: Dict[int, float] = {}
         if shard_executor is not None:
             shard_executor.stream = self
@@ -401,12 +394,7 @@ class StreamState:
                 self.shard_executor.extend_owner(vertex)
                 stats.invalidations["shard_plan"] += 1
         stats.updates_offered += 1
-        grow = graph.num_vertices - self._last_mutation.size
-        if grow > 0:
-            self._last_mutation = np.append(
-                self._last_mutation, np.zeros(grow, dtype=np.int64))
         for v in dirty:
-            self._last_mutation[v] = graph.version
             self._last_mutation_s[v] = now
         return self._invalidate(dirty, feature_writes)
 
@@ -520,7 +508,8 @@ class StreamState:
         self.stats.checks += 1
         if meta is None:
             return
-        if (self._last_mutation[meta.vertices] > meta.version).any():
+        if (self.graph.mutation_versions(meta.vertices)
+                > meta.version).any():
             self._count_stale(self.graph.version - meta.version,
                               now - meta.time_s, "stale_results")
 
@@ -537,8 +526,6 @@ class StreamState:
         recomputed with one ``extract_fresh_shapes`` call.  A sample's
         fresh signature is minhashed from its recomputation.
         """
-        if not self.stream.check:
-            return
         sampler = self.sampler
         shapes = list(dict.fromkeys(
             (r.target_vertex, r.degrade_hops, r.degrade_fanout)

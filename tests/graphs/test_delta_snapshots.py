@@ -151,8 +151,9 @@ def _apply(delta, op):
 @given(_OPS)
 def test_dirty_since_matches_the_log_comprehension(ops):
     """``dirty_since`` equals the set comprehension over a ``(version,
-    vertex)`` log that it replaced, for every version from before the
-    base to past the current one."""
+    vertex)`` log, for every version from before the base to past the
+    current one, and ``mutation_versions`` holds each vertex's last
+    version in that log."""
     delta = DeltaGraph(_base(), compact_every=4)
     log = []
     for op in ops:
@@ -166,6 +167,12 @@ def test_dirty_since_matches_the_log_comprehension(ops):
         got = delta.dirty_since(version)
         assert got.dtype == np.int64
         assert np.array_equal(got, expected), version
+    last = {}
+    for ver, v in log:
+        last[v] = ver
+    ids = np.arange(delta.num_vertices)
+    assert delta.mutation_versions(ids).tolist() == [last.get(v, 0)
+                                                      for v in ids]
 
 
 class _PendingCount:
