@@ -66,6 +66,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import logging
+import operator
 from collections import deque
 
 import numpy as np
@@ -1247,7 +1248,7 @@ class _FleetSimulator:
     """
 
     def __init__(self, fleet: FleetConfig, runtimes: Dict[str, TenantRuntime],
-                 control: Optional[ControlConfig], observe, capture, updates):
+                 control: Optional[ControlConfig], observe, updates):
         self.fleet = fleet
         self.runtimes = runtimes
         #: Observability hub (:class:`repro.serving.observe.Instrumentation`)
@@ -1257,12 +1258,6 @@ class _FleetSimulator:
         #: reports it, so an uninstrumented run executes no observability
         #: code.
         self.observe = observe
-        #: Request-trace capture hub (:class:`repro.serving.trace.TraceWriter`)
-        #: or ``None``, fired by the loop alone like ``observe``.  Records
-        #: every *offered* request (tenant tag included) at its arrival
-        #: event -- before the cache lookup and before the control plane's
-        #: admission/degradation gate -- so a capture replays bit-for-bit.
-        self.capture = capture
         #: Streaming-update hook (:class:`repro.serving.streaming.UpdateStream`)
         #: or ``None``; the front ends wrap every served graph in a mutable
         #: :class:`~repro.graphs.delta.DeltaGraph` when it is armed.
@@ -1348,7 +1343,6 @@ class _FleetSimulator:
         chips = self.chips
         runtimes = self.runtimes
         observe = self.observe
-        capture = self.capture
         # the single-tenant front end's anonymous runtime takes every
         # request and update, whatever its tenant tag
         anonymous = runtimes.get("")
@@ -1547,8 +1541,6 @@ class _FleetSimulator:
                 rt.arrivals_left -= 1
                 if scaler is not None:
                     scaler.on_arrival()
-                if capture is not None:
-                    capture.record(request)
                 if rt.result_cache.get(request.target_vertex) is not None:
                     if rt.stream is not None:
                         rt.stream.on_result_hit(request.target_vertex, now)
@@ -1605,10 +1597,6 @@ class _FleetSimulator:
             elif kind == _COMPLETION:
                 complete(payload, now)
             elif kind == _UPDATE:
-                # recorded before application, mirroring request capture at
-                # arrival, so a captured trace replays the offered stream
-                if capture is not None:
-                    capture.record_update(payload)
                 invalidated = (anonymous or runtimes[payload.tenant]) \
                     .stream.apply(now, payload)
                 if observe is not None:
@@ -1668,15 +1656,14 @@ class ServingSimulator(_FleetSimulator):
     def __init__(self, graph: Graph, model, config: Optional[FleetConfig] = None,
                  dataset_name: Optional[str] = None,
                  control: Optional[ControlConfig] = None,
-                 observe=None, capture=None, updates=None):
+                 observe=None, updates=None):
         cfg = config or FleetConfig()
         if updates is not None and not isinstance(graph, DeltaGraph):
             graph = DeltaGraph(graph, compact_every=updates.compact_every)
         runtime = TenantRuntime("", cfg, cfg, graph, model,
                                 dataset_name or graph.name, cfg.seed,
                                 priced=False)
-        super().__init__(cfg, {"": runtime}, control, observe, capture,
-                         updates)
+        super().__init__(cfg, {"": runtime}, control, observe, updates)
         self.config = cfg
         #: The one tenant's run-time state (sampler, caches, time scales).
         self.runtime = runtime
@@ -1789,14 +1776,24 @@ def _arm_update_stream(updates, update_rate: float, replay,
 
 def _stamp_capture(capture, meta: Dict, updates, update_rate: float,
                   update_mix: Optional[str], replay,
+                  requests: Sequence[Request], events: Sequence,
                   provenance: Tuple[str, ...] = _UPDATE_PROVENANCE) -> None:
-    """Stamp everything ``serve --replay`` / ``trace-stats`` need into
-    ``capture.meta`` before serving begins.
+    """Record the offered stream into ``capture`` and stamp everything
+    ``serve --replay`` / ``trace-stats`` need into ``capture.meta``,
+    before serving begins.
 
-    Re-capturing a replay keeps the original workload's ``provenance``
-    keys (the offered process, not the replay mechanism), so the new trace
-    file is byte-identical to the one replayed.
+    ``requests`` and the update ``events`` are the run's offered inputs.
+    The event loop pops each kind in ``(arrival_time_s, push order)``
+    order, so a stable sort by arrival time is the order it serves them
+    in: before the cache lookup and the admission / degradation gate, and
+    before an update touches the graph.  Re-capturing a replay keeps the
+    original workload's ``provenance`` keys (the offered process, not the
+    replay mechanism), so the new trace file is byte-identical to the one
+    replayed.
     """
+    by_arrival = operator.attrgetter("arrival_time_s")
+    capture.requests = sorted(requests, key=by_arrival)
+    capture.updates = sorted(events, key=by_arrival)
     capture.meta.update(meta)
     if updates is not None:
         capture.meta.update({
@@ -1865,7 +1862,7 @@ def run_serving(
     model = build_model(model_name, input_length=graph.feature_length)
     simulator = ServingSimulator(graph, model, config, dataset_name=dataset,
                                  control=control, observe=observe,
-                                 capture=capture, updates=updates)
+                                 updates=updates)
     if replay is not None:
         if replay.multi_tenant:
             raise ValueError(
@@ -1900,7 +1897,12 @@ def run_serving(
                 graph.num_vertices,
                 num_updates=int(round(update_rate * num_requests)),
                 rate_ups=update_rate * rate_rps, mix=mix, seed=seed)
+    workload = WorkloadConfig(num_requests=num_requests, rate_rps=rate_rps,
+                              arrival=arrival, popularity_skew=popularity_skew,
+                              peak_factor=peak_factor, seed=seed)
+    requests = RequestGenerator(graph.num_vertices, workload).generate(trace)
     if capture is not None:
+        # an empty stream serves nothing, its updates included
         _stamp_capture(capture, {
             "kind": "serve", "dataset": dataset, "model": model_name,
             "num_hops": config.num_hops, "fanout": config.fanout,
@@ -1908,11 +1910,8 @@ def run_serving(
             "arrival": arrival, "rate_rps": rate_rps,
             "num_chips": config.num_chips,
             "slo_s": simulator.slo_s,
-        }, updates, update_rate, update_mix, replay,
+        }, updates, update_rate, update_mix, replay, requests,
+            updates.events if updates is not None and requests else (),
             provenance=("arrival", "popularity_skew", "seed")
             + _UPDATE_PROVENANCE)
-    workload = WorkloadConfig(num_requests=num_requests, rate_rps=rate_rps,
-                              arrival=arrival, popularity_skew=popularity_skew,
-                              peak_factor=peak_factor, seed=seed)
-    requests = RequestGenerator(graph.num_vertices, workload).generate(trace)
     return simulator.run(requests, rate_rps=rate_rps)

@@ -235,7 +235,7 @@ class MultiTenantSimulator(_FleetSimulator):
     def __init__(self, tenants: Sequence[TenantConfig],
                  fleet: Optional[FleetConfig] = None,
                  control: Optional[ControlConfig] = None,
-                 observe=None, capture=None, updates=None):
+                 observe=None, updates=None):
         if not tenants:
             raise ValueError("need at least one tenant")
         names = [t.name for t in tenants]
@@ -257,7 +257,7 @@ class MultiTenantSimulator(_FleetSimulator):
                                 input_length=graph.feature_length)
             runtimes[tenant.name] = TenantRuntime(
                 tenant.name, tenant, fleet, graph, model, tenant.dataset, seed)
-        super().__init__(fleet, runtimes, control, observe, capture, updates)
+        super().__init__(fleet, runtimes, control, observe, updates)
         self.tenant_names = names
         quantum_s = 0.5 * min(rt.probe_service_s for rt in runtimes.values())
         self.scheduler = WFQScheduler(
@@ -427,8 +427,7 @@ def run_multi_tenant(
     updates, fill_update_events = _arm_update_stream(
         updates, update_rate, replay, invalidation, staleness_budget)
     shared = MultiTenantSimulator(tenants, fleet, control=control,
-                                  observe=observe, capture=capture,
-                                  updates=updates)
+                                  observe=observe, updates=updates)
     if replay is not None:
         requests, rates = _replay_stream(replay, shared)
         streams = split_tenant_stream(requests)
@@ -467,7 +466,8 @@ def run_multi_tenant(
                 "seed": shared.runtimes[t.name].seed,
                 "slo_s": shared.runtimes[t.name].slo_s,
             } for t in tenants],
-        }, updates, update_rate, update_mix, replay)
+        }, updates, update_rate, update_mix, replay, requests,
+            updates.events if updates is not None else ())
     report = shared.run(requests, rates)
     if include_isolation_baseline:
         for tenant in tenants:

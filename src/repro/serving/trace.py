@@ -264,30 +264,23 @@ class RequestTrace:
 
 
 class TraceWriter:
-    """Capture hub whose arrival and update hooks the event loop fires.
+    """The offered request and update streams of one run, and their metadata.
 
-    Opt-in exactly like :class:`~repro.serving.observe.Instrumentation`:
-    pass one as ``capture=`` to :func:`~repro.serving.fleet.run_serving` /
-    :func:`~repro.serving.tenancy.run_multi_tenant` (or to the simulator
-    constructors) and every offered request is recorded in arrival order.
-    ``meta`` is free-form JSON-serialisable capture metadata; the run
-    harnesses stamp the workload/sampling parameters a later
-    ``trace-stats`` or replay needs.
+    Pass one as ``capture=`` to :func:`~repro.serving.fleet.run_serving` /
+    :func:`~repro.serving.tenancy.run_multi_tenant`.  The driver records
+    the stream it offers before serving begins: ``requests`` (tenant tags
+    included) and, on a streaming run, ``updates``, each in the order the
+    event loop serves them (a stable sort by arrival time), as offered --
+    before the cache lookup, the admission / degradation gate and any
+    graph mutation.  The simulators never see the writer.  ``meta`` is
+    free-form JSON-serialisable capture metadata; the drivers stamp the
+    workload/sampling parameters a later ``trace-stats`` or replay needs.
     """
 
     def __init__(self, meta: Optional[Mapping[str, object]] = None):
         self.meta: Dict[str, object] = dict(meta or {})
         self.requests: List[Request] = []
         self.updates: List = []
-
-    def record(self, request: Request) -> None:
-        """The arrival hook: called once per offered request, pre-admission."""
-        self.requests.append(request)
-
-    def record_update(self, event) -> None:
-        """The update hook: called once per offered update event, before it
-        is applied to the graph (streaming runs only)."""
-        self.updates.append(event)
 
     @property
     def num_recorded(self) -> int:
