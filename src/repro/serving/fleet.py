@@ -1040,7 +1040,14 @@ class TenantRuntime:
         chip group instead (:meth:`ShardExecutor.service_time_s`); a
         one-shard group takes the single-chip path verbatim, which is what
         makes its report bit-for-bit identical to an unsharded run.
+
+        On a mutating graph the batch is first checked differentially
+        against a fresh recomputation (:meth:`StreamState.check_batch`),
+        before any cache is charged.  The check only observes, so it
+        cannot change a simulated time.
         """
+        if self.stream is not None:
+            self.stream.check_batch(batch, now)
         reuse_discount = self._fleet.reuse_discount
         if self.shard_executor is not None \
                 and self.shard_executor.plan.num_shards > 1:
@@ -1050,6 +1057,29 @@ class TenantRuntime:
             chip, self.sampler, self.model, batch,
             dataset_name=self.dataset_name, reuse_discount=reuse_discount,
             tenant=self.name or None, stream=self.stream, now=now)
+
+    def result_hit(self, target: int, now: float) -> bool:
+        """Whether ``target``'s answer is in the result cache.  On a
+        mutating graph a hit is also checked for staleness."""
+        if self.result_cache.get(target) is None:
+            return False
+        if self.stream is not None:
+            self.stream.on_result_hit(target, now)
+        return True
+
+    def cache_results(self, batch: Batch, now: float) -> None:
+        """Keep a completed batch's answers in the result cache and, on a
+        mutating graph, register what each one depends on.
+
+        Degraded answers are lower fidelity: they stay out of the cache so
+        later hits never silently inherit the loss.
+        """
+        cached = [r.target_vertex for r in batch.requests
+                  if r.degrade_level == 0]
+        for target in cached:
+            self.result_cache.put(target, now)
+        if self.stream is not None:
+            self.stream.register_results(cached, now)
 
     def estimate_cost_s(self, batch: Batch) -> float:
         """Estimated fused service time: EWMA seconds/vertex x fused size.
@@ -1452,10 +1482,6 @@ class _FleetSimulator:
             rt.batcher.on_service_start(batch)
             chip.current = batch
             started_at[(rt.name, batch.batch_id)] = now
-            if rt.stream is not None:
-                # differential consistency check at the moment of service:
-                # observation only, so it cannot change simulated timings
-                rt.stream.check_batch(batch, now)
             service_s = rt.service_time_s(chip, batch, now)
             if hetero is not None:
                 account_batch_service(
@@ -1491,7 +1517,6 @@ class _FleetSimulator:
             key = (rt.name, batch.batch_id)
             dispatched = dispatched_at.pop(key)
             started = started_at.pop(key)
-            cached = []
             for request in batch.requests:
                 records.append(RequestRecord(
                     request_id=request.request_id,
@@ -1508,14 +1533,8 @@ class _FleetSimulator:
                     tenant=rt.name,
                     degrade_level=request.degrade_level,
                 ))
-                # degraded answers are lower fidelity: keep them out of the
-                # result cache so later hits never silently inherit the loss
-                if request.degrade_level == 0:
-                    rt.result_cache.put(request.target_vertex, now)
-                    cached.append(request.target_vertex)
-                in_flight -= 1
-            if rt.stream is not None:
-                rt.stream.register_results(cached, now)
+            in_flight -= batch.size
+            rt.cache_results(batch, now)
             if observe is not None:
                 observe.on_batch_complete(now, chip, batch, dispatched,
                                           started)
@@ -1541,9 +1560,7 @@ class _FleetSimulator:
                 rt.arrivals_left -= 1
                 if scaler is not None:
                     scaler.on_arrival()
-                if rt.result_cache.get(request.target_vertex) is not None:
-                    if rt.stream is not None:
-                        rt.stream.on_result_hit(request.target_vertex, now)
+                if rt.result_hit(request.target_vertex, now):
                     done = now + _CACHE_HIT_LATENCY_S
                     records.append(RequestRecord(
                         request_id=request.request_id,
