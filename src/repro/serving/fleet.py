@@ -1366,6 +1366,62 @@ class _FleetSimulator:
                     tenant=rt.name or None, result_cache=rt.result_cache,
                     chips=self.chips, shard_executor=rt.shard_executor)
 
+    def _runtime_of(self, tagged) -> TenantRuntime:
+        """The runtime that serves a request or update: its tenant's."""
+        rt = self.runtimes.get(tagged.tenant)
+        if rt is None:
+            raise ValueError(f"{type(tagged).__name__} tagged with unknown "
+                             f"tenant {tagged.tenant!r}")
+        return rt
+
+    def _scrape_interval_s(self) -> float:
+        """Simulated seconds between metric scrapes; 0.0 when unscraped.
+
+        Unless the hub pins one, the interval is
+        :data:`~repro.serving.observe.METRICS_PROBE_MULTIPLE` probe batches
+        of the fastest tenant.
+        """
+        observe = self.observe
+        if observe is None or not observe.metrics_enabled:
+            return 0.0
+        if observe.metrics_interval_s is not None:
+            return observe.metrics_interval_s
+        from .observe import METRICS_PROBE_MULTIPLE
+        return METRICS_PROBE_MULTIPLE * min(
+            rt.probe_service_s for rt in self.runtimes.values())
+
+    def _gauges(self, now: float, t0: float, in_flight: int, stage) -> Dict:
+        """The gauges of one metric scrape at ``now`` of a run that began
+        at ``t0``."""
+        runtimes = self.runtimes
+        gauges: Dict = {
+            "repro_queue_depth": sum(rt.batcher.pending_count
+                                     for rt in runtimes.values()),
+            "repro_in_flight_requests": in_flight,
+            "repro_in_flight_batches": stage.in_flight_batches(),
+        }
+        if "" in runtimes:
+            gauges["repro_overlap_ratio_ewma"] = runtimes[""].overlap_ewma
+        else:
+            for name, rt in runtimes.items():
+                labels = (("tenant", name),)
+                gauges[("repro_tenant_queue_depth", labels)] = \
+                    rt.batcher.pending_count
+                gauges[("repro_overlap_ratio_ewma", labels)] = rt.overlap_ewma
+        shard_stats = self.sharding_stats
+        if shard_stats is not None:
+            gauges["repro_halo_hit_rate"] = shard_stats.halo_hit_rate
+            gauges["repro_halo_bytes_moved"] = shard_stats.halo_bytes_moved
+            gauges["repro_shard_load_imbalance"] = shard_stats.load_imbalance
+        elapsed = now - t0
+        if elapsed > 0:
+            for shape in self._shapes:
+                members = [c for c in self.chips if c.shape == shape]
+                busy = sum(c.stats.busy_s for c in members)
+                gauges[("repro_busy_fraction", (("shape", shape),))] = \
+                    busy / (elapsed * len(members)) if members else 0.0
+        return gauges
+
     def _serve(self, requests: Sequence[Request], stage,
                hetero: Optional[HeteroStats]) -> _Served:
         """Serve ``requests`` (sorted by arrival) through ``stage``."""
@@ -1373,9 +1429,7 @@ class _FleetSimulator:
         chips = self.chips
         runtimes = self.runtimes
         observe = self.observe
-        # the single-tenant front end's anonymous runtime takes every
-        # request and update, whatever its tenant tag
-        anonymous = runtimes.get("")
+        runtime_of = self._runtime_of
         for rt in runtimes.values():
             rt.reset()
 
@@ -1386,20 +1440,14 @@ class _FleetSimulator:
             heapq.heappush(events, (time_s, next(order), kind, payload))
 
         for request in requests:
-            rt = anonymous or runtimes.get(request.tenant)
-            if rt is None:
-                raise ValueError(f"request tagged with unknown tenant "
-                                 f"{request.tenant!r}")
-            rt.arrivals_left += 1
+            runtime_of(request).arrivals_left += 1
             push(request.arrival_time_s, _ARRIVAL, request)
         if self.updates is not None:
             # updates enter the same heap; requests pushed first, so a
             # request at the identical timestamp wins the tie (a query
             # races an update: the query is served, then the graph moves)
             for event in self.updates.events:
-                if anonymous is None and event.tenant not in runtimes:
-                    raise ValueError(f"update tagged with unknown tenant "
-                                     f"{event.tenant!r}")
+                runtime_of(event)
                 push(event.arrival_time_s, _UPDATE, event)
 
         records: List[RequestRecord] = []
@@ -1422,46 +1470,9 @@ class _FleetSimulator:
                                  list(runtimes.values()), self._shapes, push,
                                  stage.drain_victim, t0, observe=observe)
 
-        # ---------------- metrics scraping (instrumented runs) ------------ #
-        metrics_interval_s = 0.0
-        if observe is not None and observe.metrics_enabled and requests:
-            from .observe import METRICS_PROBE_MULTIPLE
-            metrics_interval_s = observe.metrics_interval_s \
-                if observe.metrics_interval_s is not None \
-                else METRICS_PROBE_MULTIPLE * min(
-                    rt.probe_service_s for rt in runtimes.values())
+        metrics_interval_s = self._scrape_interval_s() if requests else 0.0
+        if metrics_interval_s:
             push(t0 + metrics_interval_s, _METRICS, None)
-
-        def metrics_snapshot(now: float) -> Dict:
-            gauges: Dict = {
-                "repro_queue_depth": sum(rt.batcher.pending_count
-                                         for rt in runtimes.values()),
-                "repro_in_flight_requests": in_flight,
-                "repro_in_flight_batches": stage.in_flight_batches(),
-            }
-            if anonymous is not None:
-                gauges["repro_overlap_ratio_ewma"] = anonymous.overlap_ewma
-            else:
-                for name, rt in runtimes.items():
-                    labels = (("tenant", name),)
-                    gauges[("repro_tenant_queue_depth", labels)] = \
-                        rt.batcher.pending_count
-                    gauges[("repro_overlap_ratio_ewma", labels)] = \
-                        rt.overlap_ewma
-            if self.sharding_stats is not None:
-                shard_stats = self.sharding_stats
-                gauges["repro_halo_hit_rate"] = shard_stats.halo_hit_rate
-                gauges["repro_halo_bytes_moved"] = shard_stats.halo_bytes_moved
-                gauges["repro_shard_load_imbalance"] = \
-                    shard_stats.load_imbalance
-            elapsed = now - t0
-            if elapsed > 0:
-                for shape in self._shapes:
-                    members = [c for c in chips if c.shape == shape]
-                    busy = sum(c.stats.busy_s for c in members)
-                    gauges[("repro_busy_fraction", (("shape", shape),))] = \
-                        busy / (elapsed * len(members)) if members else 0.0
-            return gauges
 
         def schedule_flush(rt: TenantRuntime, now: float) -> None:
             deadline = rt.batcher.next_deadline(now)
@@ -1548,7 +1559,7 @@ class _FleetSimulator:
                 # handled before the in-flight integral update so the
                 # float accounting (and hence the report) stays bit-for-bit
                 # identical to an uninstrumented run
-                observe.scrape(now, metrics_snapshot(now))
+                observe.scrape(now, self._gauges(now, t0, in_flight, stage))
                 if running():
                     push(now + metrics_interval_s, _METRICS, None)
                 continue
@@ -1556,7 +1567,7 @@ class _FleetSimulator:
             last_t = now
             if kind == _ARRIVAL:
                 request: Request = payload
-                rt = anonymous or runtimes[request.tenant]
+                rt = runtime_of(request)
                 rt.arrivals_left -= 1
                 if scaler is not None:
                     scaler.on_arrival()
@@ -1614,8 +1625,7 @@ class _FleetSimulator:
             elif kind == _COMPLETION:
                 complete(payload, now)
             elif kind == _UPDATE:
-                invalidated = (anonymous or runtimes[payload.tenant]) \
-                    .stream.apply(now, payload)
+                invalidated = runtime_of(payload).stream.apply(now, payload)
                 if observe is not None:
                     observe.on_update(now, payload, invalidated)
             elif kind == _CONTROL:
@@ -1627,7 +1637,7 @@ class _FleetSimulator:
         if metrics_interval_s:
             # closing scrape (outside the loop, so it cannot perturb the
             # integral): even a run shorter than the interval gets >= 1 row
-            observe.scrape(last_t, metrics_snapshot(last_t))
+            observe.scrape(last_t, self._gauges(last_t, t0, in_flight, stage))
         span_s = last_t - t0
         for rt in runtimes.values():
             rt.batching.late_join_rejects = rt.batcher.late_join_rejects
@@ -1693,6 +1703,11 @@ class ServingSimulator(_FleetSimulator):
         self._dispatch = _build_dispatch(
             cfg.dispatch, graph.num_vertices, len(self.chips),
             scorer=runtime.shape_scorer, profile_fn=runtime.profile_fn)
+
+    def _runtime_of(self, tagged) -> TenantRuntime:
+        # the one anonymous runtime takes every request and update,
+        # whatever its tenant tag
+        return self.runtime
 
     @property
     def batcher(self):
