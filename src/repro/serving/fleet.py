@@ -425,8 +425,9 @@ class _ShapeAwareDispatch:
     While *any* candidate shape is still cold for the bucket (no probe
     seed, no observation) the whole decision falls back to least-loaded --
     scoring a partial roster would systematically favour the warmed-up
-    shapes regardless of fit.  ``scored`` / ``fallback`` count both paths
-    for the report's :class:`~repro.serving.stats.HeteroStats`.
+    shapes regardless of fit.  Both paths are counted into ``stats``, the
+    run's :class:`~repro.serving.stats.HeteroStats` (the event loop binds
+    it; a dispatcher built alone counts into a fresh one).
     Deterministic: profiles and rates are seeded-sampler / event-order
     state, and every tie-break is total.
     """
@@ -435,8 +436,7 @@ class _ShapeAwareDispatch:
         self.scorer = scorer
         self._profile_fn = profile_fn
         self._fallback = _LeastLoadedDispatch()
-        self.scored = 0
-        self.fallback = 0
+        self.stats = HeteroStats()
 
     def _est_s(self, chip: Chip, batch: Batch) -> float:
         """Predicted service seconds of ``batch`` on ``chip``.
@@ -459,9 +459,9 @@ class _ShapeAwareDispatch:
         self.scorer.note_demand(bucket)
         shapes = sorted({c.shape for c in chips})
         if not self.scorer.warm(shapes, bucket):
-            self.fallback += 1
+            self.stats.fallback_batches += 1
             return self._fallback.select(chips, batch)
-        self.scored += 1
+        self.stats.scored_batches += 1
 
         def predicted_finish_s(chip: Chip) -> float:
             backlog = sum(self._est_s(chip, queued) for queued, _ in chip.queue)
@@ -1139,12 +1139,9 @@ class _PushStage:
         self.start = None
         self.peak_backlog = 0
         #: shape-aware dispatchers (they count bucket demand as they
-        #: select, and their counters feed :class:`HeteroStats`)
+        #: select, and their dispatches into :class:`HeteroStats`)
         self.shape_aware = [policy] \
             if isinstance(policy, _ShapeAwareDispatch) else []
-        for dispatcher in self.shape_aware:
-            # counters are per run; the scorer's learned rates persist
-            dispatcher.scored = dispatcher.fallback = 0
 
     def submit(self, rt: TenantRuntime, batch: Batch, now: float) -> None:
         chip = self.policy.select([c for c in self.chips if c.schedulable],
@@ -1422,6 +1419,23 @@ class _FleetSimulator:
                     busy / (elapsed * len(members)) if members else 0.0
         return gauges
 
+    def _finalize(self, hetero: Optional[HeteroStats],
+                  latencies: Sequence[float]) -> None:
+        """Close the run's stats once its loop has drained; ``latencies``
+        are the per-request latencies of every record it served."""
+        for rt in self.runtimes.values():
+            rt.batching.late_join_rejects = rt.batcher.late_join_rejects
+        if hetero is not None:
+            hetero.finalize(
+                [chip.shape for chip in self.chips],
+                {name: rt.shape_scorer for name, rt in self.runtimes.items()})
+        if self.sharding_stats is not None:
+            self.sharding_stats.finalize(latencies)
+        if self.consistency is not None:
+            for rt in self.runtimes.values():
+                rt.stream.finalize()
+            self.consistency.p99_s = percentile(latencies, 99)
+
     def _serve(self, requests: Sequence[Request], stage,
                hetero: Optional[HeteroStats]) -> _Served:
         """Serve ``requests`` (sorted by arrival) through ``stage``."""
@@ -1432,6 +1446,9 @@ class _FleetSimulator:
         runtime_of = self._runtime_of
         for rt in runtimes.values():
             rt.reset()
+        for dispatcher in stage.shape_aware:
+            # counts are per run; the scorer's learned rates persist
+            dispatcher.stats = hetero
 
         events: List[Tuple[float, int, int, object]] = []
         order = itertools.count()  # FIFO tie-break among equal timestamps
@@ -1639,31 +1656,6 @@ class _FleetSimulator:
             # integral): even a run shorter than the interval gets >= 1 row
             observe.scrape(last_t, self._gauges(last_t, t0, in_flight, stage))
         span_s = last_t - t0
-        for rt in runtimes.values():
-            rt.batching.late_join_rejects = rt.batcher.late_join_rejects
-        if hetero is not None:
-            for chip in chips:
-                hetero.shape_counts[chip.shape] = \
-                    hetero.shape_counts.get(chip.shape, 0) + 1
-            hetero.scored_batches = sum(d.scored for d in stage.shape_aware)
-            hetero.fallback_batches = sum(d.fallback
-                                          for d in stage.shape_aware)
-            for rt in runtimes.values():
-                if rt.shape_scorer is not None:
-                    prefix = f"{rt.name}/" if rt.name else ""
-                    hetero.rates.update(
-                        {prefix + key: rate for key, rate
-                         in rt.shape_scorer.snapshot().items()})
-        if self.sharding_stats is not None:
-            latencies = [r.latency_s for r in records]
-            self.sharding_stats.p50_s = percentile(latencies, 50)
-            self.sharding_stats.p95_s = percentile(latencies, 95)
-            self.sharding_stats.p99_s = percentile(latencies, 99)
-        if self.consistency is not None:
-            for rt in runtimes.values():
-                rt.stream.finalize()
-            self.consistency.p99_s = percentile(
-                [r.latency_s for r in records], 99)
         return _Served(
             records=records, span_s=span_s,
             avg_in_flight=in_flight_area / span_s if span_s > 0 else 0.0,
@@ -1759,6 +1751,7 @@ class ServingSimulator(_FleetSimulator):
         logger.info("served %d requests on %d chips in %.6f s simulated",
                     len(requests), len(self.chips), served.span_s)
         report.records = served.records
+        self._finalize(hetero, report.latencies_s)
         report.max_queue_depth = stage.peak_backlog
         report.avg_in_flight = served.avg_in_flight
         report.chips = [chip.stats for chip in self.chips]

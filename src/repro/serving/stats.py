@@ -325,6 +325,12 @@ class ShardingStats:
     p95_s: float = 0.0
     p99_s: float = 0.0
 
+    def finalize(self, latencies: Sequence[float]) -> None:
+        """Stamp the run's latency percentiles (end of run)."""
+        self.p50_s = percentile(latencies, 50)
+        self.p95_s = percentile(latencies, 95)
+        self.p99_s = percentile(latencies, 99)
+
     def fold_plan(self, plan) -> None:
         """Fold one :class:`~repro.graphs.partition.ShardPlan`'s static
         stats in (idempotence is the caller's concern: once per plan)."""
@@ -563,6 +569,19 @@ class HeteroStats:
     fallback_batches: int = 0
     misdispatch_s: float = 0.0
     rates: Dict[str, float] = field(default_factory=dict)
+
+    def finalize(self, chip_shapes: Sequence[str],
+                 scorers: Dict[str, object]) -> None:
+        """Close the run: count the roster's chips per shape and snapshot
+        each tenant's learned rates (``scorers`` maps a tenant name, empty
+        on a single-tenant run, to its
+        :class:`~repro.serving.hetero.ShapeScorer`)."""
+        for shape in chip_shapes:
+            self.shape_counts[shape] = self.shape_counts.get(shape, 0) + 1
+        for name, scorer in scorers.items():
+            prefix = f"{name}/" if name else ""
+            self.rates.update({prefix + key: rate for key, rate
+                               in scorer.snapshot().items()})
 
     @property
     def scored_fraction(self) -> float:

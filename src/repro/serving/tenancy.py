@@ -353,6 +353,7 @@ class MultiTenantSimulator(_FleetSimulator):
         logger.info("served %d requests for %d tenants on %d chips in "
                     "%.6f s simulated", len(requests),
                     len(self.tenant_names), len(self.chips), served.span_s)
+        self._finalize(hetero, [r.latency_s for r in served.records])
         report.max_backlog_batches = stage.peak_backlog
         report.avg_in_flight = served.avg_in_flight
         report.chips = [chip.stats for chip in self.chips]

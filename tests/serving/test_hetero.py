@@ -293,7 +293,8 @@ class TestShapeAwareDispatch:
         for _ in range(3):  # repeated calls: same answer, no learning
             assert dispatch.select(chips, batch) is \
                 _LeastLoadedDispatch().select(chips, batch)
-        assert dispatch.fallback == 3 and dispatch.scored == 0
+        assert (dispatch.stats.fallback_batches,
+                dispatch.stats.scored_batches) == (3, 0)
 
     def test_partially_warm_bucket_still_falls_back(self):
         scorer = ShapeScorer()
@@ -303,7 +304,8 @@ class TestShapeAwareDispatch:
         bucket = self._profile_fn()(batch).bucket
         scorer.seed("agg_heavy", bucket, 1e-6)  # comb_heavy stays cold
         dispatch.select(chips, batch)
-        assert dispatch.fallback == 1 and dispatch.scored == 0
+        assert (dispatch.stats.fallback_batches,
+                dispatch.stats.scored_batches) == (1, 0)
 
     def test_warm_bucket_routes_to_fastest_shape(self):
         scorer = ShapeScorer()
@@ -315,7 +317,7 @@ class TestShapeAwareDispatch:
         scorer.seed("comb_heavy", bucket, 1e-6)
         chosen = dispatch.select(chips, batch)
         assert chosen.shape == "comb_heavy" and chosen.chip_id == 2
-        assert dispatch.scored == 1
+        assert dispatch.stats.scored_batches == 1
         # backlog steers the next identical batch to the other comb chip
         chosen.queue.append((batch, 0.0))
         assert dispatch.select(chips, _batch([_request(1)],
