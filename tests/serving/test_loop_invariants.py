@@ -5,7 +5,10 @@ static or streaming -- must conserve requests (completed + shed =
 offered), order every record's lifecycle (arrival <= dispatch <= start <=
 completion) and never keep a chip busier than the run was long.  The laws
 are the ones the repo benchmark gates each repetition on
-(:func:`perfbench.harness.check_report`).  Formed batches must also stay
+(:func:`perfbench.harness.check_report`).  Chip time is conserved too:
+the chips that start batches are busy for exactly the service time of
+the batches they served, completion minus service start summed over
+distinct batches.  Formed batches must also stay
 whole: none outgrows ``max_batch_size`` (late joins included) or is split
 across chips or service starts.  An observed run (span/metrics hub plus
 request capture) must report exactly what an unobserved rerun reports,
@@ -14,6 +17,7 @@ cache hit once.  Hypothesis drives the laws over small runs of every
 option the loop branches on.
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -29,9 +33,33 @@ from repro.serving import (
     run_multi_tenant,
     run_serving,
 )
+from repro.serving.hetero import fleet_spec_for_mix
+from repro.serving.sharding import ShardingConfig
 
 NUM_REQUESTS = 48
 MAX_BATCH_SIZE = 8
+
+
+def _busy_and_service(report):
+    """``(busy, service, starters)`` of a served report: the ids of the
+    chips that started batches, their total ``busy_s``, and the sum over
+    distinct ``(tenant, batch_id)`` of completion minus service start."""
+    batches = {}
+    for rep in tenant_reports(report):
+        for r in rep.records:
+            if r.batch_id >= 0:
+                batches[(r.tenant, r.batch_id)] = \
+                    (r.completion_time_s - r.service_start_s, r.chip_id)
+    starters = {chip_id for _, chip_id in batches.values()}
+    busy = sum(report.chips[i].busy_s for i in starters)
+    return busy, sum(s for s, _ in batches.values()), starters
+
+
+def _assert_busy_time_conserved(report):
+    busy, service, _ = _busy_and_service(report)
+    assert busy == pytest.approx(service, rel=1e-9, abs=0.0)
+    for chip in report.chips:
+        assert chip.busy_s <= report.makespan_s
 
 
 @settings(max_examples=50, deadline=None,
@@ -88,6 +116,7 @@ def test_every_serve_conserves_and_orders_requests(
     else:
         report = serve()
     assert check_report(report, offered) == []
+    _assert_busy_time_conserved(report)
     batches = {}
     for rep in tenant_reports(report):
         for r in rep.records:
@@ -98,3 +127,50 @@ def test_every_serve_conserves_and_orders_requests(
         assert len(members) <= MAX_BATCH_SIZE
         assert len({r.chip_id for r in members}) == 1
         assert len({r.service_start_s for r in members}) == 1
+
+
+#: Loaded runs through the loop's elastic, streaming, heterogeneous and
+#: multi-tenant paths.
+BUSY_RUNS = {
+    "elastic_streaming": lambda: run_serving(
+        dataset="IB", num_requests=1024, utilization_target=2.0,
+        config=FleetConfig(num_chips=2, batch_policy="continuous",
+                           min_overlap=0.25),
+        control=ControlConfig(autoscale="threshold", max_chips=4,
+                              admission=True, degrade=True),
+        update_rate=0.05),
+    "mixed_shape_aware": lambda: run_serving(
+        dataset="CR", num_requests=800, utilization_target=1.2,
+        config=FleetConfig(fleet_spec=fleet_spec_for_mix("mixed", 5),
+                           dispatch="shape-aware", max_batch_size=16,
+                           cache_size=0), seed=3),
+    "two_tenant_streaming": lambda: run_multi_tenant(
+        [TenantConfig(name="a", dataset="IB", weight=2.0, num_requests=400),
+         TenantConfig(name="b", dataset="CR", num_requests=300)],
+        FleetConfig(num_chips=2), update_rate=0.05,
+        include_isolation_baseline=False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUSY_RUNS))
+def test_chip_busy_time_is_the_service_time_of_its_batches(name):
+    report = BUSY_RUNS[name]()
+    _, _, starters = _busy_and_service(report)
+    assert len(starters) > 1
+    _assert_busy_time_conserved(report)
+
+
+def test_a_sharded_group_conserves_busy_time_on_its_leader():
+    """Only the group leader starts batches; the members are busy with
+    the sub-batches they compute, so the whole group is busier than the
+    batches' service time."""
+    report = run_serving(
+        dataset="IB", num_requests=400,
+        config=FleetConfig(num_chips=2,
+                           sharding=ShardingConfig(num_shards=2)))
+    busy, service, starters = _busy_and_service(report)
+    assert starters == {0}
+    _assert_busy_time_conserved(report)
+    member = report.chips[1].busy_s
+    assert 0 < member <= report.makespan_s
+    assert busy + member > service

@@ -7,9 +7,10 @@ Three layers of guarantees:
    stamps, the empty trace -- and the loader rejects every corruption
    mode (truncation, payload bit-flips, bad magic, version drift,
    unsorted or out-of-range columns) with :class:`TraceFormatError`.
-2. **Capture semantics**: the arrival hook records exactly the offered
-   stream, capturing never perturbs the report, and re-capturing a
-   replay writes a byte-identical trace file.
+2. **Capture semantics**: the drivers record exactly the offered stream,
+   in the order the event loop serves it (ties included), capturing
+   never perturbs the report, and re-capturing a replay writes a
+   byte-identical trace file.
 3. **Replay contract** (the PR's acceptance criterion): a run captured
    with ``--trace-capture`` and replayed with ``--replay`` produces a
    bit-for-bit identical report, single- and multi-tenant, through the
@@ -42,6 +43,8 @@ from repro.serving import (
     save_request_trace,
     trace_stats,
 )
+from repro.serving.fleet import TenantRuntime
+from repro.serving.streaming import StreamState, UpdateEvent
 from repro.serving.trace import TRACE_MAGIC, TRACE_VERSION
 
 
@@ -279,6 +282,62 @@ class TestCaptureReplay:
                     replay=load_request_trace(first), capture=recapture)
         second = str(tmp_path / "second.bin")
         recapture.write(second)
+        assert open(first, "rb").read() == open(second, "rb").read()
+
+    def test_tied_arrivals_are_captured_in_the_order_they_are_served(
+            self, tmp_path, monkeypatch):
+        """Duplicate arrival times, and updates at a request's timestamp.
+
+        The event loop pops by (arrival time, push order), requests pushed
+        before updates.  The capture must be the offered stream in that
+        order, the order the loop actually served it in, and re-capturing
+        its replay must write the same bytes.
+        """
+        times = [0.0, 2e-6, 2e-6, 2e-6, 5e-6, 5e-6, 9e-6, 9e-6]
+        requests = [Request(i, 10 + 7 * i, t) for i, t in enumerate(times)]
+        updates = [UpdateEvent(0, "edge", 2e-6, src=1, dst=2),
+                   UpdateEvent(1, "feature", 5e-6, src=40, feature_seed=3),
+                   UpdateEvent(2, "edge", 5e-6, src=3, dst=4)]
+        hand_built = str(tmp_path / "tied.bin")
+        save_request_trace(hand_built, RequestTrace.from_requests(
+            requests, meta={"rate_rps": 1e6}, updates=updates))
+
+        served = []
+        result_hit, apply = TenantRuntime.result_hit, StreamState.apply
+
+        def logged_hit(rt, target, now):
+            served.append(("request", target))
+            return result_hit(rt, target, now)
+
+        def logged_apply(state, now, event):
+            served.append(("update", event.update_id))
+            return apply(state, now, event)
+
+        monkeypatch.setattr(TenantRuntime, "result_hit", logged_hit)
+        monkeypatch.setattr(StreamState, "apply", logged_apply)
+
+        def replay(path):
+            capture = TraceWriter()
+            clear_probe_cache()
+            run_serving(dataset=self.DATASET, config=FleetConfig(**self.CONFIG),
+                        seed=1, replay=load_request_trace(path),
+                        capture=capture)
+            return capture
+
+        capture = replay(hand_built)
+        assert capture.requests == requests
+        assert capture.updates == updates
+        # at a tied timestamp every request is served before any update
+        by_time = sorted(
+            [(r.arrival_time_s, 0, i, ("request", r.target_vertex))
+             for i, r in enumerate(requests)]
+            + [(e.arrival_time_s, 1, i, ("update", e.update_id))
+               for i, e in enumerate(updates)])
+        assert served == [item for *_, item in by_time]
+
+        first, second = str(tmp_path / "first.bin"), str(tmp_path / "second.bin")
+        capture.write(first)
+        replay(first).write(second)
         assert open(first, "rb").read() == open(second, "rb").read()
 
     def test_replay_of_degraded_run_reproduces_control_decisions(
