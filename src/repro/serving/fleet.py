@@ -1263,6 +1263,16 @@ class _FleetSimulator:
     :class:`ServingSimulator` pushes, :class:`~repro.serving.tenancy.\
     MultiTenantSimulator` pulls.
 
+    :meth:`_serve` is the event loop and nothing else.  Each optional
+    subsystem is an object it consults at a few points: the
+    :class:`FleetScaler` on elastic runs, the observability hub, each
+    :class:`TenantRuntime`'s result cache and stream state (paired inside
+    the runtime), and the run's :class:`~repro.serving.stats.HeteroStats`.
+    Metric gauges come from :meth:`_gauges`, and after the loop the front
+    end calls :meth:`_finalize` once, so the stats blocks close their own
+    books.  Request capture never reaches the simulator: the end-to-end
+    drivers record the offered stream before serving.
+
     Passing a :class:`~repro.serving.control.ControlConfig` with any lever
     armed makes the run *elastic*: :meth:`_serve` builds a
     :class:`FleetScaler` around a fresh
@@ -1872,10 +1882,11 @@ def run_serving(
     :class:`~repro.serving.observe.Instrumentation` hub through the run
     (span traces + metrics); instrumenting never changes the report.
 
-    ``capture`` threads a :class:`~repro.serving.trace.TraceWriter` through
-    the run (every offered request is recorded, and the workload/sampling
-    parameters a replay needs are stamped into ``capture.meta``); capturing
-    never changes the report.  ``replay`` takes a
+    ``capture`` is a :class:`~repro.serving.trace.TraceWriter` that records
+    the offered requests and updates before serving begins, with the
+    workload/sampling parameters a replay needs stamped into
+    ``capture.meta``; the simulator never sees it, so capturing never
+    changes the report.  ``replay`` takes a
     :class:`~repro.serving.trace.RequestTrace` and serves its exact request
     stream instead of generating one -- with the same ``config``/``seed``
     the replayed report is bit-for-bit identical to the captured run's.

@@ -413,9 +413,9 @@ def run_multi_tenant(
     likewise instruments only the shared run -- the solo baselines would
     otherwise emit duplicate spans for the same request ids.
 
-    ``capture`` threads a :class:`~repro.serving.trace.TraceWriter` through
-    the *shared* run (tenant-tagged requests plus the resolved per-tenant
-    rates in ``capture.meta``); ``replay`` takes a multi-tenant
+    ``capture`` is a :class:`~repro.serving.trace.TraceWriter` that records
+    the *shared* run's offered stream (tenant-tagged requests and updates,
+    plus the resolved per-tenant rates in ``capture.meta``); ``replay`` takes a multi-tenant
     :class:`~repro.serving.trace.RequestTrace` and serves its exact merged
     stream against the same tenant specs -- calibration is skipped (rates
     come from the capture's metadata) and the isolation baselines replay

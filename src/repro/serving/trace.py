@@ -4,17 +4,15 @@ The observability layer (:mod:`repro.serving.observe`) answers *where a
 request spent its time*; this module answers *what traffic the fleet was
 offered* -- and makes that stream a first-class, replayable artifact:
 
-* :class:`TraceWriter` -- the capture hub whose hooks the fleet's event
-  loop (:mod:`repro.serving.fleet`, single- and multi-tenant alike) fires,
-  same opt-in pattern as :class:`~repro.serving.observe.Instrumentation`:
-  the loop is the sole emitter and holds ``capture = None`` by default,
-  so an uncaptured run executes no capture code.  The arrival hook fires
-  on every *offered* request at its arrival event -- before
-  the cache lookup and before the control plane's admission/degradation
-  gate -- so the trace records exactly the stream the run was asked to
-  serve (including requests that were later shed), and replaying it
-  through the same configuration reproduces the original
-  :class:`~repro.serving.stats.ServingReport` bit-for-bit.
+* :class:`TraceWriter` -- the offered stream of one run.  The end-to-end
+  drivers (:func:`~repro.serving.fleet.run_serving`,
+  :func:`~repro.serving.tenancy.run_multi_tenant`) record every *offered*
+  request and update into it before serving, in the order the event loop
+  serves them; the simulators never see it, so a captured run is the
+  very same serve as an uncaptured one.  The trace records exactly the
+  stream the run was asked to serve (including requests that were later
+  shed), and replaying it through the same configuration reproduces the
+  original :class:`~repro.serving.stats.ServingReport` bit-for-bit.
 
 * A versioned compact file format: a gzip-framed binary container holding
   a JSON header (schema, tenant name table, free-form capture metadata, a
