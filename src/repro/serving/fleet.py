@@ -66,7 +66,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import logging
-import operator
 from collections import deque
 
 import numpy as np
@@ -426,8 +425,7 @@ class _ShapeAwareDispatch:
     seed, no observation) the whole decision falls back to least-loaded --
     scoring a partial roster would systematically favour the warmed-up
     shapes regardless of fit.  Both paths are counted into ``stats``, the
-    run's :class:`~repro.serving.stats.HeteroStats` (the event loop binds
-    it; a dispatcher built alone counts into a fresh one).
+    run's :class:`~repro.serving.stats.HeteroStats`.
     Deterministic: profiles and rates are seeded-sampler / event-order
     state, and every tie-break is total.
     """
@@ -1040,12 +1038,9 @@ class TenantRuntime:
         chip group instead (:meth:`ShardExecutor.service_time_s`); a
         one-shard group takes the single-chip path verbatim, which is what
         makes its report bit-for-bit identical to an unsharded run.
-
-        On a mutating graph the batch is first checked differentially
-        against a fresh recomputation (:meth:`StreamState.check_batch`),
-        before any cache is charged.  The check only observes, so it
-        cannot change a simulated time.
         """
+        # differential consistency check before any cache is charged:
+        # observation only, so it cannot change simulated timings
         if self.stream is not None:
             self.stream.check_batch(batch, now)
         reuse_discount = self._fleet.reuse_discount
@@ -1068,12 +1063,10 @@ class TenantRuntime:
         return True
 
     def cache_results(self, batch: Batch, now: float) -> None:
-        """Keep a completed batch's answers in the result cache and, on a
-        mutating graph, register what each one depends on.
-
-        Degraded answers are lower fidelity: they stay out of the cache so
-        later hits never silently inherit the loss.
-        """
+        """Put a completed batch's answers in the result cache and, on a
+        mutating graph, register what each one depends on."""
+        # degraded answers are lower fidelity: keep them out of the result
+        # cache so later hits never silently inherit the loss
         cached = [r.target_vertex for r in batch.requests
                   if r.degrade_level == 0]
         for target in cached:
@@ -1263,25 +1256,13 @@ class _FleetSimulator:
     :class:`ServingSimulator` pushes, :class:`~repro.serving.tenancy.\
     MultiTenantSimulator` pulls.
 
-    :meth:`_serve` is the event loop and nothing else.  Each optional
-    subsystem is an object it consults at a few points: the
-    :class:`FleetScaler` on elastic runs, the observability hub, each
-    :class:`TenantRuntime`'s result cache and stream state (paired inside
-    the runtime), and the run's :class:`~repro.serving.stats.HeteroStats`.
-    Metric gauges come from :meth:`_gauges`, and after the loop the front
-    end calls :meth:`_finalize` once, so the stats blocks close their own
-    books.  Request capture never reaches the simulator: the end-to-end
-    drivers record the offered stream before serving.
-
-    Passing a :class:`~repro.serving.control.ControlConfig` with any lever
-    armed makes the run *elastic*: :meth:`_serve` builds a
-    :class:`FleetScaler` around a fresh
-    :class:`~repro.serving.control.ControlPlane` and consults it on every
-    cache-missing arrival (admission / degradation) and at every control
-    interval (autoscaling between ``min_chips`` and ``max_chips``, with
-    warm-up and drain-before-remove semantics); fixed runs build none.
-    The initial fleet size is ``num_chips`` clamped into the autoscaler's
-    band.
+    :meth:`_serve` is the event loop alone.  It consults one object per
+    optional subsystem: the observability hub, each
+    :class:`TenantRuntime`, and the :class:`FleetScaler` it builds when a
+    :class:`~repro.serving.control.ControlConfig` arms any lever (an
+    *elastic* run, whose initial fleet is ``num_chips`` clamped into the
+    autoscaler's band; fixed runs build none).  :meth:`_gauges` builds the
+    metric scrapes and :meth:`_finalize` closes the stats after the loop.
     """
 
     def __init__(self, fleet: FleetConfig, runtimes: Dict[str, TenantRuntime],
@@ -1374,32 +1355,27 @@ class _FleetSimulator:
                     chips=self.chips, shard_executor=rt.shard_executor)
 
     def _runtime_of(self, tagged) -> TenantRuntime:
-        """The runtime that serves a request or update: its tenant's."""
-        rt = self.runtimes.get(tagged.tenant)
+        """The runtime that serves a request or update: its tenant's, or
+        the single-tenant front end's anonymous one, which takes any tag."""
+        rt = self.runtimes.get(tagged.tenant) or self.runtimes.get("")
         if rt is None:
             raise ValueError(f"{type(tagged).__name__} tagged with unknown "
                              f"tenant {tagged.tenant!r}")
         return rt
 
     def _scrape_interval_s(self) -> float:
-        """Simulated seconds between metric scrapes; 0.0 when unscraped.
-
-        Unless the hub pins one, the interval is
-        :data:`~repro.serving.observe.METRICS_PROBE_MULTIPLE` probe batches
-        of the fastest tenant.
-        """
+        """Simulated seconds between metric scrapes (0.0 when unscraped):
+        the hub's pinned interval, else ``METRICS_PROBE_MULTIPLE`` probe
+        batches of the fastest tenant."""
         observe = self.observe
         if observe is None or not observe.metrics_enabled:
             return 0.0
-        if observe.metrics_interval_s is not None:
-            return observe.metrics_interval_s
         from .observe import METRICS_PROBE_MULTIPLE
-        return METRICS_PROBE_MULTIPLE * min(
+        return observe.metrics_interval_s or METRICS_PROBE_MULTIPLE * min(
             rt.probe_service_s for rt in self.runtimes.values())
 
     def _gauges(self, now: float, t0: float, in_flight: int, stage) -> Dict:
-        """The gauges of one metric scrape at ``now`` of a run that began
-        at ``t0``."""
+        """One metric scrape's gauges at ``now`` (the run began at ``t0``)."""
         runtimes = self.runtimes
         gauges: Dict = {
             "repro_queue_depth": sum(rt.batcher.pending_count
@@ -1429,10 +1405,11 @@ class _FleetSimulator:
                     busy / (elapsed * len(members)) if members else 0.0
         return gauges
 
-    def _finalize(self, hetero: Optional[HeteroStats],
+    def _finalize(self, report, served: _Served,
+                  hetero: Optional[HeteroStats],
                   latencies: Sequence[float]) -> None:
-        """Close the run's stats once its loop has drained; ``latencies``
-        are the per-request latencies of every record it served."""
+        """Close the run's stats after its loop and attach the fleet-wide
+        blocks to ``report``; ``latencies`` are all its records' latencies."""
         for rt in self.runtimes.values():
             rt.batching.late_join_rejects = rt.batcher.late_join_rejects
         if hetero is not None:
@@ -1445,11 +1422,16 @@ class _FleetSimulator:
             for rt in self.runtimes.values():
                 rt.stream.finalize()
             self.consistency.p99_s = percentile(latencies, 99)
+        report.avg_in_flight = served.avg_in_flight
+        report.chips = [chip.stats for chip in self.chips]
+        report.hetero = hetero
+        report.control = served.control
+        report.sharding = self.sharding_stats
+        report.consistency = self.consistency
 
     def _serve(self, requests: Sequence[Request], stage,
                hetero: Optional[HeteroStats]) -> _Served:
         """Serve ``requests`` (sorted by arrival) through ``stage``."""
-        fleet = self.fleet
         chips = self.chips
         runtimes = self.runtimes
         observe = self.observe
@@ -1493,7 +1475,7 @@ class _FleetSimulator:
         # elastic runs only: the scaler owns every piece of control state
         scaler: Optional[FleetScaler] = None
         if self.control_config is not None and requests:
-            scaler = FleetScaler(self.control_config, fleet, chips,
+            scaler = FleetScaler(self.control_config, self.fleet, chips,
                                  list(runtimes.values()), self._shapes, push,
                                  stage.drain_victim, t0, observe=observe)
 
@@ -1706,11 +1688,6 @@ class ServingSimulator(_FleetSimulator):
             cfg.dispatch, graph.num_vertices, len(self.chips),
             scorer=runtime.shape_scorer, profile_fn=runtime.profile_fn)
 
-    def _runtime_of(self, tagged) -> TenantRuntime:
-        # the one anonymous runtime takes every request and update,
-        # whatever its tenant tag
-        return self.runtime
-
     @property
     def batcher(self):
         """The batcher of the current (or most recent) run; tests replay
@@ -1761,16 +1738,10 @@ class ServingSimulator(_FleetSimulator):
         logger.info("served %d requests on %d chips in %.6f s simulated",
                     len(requests), len(self.chips), served.span_s)
         report.records = served.records
-        self._finalize(hetero, report.latencies_s)
         report.max_queue_depth = stage.peak_backlog
-        report.avg_in_flight = served.avg_in_flight
-        report.chips = [chip.stats for chip in self.chips]
         report.cache = rt.result_cache.stats
         report.batching = rt.batching
-        report.hetero = hetero
-        report.sharding = self.sharding_stats
-        report.control = served.control
-        report.consistency = self.consistency
+        self._finalize(report, served, hetero, report.latencies_s)
         return report
 
 
@@ -1788,11 +1759,11 @@ def _arm_update_stream(updates, update_rate: float, replay,
     events are still to be generated.
 
     The stream object must exist before the simulator (it wraps the
-    graphs and rebinds the caches), but its events need the resolved
-    arrival rates -- so a driver creates it empty here and fills
-    ``updates.events`` after calibration / replay resolution (``fill``).
-    A replayed trace that carries updates arms the stream with the
-    capturing run's policy, which is part of what made its report.
+    graphs and rebinds the caches), but generated events need the resolved
+    arrival rates -- so a driver creates it empty here and generates
+    ``updates.events`` after calibration (``fill``).  A replayed trace
+    that carries updates arms the stream with the capturing run's events
+    and policy, which are part of what made its report.
     """
     if update_rate < 0:
         raise ValueError("update_rate must be >= 0")
@@ -1805,30 +1776,27 @@ def _arm_update_stream(updates, update_rate: float, replay,
         invalidation = replay.meta.get("invalidation", invalidation)
         staleness_budget = int(replay.meta.get("staleness_budget",
                                                staleness_budget))
-    return UpdateStream(events=(), policy=invalidation,
-                        staleness_budget_versions=staleness_budget), True
+    events = replay.to_update_events() if replayed else ()
+    return UpdateStream(events=events, policy=invalidation,
+                        staleness_budget_versions=staleness_budget), \
+        not replayed
 
 
 def _stamp_capture(capture, meta: Dict, updates, update_rate: float,
                   update_mix: Optional[str], replay,
                   requests: Sequence[Request], events: Sequence,
                   provenance: Tuple[str, ...] = _UPDATE_PROVENANCE) -> None:
-    """Record the offered stream into ``capture`` and stamp everything
-    ``serve --replay`` / ``trace-stats`` need into ``capture.meta``,
-    before serving begins.
+    """Record the offered ``requests`` and update ``events`` into
+    ``capture`` in the order the event loop pops them, ``(arrival_time_s,
+    push order)``: a stable sort by arrival time.  Stamp what ``serve
+    --replay`` / ``trace-stats`` need into ``capture.meta``.
 
-    ``requests`` and the update ``events`` are the run's offered inputs.
-    The event loop pops each kind in ``(arrival_time_s, push order)``
-    order, so a stable sort by arrival time is the order it serves them
-    in: before the cache lookup and the admission / degradation gate, and
-    before an update touches the graph.  Re-capturing a replay keeps the
-    original workload's ``provenance`` keys (the offered process, not the
-    replay mechanism), so the new trace file is byte-identical to the one
-    replayed.
+    Re-capturing a replay keeps the original workload's ``provenance``
+    keys (the offered process, not the replay mechanism), so the new trace
+    file is byte-identical to the one replayed.
     """
-    by_arrival = operator.attrgetter("arrival_time_s")
-    capture.requests = sorted(requests, key=by_arrival)
-    capture.updates = sorted(events, key=by_arrival)
+    capture.requests = sorted(requests, key=lambda r: r.arrival_time_s)
+    capture.updates = sorted(events, key=lambda e: e.arrival_time_s)
     capture.meta.update(meta)
     if updates is not None:
         capture.meta.update({
@@ -1883,10 +1851,9 @@ def run_serving(
     (span traces + metrics); instrumenting never changes the report.
 
     ``capture`` is a :class:`~repro.serving.trace.TraceWriter` that records
-    the offered requests and updates before serving begins, with the
-    workload/sampling parameters a replay needs stamped into
-    ``capture.meta``; the simulator never sees it, so capturing never
-    changes the report.  ``replay`` takes a
+    the offered requests and updates, and the workload/sampling parameters
+    a replay needs in ``capture.meta``, before serving begins; capturing
+    never changes the report.  ``replay`` takes a
     :class:`~repro.serving.trace.RequestTrace` and serves its exact request
     stream instead of generating one -- with the same ``config``/``seed``
     the replayed report is bit-for-bit identical to the captured run's.
@@ -1925,14 +1892,11 @@ def run_serving(
     elif rate_rps is None:
         rate_rps = simulator.calibrate_rate(utilization_target)
     if fill_update_events:
-        if replay is not None and replay.num_updates > 0:
-            updates.events = replay.to_update_events()
-        else:
-            mix = parse_update_mix(update_mix) if update_mix else None
-            updates.events = generate_update_stream(
-                graph.num_vertices,
-                num_updates=int(round(update_rate * num_requests)),
-                rate_ups=update_rate * rate_rps, mix=mix, seed=seed)
+        mix = parse_update_mix(update_mix) if update_mix else None
+        updates.events = generate_update_stream(
+            graph.num_vertices,
+            num_updates=int(round(update_rate * num_requests)),
+            rate_ups=update_rate * rate_rps, mix=mix, seed=seed)
     workload = WorkloadConfig(num_requests=num_requests, rate_rps=rate_rps,
                               arrival=arrival, popularity_skew=popularity_skew,
                               peak_factor=peak_factor, seed=seed)

@@ -570,12 +570,9 @@ class HeteroStats:
     misdispatch_s: float = 0.0
     rates: Dict[str, float] = field(default_factory=dict)
 
-    def finalize(self, chip_shapes: Sequence[str],
-                 scorers: Dict[str, object]) -> None:
-        """Close the run: count the roster's chips per shape and snapshot
-        each tenant's learned rates (``scorers`` maps a tenant name, empty
-        on a single-tenant run, to its
-        :class:`~repro.serving.hetero.ShapeScorer`)."""
+    def finalize(self, chip_shapes: Sequence[str], scorers: Dict) -> None:
+        """Count the roster's chips per shape and snapshot each tenant's
+        learned rates (``scorers``: tenant -> ShapeScorer); end of run."""
         for shape in chip_shapes:
             self.shape_counts[shape] = self.shape_counts.get(shape, 0) + 1
         for name, scorer in scorers.items():

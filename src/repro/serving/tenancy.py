@@ -353,14 +353,9 @@ class MultiTenantSimulator(_FleetSimulator):
         logger.info("served %d requests for %d tenants on %d chips in "
                     "%.6f s simulated", len(requests),
                     len(self.tenant_names), len(self.chips), served.span_s)
-        self._finalize(hetero, [r.latency_s for r in served.records])
+        self._finalize(report, served, hetero,
+                       [r.latency_s for r in served.records])
         report.max_backlog_batches = stage.peak_backlog
-        report.avg_in_flight = served.avg_in_flight
-        report.chips = [chip.stats for chip in self.chips]
-        report.hetero = hetero
-        report.control = served.control
-        report.sharding = self.sharding_stats
-        report.consistency = self.consistency
         # roll the tagged records up into per-tenant report slices
         for name in self.tenant_names:
             rt = self.runtimes[name]
@@ -437,24 +432,21 @@ def run_multi_tenant(
         streams = shared.tenant_streams(rates)
         requests = merge_tenant_streams(streams)
     if fill_update_events:
-        if replay is not None and replay.num_updates > 0:
-            updates.events = replay.to_update_events()
-        else:
-            mix = parse_update_mix(update_mix) if update_mix else None
-            merged: List = []
-            for name in shared.tenant_names:
-                rt = shared.runtimes[name]
-                merged.extend(generate_update_stream(
-                    rt.graph.num_vertices,
-                    num_updates=int(round(
-                        update_rate * rt.config.num_requests)),
-                    rate_ups=update_rate * rates[name], mix=mix,
-                    seed=rt.seed, tenant=name))
-            merged.sort(key=lambda e: (e.arrival_time_s, e.tenant))
-            # renumber in merged arrival order so the captured trace's
-            # update ids are the offered sequence, like request ids
-            updates.events = [replace(e, update_id=i)
-                              for i, e in enumerate(merged)]
+        mix = parse_update_mix(update_mix) if update_mix else None
+        merged: List = []
+        for name in shared.tenant_names:
+            rt = shared.runtimes[name]
+            merged.extend(generate_update_stream(
+                rt.graph.num_vertices,
+                num_updates=int(round(
+                    update_rate * rt.config.num_requests)),
+                rate_ups=update_rate * rates[name], mix=mix,
+                seed=rt.seed, tenant=name))
+        merged.sort(key=lambda e: (e.arrival_time_s, e.tenant))
+        # renumber in merged arrival order so the captured trace's
+        # update ids are the offered sequence, like request ids
+        updates.events = [replace(e, update_id=i)
+                          for i, e in enumerate(merged)]
     if capture is not None:
         _stamp_capture(capture, {
             "kind": "serve-tenants", "fleet_seed": fleet.seed,

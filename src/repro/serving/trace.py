@@ -152,8 +152,6 @@ class RequestTrace:
         """
         tenants: List[str] = sorted({r.tenant for r in requests}
                                     | {e.tenant for e in updates} or {""})
-        if "" not in tenants and len(tenants) > 1:
-            pass  # purely multi-tenant capture: no reserved empty slot
         index = {name: i for i, name in enumerate(tenants)}
         n = len(requests)
         columns = {name: np.empty(n, dtype=dtype)
@@ -265,14 +263,12 @@ class TraceWriter:
     """The offered request and update streams of one run, and their metadata.
 
     Pass one as ``capture=`` to :func:`~repro.serving.fleet.run_serving` /
-    :func:`~repro.serving.tenancy.run_multi_tenant`.  The driver records
-    the stream it offers before serving begins: ``requests`` (tenant tags
-    included) and, on a streaming run, ``updates``, each in the order the
-    event loop serves them (a stable sort by arrival time), as offered --
-    before the cache lookup, the admission / degradation gate and any
-    graph mutation.  The simulators never see the writer.  ``meta`` is
-    free-form JSON-serialisable capture metadata; the drivers stamp the
-    workload/sampling parameters a later ``trace-stats`` or replay needs.
+    :func:`~repro.serving.tenancy.run_multi_tenant`: before serving, the
+    driver records the ``requests`` and ``updates`` it offers, in the order
+    the event loop serves them; the simulators never see the writer.
+    ``meta`` is free-form JSON-serialisable capture metadata; the drivers
+    stamp the workload/sampling parameters a later ``trace-stats`` or
+    replay needs.
     """
 
     def __init__(self, meta: Optional[Mapping[str, object]] = None):
@@ -284,13 +280,10 @@ class TraceWriter:
     def num_recorded(self) -> int:
         return len(self.requests)
 
-    def to_trace(self) -> RequestTrace:
-        return RequestTrace.from_requests(self.requests, meta=self.meta,
-                                          updates=self.updates)
-
     def write(self, path: str) -> RequestTrace:
         """Columnise and save the capture; returns the trace written."""
-        trace = self.to_trace()
+        trace = RequestTrace.from_requests(self.requests, meta=self.meta,
+                                           updates=self.updates)
         save_request_trace(path, trace)
         return trace
 
