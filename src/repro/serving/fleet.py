@@ -1760,7 +1760,7 @@ def _arm_update_stream(updates, update_rate: float, replay,
 
     The stream object must exist before the simulator (it wraps the
     graphs and rebinds the caches), but generated events need the resolved
-    arrival rates -- so a driver creates it empty here and generates
+    arrival rates -- so a run function creates it empty here and generates
     ``updates.events`` after calibration (``fill``).  A replayed trace
     that carries updates arms the stream with the capturing run's events
     and policy, which are part of what made its report.

@@ -5,7 +5,7 @@ request spent its time*; this module answers *what traffic the fleet was
 offered* -- and makes that stream a first-class, replayable artifact:
 
 * :class:`TraceWriter` -- the offered stream of one run.  The end-to-end
-  drivers (:func:`~repro.serving.fleet.run_serving`,
+  run functions (:func:`~repro.serving.fleet.run_serving`,
   :func:`~repro.serving.tenancy.run_multi_tenant`) record every *offered*
   request and update into it before serving, in the order the event loop
   serves them; the simulators never see it, so a captured run is the
@@ -263,12 +263,12 @@ class TraceWriter:
     """The offered request and update streams of one run, and their metadata.
 
     Pass one as ``capture=`` to :func:`~repro.serving.fleet.run_serving` /
-    :func:`~repro.serving.tenancy.run_multi_tenant`: before serving, the
-    driver records the ``requests`` and ``updates`` it offers, in the order
-    the event loop serves them; the simulators never see the writer.
-    ``meta`` is free-form JSON-serialisable capture metadata; the drivers
-    stamp the workload/sampling parameters a later ``trace-stats`` or
-    replay needs.
+    :func:`~repro.serving.tenancy.run_multi_tenant`: before serving, it
+    records the ``requests`` and ``updates`` it offers, in the order the
+    event loop serves them; the simulators never see the writer.
+    ``meta`` is free-form JSON-serialisable capture metadata; the run
+    functions stamp the workload/sampling parameters a later
+    ``trace-stats`` or replay needs.
     """
 
     def __init__(self, meta: Optional[Mapping[str, object]] = None):

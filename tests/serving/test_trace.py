@@ -7,10 +7,10 @@ Three layers of guarantees:
    stamps, the empty trace -- and the loader rejects every corruption
    mode (truncation, payload bit-flips, bad magic, version drift,
    unsorted or out-of-range columns) with :class:`TraceFormatError`.
-2. **Capture semantics**: the drivers record exactly the offered stream,
-   in the order the event loop serves it (ties included), capturing
-   never perturbs the report, and re-capturing a replay writes a
-   byte-identical trace file.
+2. **Capture semantics**: the run functions record exactly the offered
+   stream, in the order the event loop serves it (ties included),
+   capturing never perturbs the report, and re-capturing a replay writes
+   a byte-identical trace file.
 3. **Replay contract** (the PR's acceptance criterion): a run captured
    with ``--trace-capture`` and replayed with ``--replay`` produces a
    bit-for-bit identical report, single- and multi-tenant, through the
