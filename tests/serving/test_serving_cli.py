@@ -1,6 +1,9 @@
 """Smoke tests for ``python -m repro serve`` and the serving example."""
 
+import contextlib
+import hashlib
 import importlib.util
+import io
 import sys
 from pathlib import Path
 
@@ -8,6 +11,7 @@ import pytest
 
 from repro.__main__ import main
 
+EXAMPLES = Path(__file__).resolve().parent.parent.parent / "examples"
 SERVE_FAST = ["serve", "--dataset", "IB", "--model", "gcn",
               "--requests", "64", "--chips", "2"]
 
@@ -88,9 +92,50 @@ class TestServeCommand:
             main(SERVE_FAST + ["--dispatch", "random"])
 
 
+class TestServeStdoutPins:
+    """sha256 of the complete stdout of three ``serve`` runs.
+
+    Between them the runs print every table block of both modes: the
+    single-tenant head, per-chip, per-shape, shape-aware dispatch, batch
+    formation, sharding, streaming, all three control blocks and the
+    traffic summary, and the multi-tenant summary, fairness, isolation and
+    per-tenant batch formation tables.
+    """
+
+    RUNS = {
+        # elastic, heterogeneous, streaming, continuous batching
+        "elastic": (["serve", "--dataset", "IB", "--requests", "400",
+                     "--chips", "2", "--hops", "1", "--fanout", "4",
+                     "--shape-mix", "mixed", "--dispatch", "shape-aware",
+                     "--batch-policy", "continuous", "--arrival", "ramp",
+                     "--utilization", "1.5", "--autoscale", "threshold",
+                     "--max-chips", "4", "--admission", "--degrade",
+                     "--update-rate", "0.05"],
+                    "bcbb812d8396801f6f96b38aec25e658"
+                    "1318defd2e4991f3b0416727ca891a60"),
+        "sharded": (["serve", "--dataset", "IB", "--requests", "256",
+                     "--chips", "2", "--shards", "2", "--update-rate", "0.05"],
+                    "c26230e3c4b619b6b0f7be0aa33dcb97"
+                    "3a288d5cef3263ad6b3c4710ace48ea8"),
+        "tenants": (["serve", "--tenants", str(EXAMPLES / "tenants.json"),
+                     "--chips", "2", "--shape-mix", "mixed",
+                     "--update-rate", "0.05", "--autoscale", "threshold",
+                     "--max-chips", "4"],
+                    "d494af8b6d7e0d66cbf3c0aee26750fb"
+                    "3c5c4458f6f501ce76b9185db5517735"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_stdout_digest(self, name):
+        argv, digest = self.RUNS[name]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
 def test_online_serving_example_runs(capsys):
-    path = Path(__file__).resolve().parent.parent.parent \
-        / "examples" / "online_serving.py"
+    path = EXAMPLES / "online_serving.py"
     spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[path.stem] = module
