@@ -18,8 +18,16 @@ three main event kinds:
 * ``completion`` -- a chip finished a batch: its requests complete, the
   result cache is populated, and the chip takes its next batch.
 
-The two front ends differ only in *when a formed batch is bound to a
-chip*, which a small dispatch stage decides:
+Above the loop there is one run body too (:meth:`_FleetSimulator._run`):
+serve the stream, cut one :class:`~repro.serving.stats.ServingReport`
+slice per tenant, close the fleet-wide stats.  It runs the loop on an
+empty request stream as well, so a stream of updates alone is applied
+by either front end, and :func:`run_serving` and
+:func:`~repro.serving.tenancy.run_multi_tenant` generate their update
+events with one function (:func:`_update_events`).  The two front ends
+differ only in how they wrap the slices (the one-tenant front end
+returns its slice) and in *when a formed batch is bound to a chip*,
+which a small dispatch stage decides:
 
 * **push** (:class:`ServingSimulator`) -- a dispatch policy binds the batch
   to a chip the moment it forms, onto that chip's private FIFO;
@@ -70,7 +78,8 @@ from collections import deque
 
 import numpy as np
 from dataclasses import dataclass, field, replace
-from typing import Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (Deque, Dict, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from ..core.config import HyGCNConfig
 from ..core.simulator import HyGCNSimulator
@@ -946,6 +955,10 @@ class TenantRuntime:
         self.model = model
         self.dataset_name = dataset_name
         self.weight = getattr(config, "weight", 1.0)
+        #: The name the tenant's report slice carries: the spec's model
+        #: name, else the model's own (a FleetConfig names no model).
+        self.model_name = getattr(config, "model", None) \
+            or getattr(model, "name", model.__class__.__name__)
         self._fleet = fleet
         self.sampler = SubgraphSampler(graph, num_hops=config.num_hops,
                                        fanout=config.fanout, seed=seed)
@@ -1237,7 +1250,7 @@ class _PullStage:
 
 
 class _Served(NamedTuple):
-    """What one pass of the event loop hands back to its front end."""
+    """What one pass of the event loop hands back to :meth:`_FleetSimulator._run`."""
 
     records: List[RequestRecord]
     span_s: float
@@ -1252,9 +1265,12 @@ class _FleetSimulator:
     """The chip fleet and the one discrete-event loop that serves it.
 
     Subclassed by the two front ends, which differ only in how many tenant
-    runtimes they build and which dispatch stage they hand :meth:`_serve`:
-    :class:`ServingSimulator` pushes, :class:`~repro.serving.tenancy.\
-    MultiTenantSimulator` pulls.
+    runtimes they build, which dispatch stage they hand :meth:`_run` and
+    how they wrap its per-tenant report slices: :class:`ServingSimulator`
+    pushes and reports its one slice, :class:`~repro.serving.tenancy.\
+    MultiTenantSimulator` pulls and wraps every slice in a
+    :class:`~repro.serving.stats.MultiTenantReport`.  :meth:`_run` is the
+    one run body: the loop, then the slices, then :meth:`_finalize`.
 
     :meth:`_serve` is the event loop alone.  It consults one object per
     optional subsystem: the observability hub, each
@@ -1277,7 +1293,8 @@ class _FleetSimulator:
         #: code.
         self.observe = observe
         #: Streaming-update hook (:class:`repro.serving.streaming.UpdateStream`)
-        #: or ``None``; the front ends wrap every served graph in a mutable
+        #: or ``None``; the front ends serve every graph through
+        #: :func:`_served_graph`, a mutable
         #: :class:`~repro.graphs.delta.DeltaGraph` when it is armed.
         #: ``updates.events`` may still be empty at construction (the
         #: end-to-end drivers fill them once arrival rates are calibrated);
@@ -1405,11 +1422,44 @@ class _FleetSimulator:
                     busy / (elapsed * len(members)) if members else 0.0
         return gauges
 
+    def _run(self, requests: Sequence[Request], stage,
+             hetero: Optional[HeteroStats], rates: Mapping[str, float],
+             dispatch_policy: str, num_chips: int, wrap):
+        """Serve ``requests`` (sorted by arrival) through ``stage`` and
+        return ``wrap(slices)`` with the fleet-wide blocks attached.
+
+        ``slices`` maps each tenant to its :class:`ServingReport` slice: its
+        own records, result cache and batching stats, at ``rates[tenant]``
+        (0.0 when absent) under ``dispatch_policy`` on ``num_chips`` chips.
+        An empty stream runs the loop too, so its updates are applied.
+        """
+        served = self._serve(requests, stage, hetero)
+        logger.info("served %d requests for %d tenant(s) on %d chips in "
+                    "%.6f s simulated", len(requests), len(self.runtimes),
+                    len(self.chips), served.span_s)
+        slices = {name: ServingReport(
+            model_name=rt.model_name,
+            dataset_name=rt.dataset_name,
+            num_chips=num_chips,
+            batch_policy=rt.config.batch_policy,
+            dispatch_policy=dispatch_policy,
+            rate_rps=rates.get(name, 0.0),
+            slo_s=rt.slo_s,
+            records=[r for r in served.records if r.tenant == name],
+            cache=rt.result_cache.stats,
+            batching=rt.batching,
+        ) for name, rt in self.runtimes.items()}
+        report = wrap(slices)
+        self._finalize(report, served, hetero, np.concatenate(
+            [s.latencies_s for s in slices.values()]))
+        return report
+
     def _finalize(self, report, served: _Served,
                   hetero: Optional[HeteroStats],
-                  latencies: Sequence[float]) -> None:
+                  latencies: np.ndarray) -> None:
         """Close the run's stats after its loop and attach the fleet-wide
-        blocks to ``report``; ``latencies`` are all its records' latencies."""
+        blocks to ``report``; ``latencies`` are all its records' latencies
+        (in any order: only their percentiles are read)."""
         for rt in self.runtimes.values():
             rt.batching.late_join_rejects = rt.batcher.late_join_rejects
         if hetero is not None:
@@ -1669,8 +1719,7 @@ class ServingSimulator(_FleetSimulator):
                  control: Optional[ControlConfig] = None,
                  observe=None, updates=None):
         cfg = config or FleetConfig()
-        if updates is not None and not isinstance(graph, DeltaGraph):
-            graph = DeltaGraph(graph, compact_every=updates.compact_every)
+        graph = _served_graph(graph, updates)
         runtime = TenantRuntime("", cfg, cfg, graph, model,
                                 dataset_name or graph.name, cfg.seed,
                                 priced=False)
@@ -1718,36 +1767,48 @@ class ServingSimulator(_FleetSimulator):
             rate_rps: float = 0.0) -> ServingReport:
         """Serve ``requests`` (sorted by arrival) and return the report."""
         cfg = self.config
-        rt = self.runtime
-        report = ServingReport(
-            model_name=getattr(rt.model, "name", rt.model.__class__.__name__),
-            dataset_name=rt.dataset_name,
-            num_chips=len(self.chips),
-            batch_policy=cfg.batch_policy,
-            dispatch_policy=cfg.dispatch,
-            rate_rps=rate_rps,
-            slo_s=rt.slo_s,
-        )
-        if not requests:
-            report.chips = [chip.stats for chip in self.chips]
-            return report
         stage = _PushStage(self._dispatch, self.chips)
         hetero = HeteroStats(dispatch_policy=cfg.dispatch) \
             if self._track_shapes else None
-        served = self._serve(requests, stage, hetero)
-        logger.info("served %d requests on %d chips in %.6f s simulated",
-                    len(requests), len(self.chips), served.span_s)
-        report.records = served.records
+        report = self._run(requests, stage, hetero, {"": rate_rps},
+                           cfg.dispatch, len(self.chips),
+                           wrap=lambda slices: slices[""])
         report.max_queue_depth = stage.peak_backlog
-        report.cache = rt.result_cache.stats
-        report.batching = rt.batching
-        self._finalize(report, served, hetero, report.latencies_s)
         return report
 
 
 # --------------------------------------------------------------------------- #
 # End-to-end drivers' shared streaming/capture plumbing
 # --------------------------------------------------------------------------- #
+def _served_graph(graph: Graph, updates) -> Graph:
+    """The graph a tenant serves: on a mutating run, a
+    :class:`~repro.graphs.delta.DeltaGraph` overlay, so inserts never touch
+    the shared memoised base graph."""
+    if updates is None or isinstance(graph, DeltaGraph):
+        return graph
+    return DeltaGraph(graph, compact_every=updates.compact_every)
+
+
+def _update_events(sources: Sequence[Tuple[Graph, int, float, int, str]],
+                   update_rate: float, update_mix: Optional[str]) -> List:
+    """Fresh update events for each ``(graph, num_requests, rate_rps, seed,
+    tenant)``: ``update_rate`` updates per request at ``update_rate`` times
+    the request rate, merged by ``(arrival, tenant)`` and numbered 0..n-1
+    in that order, so a captured trace's update ids are the offered
+    sequence, like request ids.  One untagged source is
+    :func:`generate_update_stream`'s own stream."""
+    mix = parse_update_mix(update_mix) if update_mix else None
+    merged: List = []
+    for graph, num_requests, rate_rps, seed, tenant in sources:
+        merged.extend(generate_update_stream(
+            graph.num_vertices,
+            num_updates=int(round(update_rate * num_requests)),
+            rate_ups=update_rate * rate_rps, mix=mix, seed=seed,
+            tenant=tenant))
+    merged.sort(key=lambda e: (e.arrival_time_s, e.tenant))
+    return [replace(e, update_id=i) for i, e in enumerate(merged)]
+
+
 #: Capture-metadata keys describing the offered update process.
 _UPDATE_PROVENANCE = ("update_rate", "update_mix", "invalidation",
                       "staleness_budget")
@@ -1784,9 +1845,9 @@ def _arm_update_stream(updates, update_rate: float, replay,
 
 def _stamp_capture(capture, meta: Dict, updates, update_rate: float,
                   update_mix: Optional[str], replay,
-                  requests: Sequence[Request], events: Sequence,
+                  requests: Sequence[Request],
                   provenance: Tuple[str, ...] = _UPDATE_PROVENANCE) -> None:
-    """Record the offered ``requests`` and update ``events`` into
+    """Record the offered ``requests`` and ``updates.events`` into
     ``capture`` in the order the event loop pops them, ``(arrival_time_s,
     push order)``: a stable sort by arrival time.  Stamp what ``serve
     --replay`` / ``trace-stats`` need into ``capture.meta``.
@@ -1796,9 +1857,10 @@ def _stamp_capture(capture, meta: Dict, updates, update_rate: float,
     file is byte-identical to the one replayed.
     """
     capture.requests = sorted(requests, key=lambda r: r.arrival_time_s)
-    capture.updates = sorted(events, key=lambda e: e.arrival_time_s)
     capture.meta.update(meta)
     if updates is not None:
+        capture.updates = sorted(updates.events,
+                                 key=lambda e: e.arrival_time_s)
         capture.meta.update({
             "update_rate": update_rate,
             "invalidation": updates.policy,
@@ -1892,17 +1954,14 @@ def run_serving(
     elif rate_rps is None:
         rate_rps = simulator.calibrate_rate(utilization_target)
     if fill_update_events:
-        mix = parse_update_mix(update_mix) if update_mix else None
-        updates.events = generate_update_stream(
-            graph.num_vertices,
-            num_updates=int(round(update_rate * num_requests)),
-            rate_ups=update_rate * rate_rps, mix=mix, seed=seed)
+        updates.events = _update_events(
+            [(graph, num_requests, rate_rps, seed, "")],
+            update_rate, update_mix)
     workload = WorkloadConfig(num_requests=num_requests, rate_rps=rate_rps,
                               arrival=arrival, popularity_skew=popularity_skew,
                               peak_factor=peak_factor, seed=seed)
     requests = RequestGenerator(graph.num_vertices, workload).generate(trace)
     if capture is not None:
-        # an empty stream serves nothing, its updates included
         _stamp_capture(capture, {
             "kind": "serve", "dataset": dataset, "model": model_name,
             "num_hops": config.num_hops, "fanout": config.fanout,
@@ -1911,7 +1970,6 @@ def run_serving(
             "num_chips": config.num_chips,
             "slo_s": simulator.slo_s,
         }, updates, update_rate, update_mix, replay, requests,
-            updates.events if updates is not None and requests else (),
             provenance=("arrival", "popularity_skew", "seed")
             + _UPDATE_PROVENANCE)
     return simulator.run(requests, rate_rps=rate_rps)

@@ -857,8 +857,46 @@ class ControlStats:
         }
 
 
+class _FleetTotals:
+    """Members both report kinds derive alike from their ``completed``,
+    ``makespan_s``, ``num_chips``, ``chips`` and ``control``."""
+
+    @property
+    def throughput_rps(self) -> float:
+        span = self.makespan_s
+        return self.completed / span if span > 0 else 0.0
+
+    @property
+    def chip_seconds_s(self) -> float:
+        """Provisioned chip-seconds: control-plane accounting when present,
+        ``num_chips * makespan`` for a fixed fleet."""
+        if self.control is not None:
+            return self.control.chip_seconds_s
+        return self.num_chips * self.makespan_s
+
+    @property
+    def total_busy_s(self) -> float:
+        """Chip-seconds actually *consumed* (sum of per-chip busy time).
+
+        The counterpart of :attr:`chip_seconds_s` (the provisioned bill):
+        dispatch quality moves this one even when the makespan is pinned by
+        the arrival tail, which is why the heterogeneity acceptance runs
+        compare on it.
+        """
+        return sum(c.busy_s for c in self.chips)
+
+    def per_chip_table(self) -> List[Dict[str, object]]:
+        """One row per chip: load share, busy time and utilisation."""
+        return chip_utilization_rows(self.chips, self.makespan_s)
+
+    def shape_table(self) -> List[Dict[str, object]]:
+        """One row per chip shape: roster, load and service share
+        (see :func:`shape_utilization_rows`; empty for an empty roster)."""
+        return shape_utilization_rows(self.chips, self.makespan_s)
+
+
 @dataclass
-class ServingReport:
+class ServingReport(_FleetTotals):
     """Everything the serving evaluation reports for one traffic run."""
 
     model_name: str
@@ -908,11 +946,6 @@ class ServingReport:
         start = min(r.arrival_time_s for r in self.records)
         end = max(r.completion_time_s for r in self.records)
         return end - start
-
-    @property
-    def throughput_rps(self) -> float:
-        span = self.makespan_s
-        return self.completed / span if span > 0 else 0.0
 
     @property
     def p50_latency_s(self) -> float:
@@ -965,25 +998,6 @@ class ServingReport:
     def degraded_rate(self) -> float:
         return self.degraded_requests / self.completed if self.completed else 0.0
 
-    @property
-    def chip_seconds_s(self) -> float:
-        """Provisioned chip-seconds: control-plane accounting when present,
-        ``num_chips * makespan`` for a fixed fleet."""
-        if self.control is not None:
-            return self.control.chip_seconds_s
-        return self.num_chips * self.makespan_s
-
-    @property
-    def total_busy_s(self) -> float:
-        """Chip-seconds actually *consumed* (sum of per-chip busy time).
-
-        The counterpart of :attr:`chip_seconds_s` (the provisioned bill):
-        dispatch quality moves this one even when the makespan is pinned by
-        the arrival tail, which is why the heterogeneity acceptance runs
-        compare on it.
-        """
-        return sum(c.busy_s for c in self.chips)
-
     # ------------------------------------------------------------------ #
     # Tables
     # ------------------------------------------------------------------ #
@@ -1003,15 +1017,6 @@ class ServingReport:
             "slo_violation_pct": round(100.0 * self.slo_violation_rate, 2),
             "cache_hit_rate_pct": round(100.0 * self.cache.hit_rate, 2),
         }
-
-    def per_chip_table(self) -> List[Dict[str, object]]:
-        """One row per chip: load share, busy time and utilisation."""
-        return chip_utilization_rows(self.chips, self.makespan_s)
-
-    def shape_table(self) -> List[Dict[str, object]]:
-        """One row per chip shape: roster, load and service share
-        (see :func:`shape_utilization_rows`; empty for an empty roster)."""
-        return shape_utilization_rows(self.chips, self.makespan_s)
 
     def latency_breakdown(self) -> Dict[str, float]:
         """Mean per-request time split: batching wait, queue wait, service."""
@@ -1092,7 +1097,7 @@ class ServingReport:
 
 
 @dataclass
-class MultiTenantReport:
+class MultiTenantReport(_FleetTotals):
     """Per-tenant slices plus the fairness / isolation metrics of one run.
 
     ``reports`` maps each tenant to a :class:`ServingReport` restricted to its
@@ -1144,11 +1149,6 @@ class MultiTenantReport:
             return 0.0
         return max(r.completion_time_s for r in records) \
             - min(r.arrival_time_s for r in records)
-
-    @property
-    def throughput_rps(self) -> float:
-        span = self.makespan_s
-        return self.completed / span if span > 0 else 0.0
 
     # ------------------------------------------------------------------ #
     # Fairness: configured weight shares vs. measured service shares
@@ -1235,15 +1235,6 @@ class MultiTenantReport:
             })
         return rows
 
-    def per_chip_table(self) -> List[Dict[str, object]]:
-        """Fleet-level chip accounting over the whole multi-tenant run."""
-        return chip_utilization_rows(self.chips, self.makespan_s)
-
-    def shape_table(self) -> List[Dict[str, object]]:
-        """One row per chip shape over the whole shared fleet
-        (see :func:`shape_utilization_rows`)."""
-        return shape_utilization_rows(self.chips, self.makespan_s)
-
     def batching_table(self) -> List[Dict[str, object]]:
         """One row per tenant: formation policy, overlap ratio, late joins.
 
@@ -1258,19 +1249,6 @@ class MultiTenantReport:
                 continue
             rows.append({"tenant": name, **stats.summary()})
         return rows
-
-    @property
-    def chip_seconds_s(self) -> float:
-        """Provisioned chip-seconds (control-plane view when elastic)."""
-        if self.control is not None:
-            return self.control.chip_seconds_s
-        return self.num_chips * self.makespan_s
-
-    @property
-    def total_busy_s(self) -> float:
-        """Chip-seconds actually consumed across the shared fleet
-        (see :attr:`ServingReport.total_busy_s`)."""
-        return sum(c.busy_s for c in self.chips)
 
     # ------------------------------------------------------------------ #
     # Machine-readable export

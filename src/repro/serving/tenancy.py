@@ -25,6 +25,12 @@ chips.  Three mechanisms keep the sharing honest:
   weights, and cross-tenant p99 inflation against each tenant running alone
   on an identical fleet.
 
+:class:`MultiTenantSimulator` runs the single-tenant front end's event
+loop and run body (:class:`~repro.serving.fleet._FleetSimulator`); it
+keeps only the WFQ pull stage and the report wrapper, so empty and
+update-only streams are served as the single-tenant front end serves
+them.
+
 Key entry points: :func:`run_multi_tenant` (spec list -> report),
 :func:`load_tenant_specs` (JSON file -> specs, used by
 ``python -m repro serve --tenants``) and :class:`MultiTenantSimulator` for
@@ -52,12 +58,10 @@ per-shape utilization/service-share plus the mis-dispatch metric
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 from ..graphs.datasets import DATASETS, load_dataset
-from ..graphs.delta import DeltaGraph
 from ..models.model_zoo import MODEL_NAMES, build_model
 from .batching import ALL_BATCH_POLICIES
 from .control import ControlConfig
@@ -68,11 +72,13 @@ from .fleet import (
     _arm_update_stream,
     _FleetSimulator,
     _PullStage,
+    _served_graph,
     _stamp_capture,
+    _update_events,
     probe_batch_service_time_s,  # noqa: F401 -- kept importable from here
 )
 from .stats import HeteroStats, MultiTenantReport, ServingReport
-from .streaming import generate_update_stream, parse_update_mix
+from .streaming import generate_update_stream  # noqa: F401 -- kept importable
 from .workload import (
     Request,
     RequestGenerator,
@@ -88,8 +94,6 @@ __all__ = [
     "load_tenant_specs",
     "run_multi_tenant",
 ]
-
-logger = logging.getLogger("repro.serving.tenancy")
 
 
 @dataclass(frozen=True)
@@ -248,11 +252,9 @@ class MultiTenantSimulator(_FleetSimulator):
             # keeps whole multi-tenant runs reproducible
             seed = tenant.seed if tenant.seed is not None \
                 else fleet.seed + 101 * (i + 1)
-            graph = load_dataset(tenant.dataset, seed=seed)
-            if updates is not None:
-                # mutating run: every tenant serves its own delta overlay,
-                # so inserts never touch the shared memoised base graph
-                graph = DeltaGraph(graph, compact_every=updates.compact_every)
+            # a mutating run: every tenant serves its own delta overlay
+            graph = _served_graph(load_dataset(tenant.dataset, seed=seed),
+                                  updates)
             model = build_model(tenant.model,
                                 input_length=graph.feature_length)
             runtimes[tenant.name] = TenantRuntime(
@@ -336,46 +338,27 @@ class MultiTenantSimulator(_FleetSimulator):
             rates: Optional[Mapping[str, float]] = None) -> MultiTenantReport:
         """Serve a merged, tenant-tagged stream and return the shared report."""
         fleet = self.fleet
-        rates = dict(rates or {})
-        report = MultiTenantReport(
-            num_chips=len(self.chips),
-            tenants=list(self.tenant_names),
-            weights={n: self.runtimes[n].config.weight
-                     for n in self.tenant_names},
-            reports={},
-        )
-        stage = _PullStage(self.scheduler, self.chips, self.runtimes,
+        runtimes = self.runtimes
+        stage = _PullStage(self.scheduler, self.chips, runtimes,
                            shape_aware=fleet.dispatch == "shape-aware")
         hetero = HeteroStats(
             dispatch_policy="shape-aware" if stage.shape_aware
             else "wfq-first-idle") if self._track_shapes else None
-        served = self._serve(requests, stage, hetero)
-        logger.info("served %d requests for %d tenants on %d chips in "
-                    "%.6f s simulated", len(requests),
-                    len(self.tenant_names), len(self.chips), served.span_s)
-        self._finalize(report, served, hetero,
-                       [r.latency_s for r in served.records])
-        report.max_backlog_batches = stage.peak_backlog
-        # roll the tagged records up into per-tenant report slices
-        for name in self.tenant_names:
-            rt = self.runtimes[name]
-            slice_report = ServingReport(
-                model_name=rt.config.model,
-                dataset_name=rt.config.dataset,
-                num_chips=fleet.num_chips,
-                batch_policy=rt.config.batch_policy,
-                dispatch_policy="wfq-drr",
-                rate_rps=rates.get(name, 0.0),
-                slo_s=rt.slo_s,
-            )
-            slice_report.records = [r for r in served.records
-                                    if r.tenant == name]
-            slice_report.cache = rt.result_cache.stats
-            slice_report.batching = rt.batching
-            report.reports[name] = slice_report
-            report.busy_s[name] = rt.busy_s
-            report.contended_busy_s[name] = rt.contended_busy_s
-        return report
+        num_chips = len(self.chips)  # before an elastic run grows the list
+
+        def wrap(slices: Dict[str, ServingReport]) -> MultiTenantReport:
+            return MultiTenantReport(
+                num_chips=num_chips,
+                tenants=list(self.tenant_names),
+                weights={n: rt.weight for n, rt in runtimes.items()},
+                reports=slices,
+                busy_s={n: rt.busy_s for n, rt in runtimes.items()},
+                contended_busy_s={n: rt.contended_busy_s
+                                  for n, rt in runtimes.items()},
+                max_backlog_batches=stage.peak_backlog)
+
+        return self._run(requests, stage, hetero, rates or {}, "wfq-drr",
+                         fleet.num_chips, wrap)
 
 
 def run_multi_tenant(
@@ -418,8 +401,8 @@ def run_multi_tenant(
     captured run bit-for-bit.
     """
     fleet = fleet or FleetConfig()
-    # streaming updates: the same deferred fill as run_serving, with events
-    # generated per tenant once the per-tenant rates are resolved
+    # streaming updates: the same deferred fill as run_serving, with one
+    # source per tenant once the per-tenant rates are resolved
     updates, fill_update_events = _arm_update_stream(
         updates, update_rate, replay, invalidation, staleness_budget)
     shared = MultiTenantSimulator(tenants, fleet, control=control,
@@ -432,21 +415,10 @@ def run_multi_tenant(
         streams = shared.tenant_streams(rates)
         requests = merge_tenant_streams(streams)
     if fill_update_events:
-        mix = parse_update_mix(update_mix) if update_mix else None
-        merged: List = []
-        for name in shared.tenant_names:
-            rt = shared.runtimes[name]
-            merged.extend(generate_update_stream(
-                rt.graph.num_vertices,
-                num_updates=int(round(
-                    update_rate * rt.config.num_requests)),
-                rate_ups=update_rate * rates[name], mix=mix,
-                seed=rt.seed, tenant=name))
-        merged.sort(key=lambda e: (e.arrival_time_s, e.tenant))
-        # renumber in merged arrival order so the captured trace's
-        # update ids are the offered sequence, like request ids
-        updates.events = [replace(e, update_id=i)
-                          for i, e in enumerate(merged)]
+        updates.events = _update_events(
+            [(rt.graph, rt.config.num_requests, rates[name], rt.seed, name)
+             for name, rt in shared.runtimes.items()],
+            update_rate, update_mix)
     if capture is not None:
         _stamp_capture(capture, {
             "kind": "serve-tenants", "fleet_seed": fleet.seed,
@@ -459,8 +431,7 @@ def run_multi_tenant(
                 "seed": shared.runtimes[t.name].seed,
                 "slo_s": shared.runtimes[t.name].slo_s,
             } for t in tenants],
-        }, updates, update_rate, update_mix, replay, requests,
-            updates.events if updates is not None else ())
+        }, updates, update_rate, update_mix, replay, requests)
     report = shared.run(requests, rates)
     if include_isolation_baseline:
         for tenant in tenants:
