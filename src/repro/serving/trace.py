@@ -246,8 +246,9 @@ class RequestTrace:
 
     @property
     def tenant_names(self) -> Tuple[str, ...]:
-        """Non-empty tenant names that actually appear in the stream."""
-        used = np.unique(self.columns["tenant"])
+        """Non-empty tenant names that tag a request or an update."""
+        used = np.union1d(self.columns["tenant"],
+                          self.updates.get("tenant", np.empty(0, np.uint32)))
         return tuple(name for i in used.tolist()
                      if (name := self.tenants[i]))
 

@@ -15,8 +15,12 @@ chip frees up and **pulls** it.  These tests pin that finding:
   differ (which, not the loop, is why a hand-mirrored config disagrees);
 * under overload the two first differ on a batch that queued behind a
   busy chip: push waits for the chip it was bound to, pull takes
-  whichever chip frees first.
+  whichever chip frees first;
+* an empty request stream still runs the loop in both, so a stream of
+  updates alone is applied alike.
 """
+
+from dataclasses import replace
 
 import pytest
 
@@ -29,8 +33,10 @@ from repro.serving import (
     RequestGenerator,
     ServingSimulator,
     TenantConfig,
+    UpdateStream,
     WorkloadConfig,
 )
+from repro.serving.streaming import UpdateEvent
 from repro.serving.workload import merge_tenant_streams
 
 DATASET = "CR"
@@ -107,3 +113,44 @@ def test_overload_first_divergence_is_a_batch_queued_behind_a_busy_chip():
     # ... while pull handed it to the chip that freed up first
     assert first_pull.chip_id != first_push.chip_id
     assert first_pull.service_start_s < first_push.service_start_s
+
+
+def _update_only(dispatch):
+    """Two hand-built IB updates and no requests through both front ends
+    (the tenant pinned to the fleet seed): (push, pull) reports."""
+    fleet = FleetConfig(num_chips=1, dispatch=dispatch)
+    events = [UpdateEvent(0, "edge", 1e-6, src=1, dst=2),
+              UpdateEvent(1, "feature", 3e-6, src=5, feature_seed=7)]
+    graph = load_dataset("IB", seed=fleet.seed)
+    model = build_model("GCN", input_length=graph.feature_length)
+    push = ServingSimulator(graph, model, fleet, dataset_name="IB",
+                            updates=UpdateStream(events=events)).run([])
+    tenant = TenantConfig(name="t", dataset="IB",
+                          batch_policy=fleet.batch_policy, seed=fleet.seed)
+    pull = MultiTenantSimulator(
+        [tenant], fleet, updates=UpdateStream(
+            events=[replace(e, tenant="t") for e in events])).run([])
+    return push, pull
+
+
+def test_update_only_stream_is_applied_alike_by_both_front_ends():
+    # a shape-tracking fleet has both runtimes sample the probe targets,
+    # so the sampler memos the updates invalidate are the same
+    push, pull = _update_only("shape-aware")
+    assert push.completed == pull.completed == 0
+    assert push.consistency.updates_offered == 2
+    assert pull.consistency.updates_offered == 2
+    assert push.consistency.as_dict() == pull.consistency.as_dict()
+
+
+def test_update_only_stream_differs_only_by_the_priced_sample_memo():
+    # on a shape-oblivious fleet only the pull runtime samples the probe
+    # targets (to price WFQ batches), so only its updates invalidate them
+    push, pull = _update_only("round-robin")
+    a, b = push.consistency.as_dict(), pull.consistency.as_dict()
+    assert a["updates_applied"] == b["updates_applied"] == 2
+    assert {k for k in a if a[k] != b[k]} \
+        == {"invalidations", "total_invalidations"}
+    assert {k for k, v in a["invalidations"].items()
+            if v != b["invalidations"][k]} == {"sample"}
+    assert a["invalidations"]["sample"] == 0 < b["invalidations"]["sample"]

@@ -20,6 +20,7 @@ Three layers of guarantees:
 import gzip
 import json
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -339,6 +340,72 @@ class TestCaptureReplay:
         capture.write(first)
         replay(first).write(second)
         assert open(first, "rb").read() == open(second, "rb").read()
+
+    UPDATES = [UpdateEvent(0, "edge", 1e-6, src=1, dst=2),
+               UpdateEvent(1, "feature", 3e-6, src=5, feature_seed=7)]
+
+    def test_update_only_trace_replays_every_update(self, tmp_path):
+        """A trace of two updates and no requests: the replay applies both,
+        and re-capturing it writes the same bytes."""
+        hand_built = str(tmp_path / "updates.bin")
+        save_request_trace(hand_built, RequestTrace.from_requests(
+            [], updates=self.UPDATES))
+
+        def replay(path):
+            capture = TraceWriter()
+            clear_probe_cache()
+            report = run_serving(dataset=self.DATASET,
+                                 config=FleetConfig(**self.CONFIG),
+                                 replay=load_request_trace(path),
+                                 capture=capture)
+            return report, capture
+
+        report, capture = replay(hand_built)
+        assert report.completed == 0
+        assert report.consistency.updates_offered == 2
+        assert report.consistency.updates_applied == 2
+        assert capture.updates == self.UPDATES
+        first, second = str(tmp_path / "first.bin"), str(tmp_path / "second.bin")
+        capture.write(first)
+        replay(first)[1].write(second)
+        assert open(first, "rb").read() == open(second, "rb").read()
+
+    def test_update_tags_alone_make_a_trace_multi_tenant(self, tmp_path,
+                                                         monkeypatch):
+        tagged = RequestTrace.from_requests([], updates=[
+            replace(self.UPDATES[0], tenant="a"),
+            replace(self.UPDATES[1], tenant="b")])
+        assert tagged.multi_tenant
+        assert tagged.tenant_names == ("a", "b")
+        with pytest.raises(ValueError, match="multi-tenant"):
+            run_serving(dataset=self.DATASET, replay=tagged)
+
+        applied = []
+        apply = StreamState.apply
+
+        def logged_apply(state, now, event):
+            applied.append((state.tenant, event.tenant, event.update_id))
+            return apply(state, now, event)
+
+        monkeypatch.setattr(StreamState, "apply", logged_apply)
+        report = run_multi_tenant(
+            [TenantConfig(name="a", dataset="IB", num_requests=0),
+             TenantConfig(name="b", dataset="IB", num_requests=0)],
+            FleetConfig(num_chips=1), replay=tagged,
+            include_isolation_baseline=False)
+        assert applied == [("a", "a", 0), ("b", "b", 1)]
+        assert report.consistency.updates_applied == 2
+
+    def test_untagged_update_only_trace_stays_single_tenant(self, tmp_path,
+                                                            capsys):
+        path = str(tmp_path / "updates.bin")
+        save_request_trace(path, RequestTrace.from_requests(
+            [], updates=self.UPDATES))
+        trace = load_request_trace(path)
+        assert not trace.multi_tenant
+        assert trace.tenant_names == ()
+        assert main(["trace-stats", path]) == 0
+        assert "0 requests" in capsys.readouterr().out
 
     def test_replay_of_degraded_run_reproduces_control_decisions(
             self, tmp_path):
