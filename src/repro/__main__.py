@@ -687,53 +687,39 @@ def _emit_json(report, args: argparse.Namespace) -> None:
             json.dump(payload, handle, indent=2, default=float)
 
 
-def _print_control_tables(control) -> None:
-    print_table([control.summary()], title="control plane: summary")
-    if control.samples:
-        print_table(control.scaling_table(),
-                    title="control plane: scaling timeline")
-        print("fleet-size timeline")
-        print(control.timeline_text())
-        print()
-    if control.admission:
-        print_table(control.admission_table(),
-                    title="control plane: admission / degradation")
+def _print_fleet_tables(report, batching_rows, batching_title: str) -> None:
+    """The tables both serve modes print, in order, between their own
+    summary tables and their traffic summary."""
+    print_table(report.per_chip_table(), title="per-chip utilization")
+    if report.hetero is not None:
+        print_table(report.shape_table(),
+                    title="per-shape utilization (docs/heterogeneity.md)")
+        print_table([report.hetero.summary()], title="shape-aware dispatch")
+    if batching_rows:
+        print_table(batching_rows, title=batching_title)
+    if report.sharding is not None:
+        print_table([report.sharding.summary()],
+                    title="sharded execution (docs/sharding.md)")
+    if report.consistency is not None:
+        print_table([report.consistency.summary()],
+                    title="streaming graph updates (docs/streaming.md)")
+    control = report.control
+    if control is not None:
+        print_table([control.summary()], title="control plane: summary")
+        if control.samples:
+            print_table(control.scaling_table(),
+                        title="control plane: scaling timeline")
+            print("fleet-size timeline")
+            print(control.timeline_text())
+            print()
+        if control.admission:
+            print_table(control.admission_table(),
+                        title="control plane: admission / degradation")
 
 
-def _run_serve_tenants(args: argparse.Namespace, replay=None) -> int:
-    """Multi-tenant serving: shared fleet, WFQ scheduling, isolation report."""
-    try:
-        tenants = load_tenant_specs(args.tenants)
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot load tenant spec {args.tenants!r}: {exc}",
-              file=sys.stderr)
-        return 2
-    capture = TraceWriter() if args.trace_capture is not None else None
-    try:
-        control = _control_config_from_args(args)
-        observe = _instrumentation_from_args(args)
-        sharding = _sharding_config_from_args(args)
-        fleet = FleetConfig(num_chips=args.shards if sharding is not None
-                            else args.chips,
-                            seed=args.seed,
-                            dispatch=args.dispatch,
-                            fleet_spec=_fleet_spec_from_args(args),
-                            sharding=sharding,
-                            **_batching_overrides(args, tenants_mode=True))
-        report = run_multi_tenant(
-            tenants, fleet, utilization_target=args.utilization,
-            include_isolation_baseline=not args.no_isolation,
-            control=control, observe=observe,
-            capture=capture, replay=replay,
-            **_streaming_overrides(args))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _write_observability(observe, args)
-    _write_capture(capture, args)
-    if args.json == "-":
-        _emit_json(report, args)
-        return 0
+def _print_tenant_tables(report, tenants, args: argparse.Namespace) -> None:
+    """``serve --tenants``: per-tenant summary, fairness, isolation, the
+    fleet tables and the traffic summary."""
     names = ", ".join(f"{t.name} (w={t.weight:g})" for t in tenants)
     print_table(report.summary_table(),
                 title=f"multi-tenant serving on {report.num_chips} chips "
@@ -743,35 +729,47 @@ def _run_serve_tenants(args: argparse.Namespace, replay=None) -> int:
     if not args.no_isolation:
         print_table(report.isolation_table(),
                     title="isolation: shared fleet vs. running alone")
-    print_table(report.per_chip_table(), title="per-chip utilization")
-    if report.hetero is not None:
-        print_table(report.shape_table(),
-                    title="per-shape utilization (docs/heterogeneity.md)")
-        print_table([report.hetero.summary()], title="shape-aware dispatch")
-    batching_rows = report.batching_table()
-    if batching_rows:
-        print_table(batching_rows,
-                    title="batch formation per tenant (docs/batching.md)")
-    if report.sharding is not None:
-        print_table([report.sharding.summary()],
-                    title="sharded execution (docs/sharding.md)")
-    if report.consistency is not None:
-        print_table([report.consistency.summary()],
-                    title="streaming graph updates (docs/streaming.md)")
-    if report.control is not None:
-        _print_control_tables(report.control)
+    _print_fleet_tables(report, report.batching_table(),
+                        "batch formation per tenant (docs/batching.md)")
     print_table([{
         "completed": report.completed,
         "throughput_rps": round(report.throughput_rps, 1),
         "avg_in_flight_requests": round(report.avg_in_flight, 2),
         "max_backlog_batches": report.max_backlog_batches,
     }], title="traffic summary")
-    if args.json is not None:
-        _emit_json(report, args)
-    return 0
+
+
+def _print_serving_tables(report, args: argparse.Namespace) -> None:
+    """``serve``: summary, latency profile, the fleet tables and the
+    traffic summary."""
+    title = (f"serving: {args.model} on {args.dataset}, "
+             f"{report.num_chips} chips, "
+             f"{args.batch_policy} batching, {args.dispatch} dispatch")
+    print_table([report.summary()], title=title)
+    print_table([{
+        "p50_ms": round(report.p50_latency_s * 1e3, 4),
+        "p95_ms": round(report.p95_latency_s * 1e3, 4),
+        "p99_ms": round(report.p99_latency_s * 1e3, 4),
+        "mean_ms": round(report.mean_latency_s * 1e3, 4),
+        "max_ms": round(report.max_latency_s * 1e3, 4),
+        "slo_ms": round(report.slo_s * 1e3, 4),
+        "slo_violations": report.slo_violations,
+        **report.latency_breakdown(),
+    }], title="latency profile (simulated time)")
+    _print_fleet_tables(report, [report.batching.summary()]
+                        if report.batching is not None else [],
+                        "batch formation (docs/batching.md)")
+    print_table([{
+        "arrival_rate_rps": round(report.rate_rps, 1),
+        "throughput_rps": round(report.throughput_rps, 1),
+        "cache_hit_rate_pct": round(100.0 * report.cache.hit_rate, 2),
+        "avg_in_flight_requests": round(report.avg_in_flight, 2),
+        "max_queue_depth": report.max_queue_depth,
+    }], title="traffic summary")
 
 
 def _run_serve(args: argparse.Namespace) -> int:
+    """``serve``: one tenant, or ``--tenants`` sharing the fleet under WFQ."""
     if args.log_level is not None:
         logging.basicConfig(level=getattr(logging, args.log_level.upper()),
                             stream=sys.stderr, force=True)
@@ -792,10 +790,15 @@ def _run_serve(args: argparse.Namespace) -> int:
             print(f"error: cannot read request trace {args.replay!r}: {exc}",
                   file=sys.stderr)
             return 2
+    tenants = trace = None
     if args.tenants is not None:
-        return _run_serve_tenants(args, replay)
-    trace = None
-    if args.arrival == "trace":
+        try:
+            tenants = load_tenant_specs(args.tenants)
+        except (OSError, ValueError) as exc:
+            print(f"error: cannot load tenant spec {args.tenants!r}: {exc}",
+                  file=sys.stderr)
+            return 2
+    elif args.arrival == "trace":
         if args.trace_file is None:
             print("error: --arrival trace requires --trace-file", file=sys.stderr)
             return 2
@@ -811,11 +814,8 @@ def _run_serve(args: argparse.Namespace) -> int:
         control = _control_config_from_args(args)
         observe = _instrumentation_from_args(args)
         sharding = _sharding_config_from_args(args)
-        config = FleetConfig(
-            num_chips=args.shards if sharding is not None else args.chips,
-            fleet_spec=_fleet_spec_from_args(args),
-            sharding=sharding,
-            dispatch=args.dispatch,
+        # per-tenant knobs live in the tenant specs under --tenants
+        tenant_knobs = {} if tenants is not None else dict(
             batch_policy=args.batch_policy,
             max_batch_size=args.max_batch,
             batch_timeout_s=None if args.batch_timeout_ms is None
@@ -823,27 +823,30 @@ def _run_serve(args: argparse.Namespace) -> int:
             slo_s=None if args.slo_ms is None else args.slo_ms * 1e-3,
             cache_size=args.cache_size,
             num_hops=args.hops,
-            fanout=args.fanout,
+            fanout=args.fanout)
+        config = FleetConfig(
+            num_chips=args.shards if sharding is not None else args.chips,
+            fleet_spec=_fleet_spec_from_args(args),
+            sharding=sharding,
+            dispatch=args.dispatch,
             seed=args.seed,
-            **_batching_overrides(args, tenants_mode=False),
+            **tenant_knobs,
+            **_batching_overrides(args, tenants_mode=tenants is not None),
         )
-        report = run_serving(
-            dataset=args.dataset,
-            model_name=args.model,
-            num_requests=args.requests,
-            rate_rps=args.rate,
-            arrival=args.arrival,
-            popularity_skew=args.skew,
-            config=config,
-            trace=trace,
-            utilization_target=args.utilization,
-            seed=args.seed,
-            control=control,
-            observe=observe,
-            capture=capture,
-            replay=replay,
-            **_streaming_overrides(args),
-        )
+        common = dict(control=control, observe=observe, capture=capture,
+                      replay=replay, **_streaming_overrides(args))
+        if tenants is not None:
+            report = run_multi_tenant(
+                tenants, config, utilization_target=args.utilization,
+                include_isolation_baseline=not args.no_isolation, **common)
+        else:
+            report = run_serving(
+                dataset=args.dataset, model_name=args.model,
+                num_requests=args.requests, rate_rps=args.rate,
+                arrival=args.arrival, popularity_skew=args.skew,
+                config=config, trace=trace,
+                utilization_target=args.utilization, seed=args.seed,
+                **common)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -852,43 +855,10 @@ def _run_serve(args: argparse.Namespace) -> int:
     if args.json == "-":
         _emit_json(report, args)
         return 0
-    title = (f"serving: {args.model} on {args.dataset}, "
-             f"{report.num_chips} chips, "
-             f"{args.batch_policy} batching, {args.dispatch} dispatch")
-    print_table([report.summary()], title=title)
-    print_table([{
-        "p50_ms": round(report.p50_latency_s * 1e3, 4),
-        "p95_ms": round(report.p95_latency_s * 1e3, 4),
-        "p99_ms": round(report.p99_latency_s * 1e3, 4),
-        "mean_ms": round(report.mean_latency_s * 1e3, 4),
-        "max_ms": round(report.max_latency_s * 1e3, 4),
-        "slo_ms": round(report.slo_s * 1e3, 4),
-        "slo_violations": report.slo_violations,
-        **report.latency_breakdown(),
-    }], title="latency profile (simulated time)")
-    print_table(report.per_chip_table(), title="per-chip utilization")
-    if report.hetero is not None:
-        print_table(report.shape_table(),
-                    title="per-shape utilization (docs/heterogeneity.md)")
-        print_table([report.hetero.summary()], title="shape-aware dispatch")
-    if report.batching is not None:
-        print_table([report.batching.summary()],
-                    title="batch formation (docs/batching.md)")
-    if report.sharding is not None:
-        print_table([report.sharding.summary()],
-                    title="sharded execution (docs/sharding.md)")
-    if report.consistency is not None:
-        print_table([report.consistency.summary()],
-                    title="streaming graph updates (docs/streaming.md)")
-    if report.control is not None:
-        _print_control_tables(report.control)
-    print_table([{
-        "arrival_rate_rps": round(report.rate_rps, 1),
-        "throughput_rps": round(report.throughput_rps, 1),
-        "cache_hit_rate_pct": round(100.0 * report.cache.hit_rate, 2),
-        "avg_in_flight_requests": round(report.avg_in_flight, 2),
-        "max_queue_depth": report.max_queue_depth,
-    }], title="traffic summary")
+    if tenants is not None:
+        _print_tenant_tables(report, tenants, args)
+    else:
+        _print_serving_tables(report, args)
     if args.json is not None:
         _emit_json(report, args)
     return 0
