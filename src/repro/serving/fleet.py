@@ -18,16 +18,11 @@ three main event kinds:
 * ``completion`` -- a chip finished a batch: its requests complete, the
   result cache is populated, and the chip takes its next batch.
 
-Above the loop there is one run body too (:meth:`_FleetSimulator._run`):
-serve the stream, cut one :class:`~repro.serving.stats.ServingReport`
-slice per tenant, close the fleet-wide stats.  It runs the loop on an
-empty request stream as well, so a stream of updates alone is applied
-by either front end, and :func:`run_serving` and
-:func:`~repro.serving.tenancy.run_multi_tenant` generate their update
-events with one function (:func:`_update_events`).  The two front ends
-differ only in how they wrap the slices (the one-tenant front end
-returns its slice) and in *when a formed batch is bound to a chip*,
-which a small dispatch stage decides:
+Above the loop, one run body (:meth:`_FleetSimulator._run`) serves the
+stream -- an empty one too, so updates alone are applied -- cuts one
+report slice per tenant and closes the stats.  The two front ends differ
+only in how they wrap the slices and in *when a formed batch is bound to
+a chip*, which a small dispatch stage decides:
 
 * **push** (:class:`ServingSimulator`) -- a dispatch policy binds the batch
   to a chip the moment it forms, onto that chip's private FIFO;
@@ -78,8 +73,7 @@ from collections import deque
 
 import numpy as np
 from dataclasses import dataclass, field, replace
-from typing import (Deque, Dict, List, Mapping, NamedTuple, Optional,
-                    Sequence, Tuple)
+from typing import Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..core.config import HyGCNConfig
 from ..core.simulator import HyGCNSimulator
@@ -1250,7 +1244,7 @@ class _PullStage:
 
 
 class _Served(NamedTuple):
-    """What one pass of the event loop hands back to :meth:`_FleetSimulator._run`."""
+    """What one pass of the event loop hands back to the run body."""
 
     records: List[RequestRecord]
     span_s: float
@@ -1265,12 +1259,11 @@ class _FleetSimulator:
     """The chip fleet and the one discrete-event loop that serves it.
 
     Subclassed by the two front ends, which differ only in how many tenant
-    runtimes they build, which dispatch stage they hand :meth:`_run` and
-    how they wrap its per-tenant report slices: :class:`ServingSimulator`
-    pushes and reports its one slice, :class:`~repro.serving.tenancy.\
-    MultiTenantSimulator` pulls and wraps every slice in a
-    :class:`~repro.serving.stats.MultiTenantReport`.  :meth:`_run` is the
-    one run body: the loop, then the slices, then :meth:`_finalize`.
+    runtimes they build, which dispatch stage they hand :meth:`_run` (the
+    loop, then the report slices, then :meth:`_finalize`) and how they
+    wrap its slices: :class:`ServingSimulator` pushes and returns its one
+    slice, :class:`~repro.serving.tenancy.MultiTenantSimulator` pulls and
+    wraps them in a :class:`~repro.serving.stats.MultiTenantReport`.
 
     :meth:`_serve` is the event loop alone.  It consults one object per
     optional subsystem: the observability hub, each
@@ -1423,7 +1416,7 @@ class _FleetSimulator:
         return gauges
 
     def _run(self, requests: Sequence[Request], stage,
-             hetero: Optional[HeteroStats], rates: Mapping[str, float],
+             hetero: Optional[HeteroStats], rates: Dict[str, float],
              dispatch_policy: str, num_chips: int, wrap):
         """Serve ``requests`` (sorted by arrival) through ``stage`` and
         return ``wrap(slices)`` with the fleet-wide blocks attached.
@@ -1431,23 +1424,18 @@ class _FleetSimulator:
         ``slices`` maps each tenant to its :class:`ServingReport` slice: its
         own records, result cache and batching stats, at ``rates[tenant]``
         (0.0 when absent) under ``dispatch_policy`` on ``num_chips`` chips.
-        An empty stream runs the loop too, so its updates are applied.
         """
         served = self._serve(requests, stage, hetero)
         logger.info("served %d requests for %d tenant(s) on %d chips in "
                     "%.6f s simulated", len(requests), len(self.runtimes),
                     len(self.chips), served.span_s)
         slices = {name: ServingReport(
-            model_name=rt.model_name,
-            dataset_name=rt.dataset_name,
-            num_chips=num_chips,
-            batch_policy=rt.config.batch_policy,
-            dispatch_policy=dispatch_policy,
-            rate_rps=rates.get(name, 0.0),
+            model_name=rt.model_name, dataset_name=rt.dataset_name,
+            num_chips=num_chips, batch_policy=rt.config.batch_policy,
+            dispatch_policy=dispatch_policy, rate_rps=rates.get(name, 0.0),
             slo_s=rt.slo_s,
             records=[r for r in served.records if r.tenant == name],
-            cache=rt.result_cache.stats,
-            batching=rt.batching,
+            cache=rt.result_cache.stats, batching=rt.batching,
         ) for name, rt in self.runtimes.items()}
         report = wrap(slices)
         self._finalize(report, served, hetero, np.concatenate(
@@ -1791,12 +1779,10 @@ def _served_graph(graph: Graph, updates) -> Graph:
 
 def _update_events(sources: Sequence[Tuple[Graph, int, float, int, str]],
                    update_rate: float, update_mix: Optional[str]) -> List:
-    """Fresh update events for each ``(graph, num_requests, rate_rps, seed,
-    tenant)``: ``update_rate`` updates per request at ``update_rate`` times
-    the request rate, merged by ``(arrival, tenant)`` and numbered 0..n-1
-    in that order, so a captured trace's update ids are the offered
-    sequence, like request ids.  One untagged source is
-    :func:`generate_update_stream`'s own stream."""
+    """Fresh update events, ``update_rate`` per request, for each
+    ``(graph, num_requests, rate_rps, seed, tenant)`` source, merged by
+    ``(arrival, tenant)`` and numbered 0..n-1 in that order (the offered
+    sequence, like request ids; one untagged source keeps its ids)."""
     mix = parse_update_mix(update_mix) if update_mix else None
     merged: List = []
     for graph, num_requests, rate_rps, seed, tenant in sources:
@@ -1857,10 +1843,10 @@ def _stamp_capture(capture, meta: Dict, updates, update_rate: float,
     file is byte-identical to the one replayed.
     """
     capture.requests = sorted(requests, key=lambda r: r.arrival_time_s)
+    capture.updates = sorted(updates.events if updates is not None else (),
+                             key=lambda e: e.arrival_time_s)
     capture.meta.update(meta)
     if updates is not None:
-        capture.updates = sorted(updates.events,
-                                 key=lambda e: e.arrival_time_s)
         capture.meta.update({
             "update_rate": update_rate,
             "invalidation": updates.policy,

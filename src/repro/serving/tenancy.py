@@ -25,11 +25,9 @@ chips.  Three mechanisms keep the sharing honest:
   weights, and cross-tenant p99 inflation against each tenant running alone
   on an identical fleet.
 
-:class:`MultiTenantSimulator` runs the single-tenant front end's event
-loop and run body (:class:`~repro.serving.fleet._FleetSimulator`); it
-keeps only the WFQ pull stage and the report wrapper, so empty and
-update-only streams are served as the single-tenant front end serves
-them.
+:class:`MultiTenantSimulator` keeps only the WFQ pull stage and its
+report wrapper: the event loop and the run body (empty and update-only
+streams included) are the single-tenant front end's.
 
 Key entry points: :func:`run_multi_tenant` (spec list -> report),
 :func:`load_tenant_specs` (JSON file -> specs, used by
