@@ -756,8 +756,7 @@ def _print_serving_tables(report, args: argparse.Namespace) -> None:
         "slo_violations": report.slo_violations,
         **report.latency_breakdown(),
     }], title="latency profile (simulated time)")
-    _print_fleet_tables(report, [report.batching.summary()]
-                        if report.batching is not None else [],
+    _print_fleet_tables(report, [report.batching.summary()],
                         "batch formation (docs/batching.md)")
     print_table([{
         "arrival_rate_rps": round(report.rate_rps, 1),
