@@ -356,7 +356,7 @@ class MultiTenantSimulator(_FleetSimulator):
                 max_backlog_batches=stage.peak_backlog)
 
         return self._run(requests, stage, hetero, rates or {}, "wfq-drr",
-                         fleet.num_chips, wrap)
+                         num_chips, wrap)
 
 
 def run_multi_tenant(

@@ -28,6 +28,7 @@ from repro.graphs.datasets import load_dataset
 from repro.models.model_zoo import build_model
 from repro.serving import (
     ALL_BATCH_POLICIES,
+    ControlConfig,
     FleetConfig,
     MultiTenantSimulator,
     RequestGenerator,
@@ -154,3 +155,23 @@ def test_update_only_stream_differs_only_by_the_priced_sample_memo():
     assert {k for k, v in a["invalidations"].items()
             if v != b["invalidations"][k]} == {"sample"}
     assert a["invalidations"]["sample"] == 0 < b["invalidations"]["sample"]
+
+
+def test_elastic_run_outside_the_band_reports_one_chip_count():
+    # num_chips=1 below min_chips=2: the run starts on the clamped fleet,
+    # and the slice, its wrapper and the one-tenant front end all say so
+    fleet = FleetConfig(num_chips=1)
+    control = ControlConfig(autoscale="threshold", min_chips=2, max_chips=4)
+    graph = load_dataset("IB", seed=fleet.seed)
+    model = build_model("GCN", input_length=graph.feature_length)
+    single = ServingSimulator(graph, model, fleet, dataset_name="IB",
+                              control=control)
+    rate = single.calibrate_rate(0.7)
+    requests = RequestGenerator(graph.num_vertices, WorkloadConfig(
+        num_requests=200, rate_rps=rate, seed=0)).generate()
+    push = single.run(requests, rate)
+    tenant = TenantConfig(name="t", dataset="IB", seed=fleet.seed)
+    multi = MultiTenantSimulator([tenant], fleet, control=control).run(
+        merge_tenant_streams({"t": requests}), {"t": rate})
+    assert push.num_chips == multi.num_chips == multi.reports["t"].num_chips \
+        == 2
