@@ -1489,6 +1489,13 @@ class _FleetSimulator:
         for request in requests:
             runtime_of(request).arrivals_left += 1
             push(request.arrival_time_s, _ARRIVAL, request)
+        for rt in runtimes.values():
+            if rt.overlap_aware:  # sign the run's targets in one pass
+                rt.sampler.warm_signatures(
+                    [r.target_vertex for r in requests if runtime_of(r) is rt],
+                    resolve_signature_hops(self.fleet.overlap_k,
+                                           rt.config.num_hops),
+                    rt.config.fanout)
         if self.updates is not None:
             # updates enter the same heap; requests pushed first, so a
             # request at the identical timestamp wins the tie (a query

@@ -48,7 +48,12 @@ overlap-aware batching subsystem (:mod:`repro.serving.batching`) is built on:
   of a target's sampled neighbourhood.  Two signatures estimate the Jaccard
   similarity of the underlying neighbourhood vertex sets by the fraction of
   equal components, so the batcher can group overlapping requests without
-  materialising unions;
+  materialising unions.  :meth:`SubgraphSampler.warm_signatures` is its
+  batched path: the serve signs a run's distinct targets before its event
+  loop in one :meth:`SubgraphSampler.extract_fresh_many` call, one hash of
+  the concatenated vertex ids and one ``np.minimum.reduceat``, filling the
+  signature memo the arrivals then read (immutable graphs only, never
+  past the memo's free room);
 * :meth:`SubgraphSampler.fuse` / :meth:`SubgraphSampler.fused_size` -- the
   **deduped union** of several samples: shared vertices appear once (their
   features are streamed once) and the edge set is the union, which is the
@@ -120,7 +125,7 @@ def estimate_jaccard(sig_a: np.ndarray,
     width = sig_a.shape[-1]
     if sig_b.shape[-1] != width:
         raise ValueError("signatures must have the same length")
-    sims = np.count_nonzero(sig_a == sig_b, axis=-1) / width
+    sims = (sig_a == sig_b).sum(axis=-1) / width
     return float(sims) if sims.ndim == 0 else sims
 
 
@@ -601,14 +606,17 @@ class SubgraphSampler:
                                     fanout=fanout)
         return self._signature_of(sample)
 
+    def _hash(self, vertex_ids: np.ndarray) -> np.ndarray:
+        """Every vertex under every hash: ``h_j(v) = ((v + 1) * mult_j) ^
+        xor_j`` over Z_2^64, one row per vertex."""
+        vertices = vertex_ids.astype(np.uint64)
+        return ((vertices[:, None] + np.uint64(1))
+                * self._sig_mult[None, :]) ^ self._sig_xor[None, :]
+
     def _signature_of(self, sample: "SubgraphSample") -> np.ndarray:
-        """Minhash the vertex set of one sample."""
-        vertices = sample.vertex_ids.astype(np.uint64)
-        # h_j(v) = ((v + 1) * mult_j) ^ xor_j over Z_2^64; the signature is
-        # the per-hash minimum over the neighbourhood's vertex set.
-        hashed = ((vertices[:, None] + np.uint64(1))
-                  * self._sig_mult[None, :]) ^ self._sig_xor[None, :]
-        sig = hashed.min(axis=0)
+        """Minhash the vertex set of one sample: the per-hash minimum over
+        the neighbourhood's vertex set."""
+        sig = self._hash(sample.vertex_ids).min(axis=0)
         sig.setflags(write=False)
         return sig
 
@@ -640,6 +648,41 @@ class SubgraphSampler:
         if evicted is not None and self._mutable:
             self._release(evicted[0])
         return sig
+
+    def warm_signatures(self, targets: Iterable[int],
+                        num_hops: Optional[int] = None,
+                        fanout: Optional[int] = None) -> int:
+        """Sign many targets together into the signature memo; returns how
+        many signatures it put.
+
+        The distinct ``targets`` the memo lacks are put in first-occurrence
+        order, each under the key :meth:`signature` reads and bit-identical
+        to what it would compute: one :meth:`extract_fresh_many` call
+        extracts them all, their concatenated vertex ids are hashed once
+        and ``np.minimum.reduceat`` takes each sample's minimum.  Warming
+        only saves work, so it never changes what a run computes:
+        on a mutable graph it puts nothing (memo state reaches the
+        consistency stats there), and it puts at most the memo's free
+        room, so no put evicts.  The sample memo is left alone.
+        """
+        if self._mutable:
+            return 0
+        hops, fan = self._shape(num_hops, fanout)
+        memo = self._sig_memo
+        room = memo.capacity - len(memo)
+        absent = [t for t in dict.fromkeys(targets)
+                  if (t, hops, fan) not in memo][:room]
+        if not absent:
+            return 0
+        samples = self.extract_fresh_many(absent, hops, fan)
+        sizes = np.array([sample.num_vertices for sample in samples])
+        sigs = np.minimum.reduceat(
+            self._hash(np.concatenate([s.vertex_ids for s in samples])),
+            sizes.cumsum() - sizes, axis=0)
+        sigs.setflags(write=False)  # its rows, the memo's values, too
+        for target, sig in zip(absent, sigs):
+            memo.put((target, hops, fan), sig)
+        return len(absent)
 
     # ------------------------------------------------------------------ #
     # Fused-subgraph dedup (cost model + execution model)

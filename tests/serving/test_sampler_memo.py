@@ -9,6 +9,11 @@ must end in the same memo state -- hit/miss/insertion/eviction counters,
 recency order, the invalidation index (``_registered``, ``_vertex_keys``)
 and the drop counters -- including when a put inside the batch evicts a key
 that was present at the peek.
+
+:meth:`~repro.serving.sampler.SubgraphSampler.warm_signatures` signs many
+targets in one pass and puts them in the signature memo; each must equal
+the per-target ``signature_fresh`` bit for bit, and a mutable graph's
+memo is never warmed.
 """
 
 from types import SimpleNamespace
@@ -19,6 +24,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graphs import DeltaGraph, load_dataset
+from repro.models.model_zoo import build_model
+from repro.serving import (
+    FleetConfig,
+    RequestGenerator,
+    ServingSimulator,
+    WorkloadConfig,
+)
+from repro.serving.batching import resolve_signature_hops
 from repro.serving.sampler import SubgraphSampler
 
 _POOL = (0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144)
@@ -182,3 +195,92 @@ def test_signature_outliving_its_sample_stays_invalidatable():
     assert key not in sampler._sig_memo
     assert sampler.invalidated_signatures == 1
     assert key not in sampler._registered
+
+
+#: IB vertices with no in-neighbours, and its largest in-degree hub (1,388)
+_SOURCES = (8, 10, 52, 61)
+_HUB = 1932
+
+
+@pytest.mark.parametrize("targets,num_hops,fanout", [
+    pytest.param(_SOURCES, None, None, id="no-in-neighbours"),
+    pytest.param((0, _HUB, 17, 8), 0, None, id="zero-hops"),
+    pytest.param((_HUB, 0, 5, 100, 8), None, 2, id="fanout-override"),
+    pytest.param((_HUB, 3, 8, 5), resolve_signature_hops(2, 2), None,
+                 id="overlap-k-2"),
+    pytest.param((5, _HUB, 5, 8, _HUB, 5), 1, None, id="duplicates"),
+])
+def test_warmed_signatures_equal_per_target_signature_fresh(
+        targets, num_hops, fanout):
+    graph = load_dataset("IB", seed=0)
+    sampler = SubgraphSampler(graph, num_hops=2, fanout=8, seed=0)
+    reference = SubgraphSampler(graph, num_hops=2, fanout=8, seed=0)
+    distinct = list(dict.fromkeys(targets))
+    assert sampler.warm_signatures(targets, num_hops, fanout) == len(distinct)
+    hops, fan = sampler._shape(num_hops, fanout)
+    # first-occurrence order, and the sample memo is left alone
+    assert sampler._sig_memo.keys() == [(t, hops, fan) for t in distinct]
+    assert len(sampler._memo) == 0
+    for target in distinct:
+        sig = sampler._sig_memo.peek((target, hops, fan))
+        want = reference.signature_fresh(target, num_hops, fanout)
+        assert sig.dtype == want.dtype == np.uint64
+        assert not sig.flags.writeable
+        assert np.array_equal(sig, want)
+        assert sampler.signature(target, num_hops, fanout) is sig
+    assert sampler._sig_memo.stats.misses == 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(targets=st.lists(st.sampled_from((*_POOL, *_SOURCES, _HUB)),
+                        max_size=12),
+       num_hops=st.sampled_from((None, 0, 1, 2, 3)),
+       fanout=st.sampled_from((None, 1, 2, 8)))
+def test_warmed_signatures_match_on_random_target_lists(targets, num_hops,
+                                                        fanout):
+    graph = load_dataset("IB", seed=0)
+    sampler = SubgraphSampler(graph, seed=3)
+    sampler.warm_signatures(targets, num_hops, fanout)
+    hops, fan = sampler._shape(num_hops, fanout)
+    for target in dict.fromkeys(targets):
+        assert np.array_equal(sampler._sig_memo.peek((target, hops, fan)),
+                              sampler.signature_fresh(target, hops, fan))
+
+
+def test_warming_fills_only_the_free_room():
+    """Warming never evicts: a memo of 3 already holding one signature
+    takes the first two absent targets, then nothing."""
+    sampler = SubgraphSampler(load_dataset("IB", seed=0), memo_size=3)
+    sampler.signature(5)
+    assert sampler.warm_signatures([5, 8, 13, 21, 34]) == 2
+    assert sampler._sig_memo.keys() == [(5, 2, 8), (8, 2, 8), (13, 2, 8)]
+    assert sampler.warm_signatures([55]) == 0
+    assert sampler._sig_memo.stats.evictions == 0
+
+
+def test_a_mutable_graph_is_not_warmed():
+    """On a DeltaGraph the memo state reaches the consistency stats, so a
+    warmed sampler must end where the per-arrival one does."""
+    targets = [5, 8, 5, 13, 21, 8, 144]
+    _, (warmed, per_arrival) = _twins(memo_size=64)
+    assert warmed.warm_signatures(targets) == 0
+    for sampler in (warmed, per_arrival):
+        for target in targets:
+            sampler.signature(target)
+    assert _memo_state(warmed) == _memo_state(per_arrival)
+
+
+@pytest.mark.parametrize("batch_policy", ["overlap", "continuous"])
+def test_an_overlap_serve_signs_its_targets_before_the_loop(batch_policy):
+    fleet = FleetConfig(num_chips=2, batch_policy=batch_policy)
+    graph = load_dataset("IB", seed=fleet.seed)
+    model = build_model("GCN", input_length=graph.feature_length)
+    simulator = ServingSimulator(graph, model, fleet, dataset_name="IB")
+    rate = simulator.calibrate_rate(0.9)
+    requests = RequestGenerator(graph.num_vertices, WorkloadConfig(
+        num_requests=300, rate_rps=rate, popularity_skew=1.2,
+        seed=0)).generate()
+    simulator.run(requests, rate)
+    stats = simulator.runtime.sampler._sig_memo.stats
+    assert stats.insertions == len({r.target_vertex for r in requests})
+    assert stats.misses == 0 < stats.hits
