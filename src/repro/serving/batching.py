@@ -246,24 +246,39 @@ class OverlapBatcher(Batcher):
         signature, and the mask of pending rows it leaves behind.
 
         ``_pending`` is in arrival order (nondecreasing time), so row 0 is
-        the oldest request and anchors the group.  Each greedy step scores
-        the whole pool against the union in one broadcast compare; taken
-        rows score -1 so ``argmax`` -- the first max, hence the oldest of
-        tied candidates -- only ever picks a pending one.
+        the oldest request and anchors the group.  Every pool row keeps an
+        integer count of its components equal to the union's (taken rows
+        hold -1), so ``argmax`` -- the first max, hence the oldest of tied
+        candidates -- only ever picks a pending one, and ``count / width``
+        is the float :func:`estimate_jaccard` gives.  A union update
+        recounts only the components it changed: each row gains its
+        matches against the new values and loses those against the old.
         """
         pool = self._pool[:len(self._pending)]
-        keep = np.ones(len(pool), dtype=bool)
-        keep[0] = False
+        width = pool.shape[1]
         union_sig = pool[0].copy()
+        counts = (pool == union_sig).sum(axis=1)
+        counts[0] = -1
         chosen = [0]                        # selection order, anchor first
         for _ in range(min(len(pool), self.max_batch_size) - 1):
-            sims = np.where(keep, estimate_jaccard(pool, union_sig), -1.0)
-            best = int(np.argmax(sims))
-            if sims[best] < self.min_overlap:
+            best = int(counts.argmax())
+            if counts[best] / width < self.min_overlap:
                 break
-            keep[best] = False
             chosen.append(best)
-            union_sig = np.minimum(union_sig, pool[best])
+            row = pool[best]
+            changed = (row < union_sig).nonzero()[0]
+            if changed.size:
+                # one row per changed component, a column of the pool
+                columns = pool.T[changed]
+                new = row[changed]
+                counts += (columns == new[:, None]).sum(axis=0) \
+                    - (columns == union_sig[changed, None]).sum(axis=0)
+                union_sig[changed] = new
+                counts[chosen] = -1
+            else:
+                counts[best] = -1
+        keep = np.ones(len(pool), dtype=bool)
+        keep[chosen] = False
         return chosen, union_sig, keep
 
     def _register(self, batch: Batch, union_sig: np.ndarray) -> None:

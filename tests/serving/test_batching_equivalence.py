@@ -142,3 +142,66 @@ def test_array_formation_matches_scalar_reference(
     got, want = real.drain(now), ref.drain(now)
     assert [_ids(b) for b in got] == [_ids(b) for b in want]
     _assert_same_state(real, ref)
+
+
+def _drain_both(real, ref, sigs, now=0.0):
+    """Pool every signature in both batchers, then flush both dry,
+    checking each emitted batch and the state after it; returns the
+    batches as ``(batch_id, request ids)``."""
+    emitted = []
+    for i, sig in enumerate(sigs):
+        request = Request(request_id=i, target_vertex=i, arrival_time_s=now)
+        emitted.append(_ids(real.add(request, now)))
+        assert emitted[-1] == _ids(ref.add(request, now))
+        _assert_same_state(real, ref)
+    while real.pending_count:
+        emitted.append(_ids(real.flush(now)))
+        assert emitted[-1] == _ids(ref.flush(now))
+        _assert_same_state(real, ref)
+    assert not ref.pending_count
+    return [batch for batch in emitted if batch is not None]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), width=st.integers(1, 16),
+       max_batch_size=st.integers(1, 32))
+def test_steps_that_move_many_union_components(data, width, max_batch_size):
+    """Formation keeps per-row counts of components equal to the union and
+    recounts only the components a step changed.  Here a row is mostly
+    "low" (values 0-1) or mostly "high" (2-3), so taking a low row into a
+    high union changes most components at once, and the floor is ``k /
+    width`` for a drawn ``k``: a candidate with exactly ``k`` equal
+    components sits on it."""
+    k = data.draw(st.integers(0, width))
+    sigs = []
+    for _ in range(data.draw(st.integers(2, 80))):
+        low = data.draw(st.lists(st.booleans(), min_size=width,
+                                 max_size=width))
+        values = data.draw(st.lists(st.integers(0, 1), min_size=width,
+                                    max_size=width))
+        sigs.append(np.where(low, values, np.add(values, 2))
+                    .astype(np.uint64))
+    kwargs = dict(max_batch_size=max_batch_size, timeout_s=1e-3,
+                  signature_fn=lambda request: sigs[request.request_id],
+                  min_overlap=k / width, pool_factor=4)
+    real_cls, ref_cls = PAIRS["overlap"]
+    _drain_both(real_cls(**kwargs), ref_cls(**kwargs), sigs)
+
+
+def test_a_floor_on_a_count_boundary_admits_the_candidate_on_it():
+    """Width 16, floor 5/16.  Row 1 matches the anchor on exactly 5
+    components and joins; taking it moves 11 union components to 0, so
+    row 2 (all 0, no match with the anchor) now matches 11 and joins;
+    row 3 matches 4 of the final all-0 union and stays out."""
+    anchor = np.full(16, 5)
+    sigs = [anchor, np.r_[[5] * 5, [0] * 11], np.zeros(16),
+            np.r_[[0] * 4, [9] * 12]]
+    sigs = [sig.astype(np.uint64) for sig in sigs]
+    kwargs = dict(max_batch_size=4, timeout_s=1e-3,
+                  signature_fn=lambda request: sigs[request.request_id],
+                  min_overlap=5 / 16, pool_factor=2)
+    real_cls, ref_cls = PAIRS["overlap"]
+    real, ref = real_cls(**kwargs), ref_cls(**kwargs)
+    assert _drain_both(real, ref, sigs) == [(0, [0, 1, 2]), (1, [3])]
+    assert not real.unions[0].any()
