@@ -1486,16 +1486,24 @@ class _FleetSimulator:
         def push(time_s: float, kind: int, payload: object) -> None:
             heapq.heappush(events, (time_s, next(order), kind, payload))
 
+        # each request's runtime is resolved once, here: the arrival event
+        # carries it, and the per-runtime targets feed the warm-ups
+        targets: Dict[TenantRuntime, List[int]] = {
+            rt: [] for rt in runtimes.values()}
         for request in requests:
-            runtime_of(request).arrivals_left += 1
-            push(request.arrival_time_s, _ARRIVAL, request)
-        for rt in runtimes.values():
-            if rt.overlap_aware:  # sign the run's targets in one pass
+            rt = runtime_of(request)
+            rt.arrivals_left += 1
+            targets[rt].append(request.target_vertex)
+            push(request.arrival_time_s, _ARRIVAL, (request, rt))
+        for rt, rt_targets in targets.items():
+            # sign and extract the run's targets in one pass each
+            if rt.overlap_aware:
                 rt.sampler.warm_signatures(
-                    [r.target_vertex for r in requests if runtime_of(r) is rt],
-                    resolve_signature_hops(self.fleet.overlap_k,
-                                           rt.config.num_hops),
+                    rt_targets, resolve_signature_hops(self.fleet.overlap_k,
+                                                       rt.config.num_hops),
                     rt.config.fanout)
+            rt.sampler.warm_samples(rt_targets, rt.config.num_hops,
+                                    rt.config.fanout)
         if self.updates is not None:
             # updates enter the same heap; requests pushed first, so a
             # request at the identical timestamp wins the tie (a query
@@ -1620,8 +1628,7 @@ class _FleetSimulator:
             in_flight_area += in_flight * (now - last_t)
             last_t = now
             if kind == _ARRIVAL:
-                request: Request = payload
-                rt = runtime_of(request)
+                request, rt = payload
                 rt.arrivals_left -= 1
                 if scaler is not None:
                     scaler.on_arrival()

@@ -13,9 +13,15 @@ that was present at the peek.
 :meth:`~repro.serving.sampler.SubgraphSampler.warm_signatures` signs many
 targets in one pass and puts them in the signature memo; each must equal
 the per-target ``signature_fresh`` bit for bit, and a mutable graph's
-memo is never warmed.
+memo is never warmed.  Its twin
+:meth:`~repro.serving.sampler.SubgraphSampler.warm_samples` does the same
+for the sample memo: each warmed sample must equal ``extract_fresh`` bit
+for bit, and a serve that warms must export the JSON of one that does
+not.
 """
 
+import hashlib
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,15 +30,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graphs import DeltaGraph, load_dataset
-from repro.models.model_zoo import build_model
+from repro.models.model_zoo import build_model, clear_workloads_cache
 from repro.serving import (
     FleetConfig,
+    MultiTenantSimulator,
     RequestGenerator,
     ServingSimulator,
+    ShardingConfig,
+    TenantConfig,
     WorkloadConfig,
 )
 from repro.serving.batching import resolve_signature_hops
+from repro.serving.fleet import clear_probe_cache, run_serving
+from repro.serving.hetero import fleet_spec_for_mix
 from repro.serving.sampler import SubgraphSampler
+from repro.serving.workload import merge_tenant_streams
 
 _POOL = (0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144)
 _SHAPE = st.tuples(st.sampled_from(_POOL), st.sampled_from((None, 0, 1, 2)),
@@ -202,14 +214,20 @@ _SOURCES = (8, 10, 52, 61)
 _HUB = 1932
 
 
-@pytest.mark.parametrize("targets,num_hops,fanout", [
+#: Target lists and shapes both warm-ups are checked on
+_WARM_CASES = [
     pytest.param(_SOURCES, None, None, id="no-in-neighbours"),
     pytest.param((0, _HUB, 17, 8), 0, None, id="zero-hops"),
     pytest.param((_HUB, 0, 5, 100, 8), None, 2, id="fanout-override"),
     pytest.param((_HUB, 3, 8, 5), resolve_signature_hops(2, 2), None,
                  id="overlap-k-2"),
     pytest.param((5, _HUB, 5, 8, _HUB, 5), 1, None, id="duplicates"),
-])
+]
+_RANDOM_TARGETS = st.lists(st.sampled_from((*_POOL, *_SOURCES, _HUB)),
+                           max_size=12)
+
+
+@pytest.mark.parametrize("targets,num_hops,fanout", _WARM_CASES)
 def test_warmed_signatures_equal_per_target_signature_fresh(
         targets, num_hops, fanout):
     graph = load_dataset("IB", seed=0)
@@ -232,8 +250,7 @@ def test_warmed_signatures_equal_per_target_signature_fresh(
 
 
 @settings(max_examples=30, deadline=None)
-@given(targets=st.lists(st.sampled_from((*_POOL, *_SOURCES, _HUB)),
-                        max_size=12),
+@given(targets=_RANDOM_TARGETS,
        num_hops=st.sampled_from((None, 0, 1, 2, 3)),
        fanout=st.sampled_from((None, 1, 2, 8)))
 def test_warmed_signatures_match_on_random_target_lists(targets, num_hops,
@@ -264,23 +281,185 @@ def test_a_mutable_graph_is_not_warmed():
     targets = [5, 8, 5, 13, 21, 8, 144]
     _, (warmed, per_arrival) = _twins(memo_size=64)
     assert warmed.warm_signatures(targets) == 0
+    assert warmed.warm_samples(targets) == 0
+    assert _memo_state(warmed) == _memo_state(per_arrival)
     for sampler in (warmed, per_arrival):
         for target in targets:
             sampler.signature(target)
+            sampler.extract(target, 1, 2)
     assert _memo_state(warmed) == _memo_state(per_arrival)
 
 
-@pytest.mark.parametrize("batch_policy", ["overlap", "continuous"])
-def test_an_overlap_serve_signs_its_targets_before_the_loop(batch_policy):
-    fleet = FleetConfig(num_chips=2, batch_policy=batch_policy)
+def _assert_same_sample(sample, want):
+    """Bit for bit: ids, CSR arrays, their dtypes and read-only flags."""
+    assert sample.target_vertex == want.target_vertex
+    for got, ref in ((sample.vertex_ids, want.vertex_ids),
+                     (sample.graph.csr.indptr, want.graph.csr.indptr),
+                     (sample.graph.csr.indices, want.graph.csr.indices)):
+        assert got.dtype == ref.dtype
+        assert got.flags.writeable == ref.flags.writeable
+        assert np.array_equal(got, ref)
+    assert not sample.vertex_ids.flags.writeable
+
+
+@pytest.mark.parametrize("targets,num_hops,fanout", _WARM_CASES)
+def test_warmed_samples_equal_per_target_extract_fresh(targets, num_hops,
+                                                       fanout):
+    graph = load_dataset("IB", seed=0)
+    sampler = SubgraphSampler(graph, num_hops=2, fanout=8, seed=0)
+    reference = SubgraphSampler(graph, num_hops=2, fanout=8, seed=0)
+    distinct = list(dict.fromkeys(targets))
+    assert sampler.warm_samples(targets, num_hops, fanout) == len(distinct)
+    hops, fan = sampler._shape(num_hops, fanout)
+    # first-occurrence order, and the signature memo is left alone
+    assert sampler._memo.keys() == [(t, hops, fan) for t in distinct]
+    assert len(sampler._sig_memo) == 0
+    for target in distinct:
+        sample = sampler._memo.peek((target, hops, fan))
+        _assert_same_sample(
+            sample, reference.extract_fresh(target, num_hops, fanout))
+        assert sampler.extract(target, num_hops, fanout) is sample
+    assert sampler._memo.stats.misses == 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(targets=_RANDOM_TARGETS,
+       num_hops=st.sampled_from((None, 0, 1, 2, 3)),
+       fanout=st.sampled_from((None, 1, 2, 8)))
+def test_warmed_samples_match_on_random_target_lists(targets, num_hops,
+                                                     fanout):
+    graph = load_dataset("IB", seed=0)
+    sampler = SubgraphSampler(graph, seed=3)
+    sampler.warm_samples(targets, num_hops, fanout)
+    hops, fan = sampler._shape(num_hops, fanout)
+    for target in dict.fromkeys(targets):
+        _assert_same_sample(sampler._memo.peek((target, hops, fan)),
+                            sampler.extract_fresh(target, hops, fan))
+
+
+def test_warming_samples_fills_only_the_free_room():
+    """A sample memo of 3 already holding one sample takes the first two
+    absent targets, then nothing; no put evicts."""
+    sampler = SubgraphSampler(load_dataset("IB", seed=0), memo_size=3)
+    sampler.extract(5)
+    assert sampler.warm_samples([5, 8, 13, 21, 34]) == 2
+    assert sampler._memo.keys() == [(5, 2, 8), (8, 2, 8), (13, 2, 8)]
+    assert sampler.warm_samples([55]) == 0
+    assert sampler._memo.stats.evictions == 0
+    assert len(sampler._sig_memo) == 0
+
+
+def _ib_simulator(fleet, num_requests=300):
+    """A single-tenant (push) IB simulator and its calibrated stream."""
     graph = load_dataset("IB", seed=fleet.seed)
     model = build_model("GCN", input_length=graph.feature_length)
     simulator = ServingSimulator(graph, model, fleet, dataset_name="IB")
     rate = simulator.calibrate_rate(0.9)
     requests = RequestGenerator(graph.num_vertices, WorkloadConfig(
-        num_requests=300, rate_rps=rate, popularity_skew=1.2,
+        num_requests=num_requests, rate_rps=rate, popularity_skew=1.2,
         seed=0)).generate()
+    return simulator, requests, rate
+
+
+@pytest.mark.parametrize("batch_policy", ["overlap", "continuous"])
+def test_an_overlap_serve_signs_its_targets_before_the_loop(batch_policy):
+    simulator, requests, rate = _ib_simulator(
+        FleetConfig(num_chips=2, batch_policy=batch_policy))
     simulator.run(requests, rate)
     stats = simulator.runtime.sampler._sig_memo.stats
     assert stats.insertions == len({r.target_vertex for r in requests})
     assert stats.misses == 0 < stats.hits
+
+
+def test_a_push_serve_extracts_its_targets_before_the_loop():
+    """Push dispatch, timeout batching: every arrival's sample is a memo
+    hit."""
+    simulator, requests, rate = _ib_simulator(
+        FleetConfig(num_chips=2, batch_policy="timeout"))
+    stats = simulator.runtime.sampler._memo.stats
+    misses = stats.misses
+    simulator.run(requests, rate)
+    assert stats.misses == misses
+    assert stats.insertions >= len({r.target_vertex for r in requests})
+    assert stats.evictions == 0 < stats.hits
+
+
+def test_a_pull_serve_extracts_every_tenants_targets_before_the_loop():
+    """Pull (WFQ) dispatch, two tenants on immutable graphs: pricing and
+    service read only memo hits once the run starts."""
+    simulator = MultiTenantSimulator(
+        [TenantConfig(name="ib", dataset="IB", num_requests=200,
+                      batch_policy="continuous"),
+         TenantConfig(name="cr", dataset="CR", num_requests=200)],
+        FleetConfig(num_chips=2))
+    rates = simulator.calibrate_rates(0.9)
+    requests = merge_tenant_streams(simulator.tenant_streams(rates))
+    memos = [rt.sampler._memo for rt in simulator.runtimes.values()]
+    misses = [memo.stats.misses for memo in memos]
+    simulator.run(requests, rates)
+    assert [memo.stats.misses for memo in memos] == misses
+    assert all(memo.stats.evictions == 0 < memo.stats.hits for memo in memos)
+
+
+def _digest(report):
+    """sha256 of the report's full JSON, records included."""
+    return hashlib.sha256(json.dumps(
+        report.to_dict(include_records=True), sort_keys=True).encode()
+    ).hexdigest()
+
+
+def _small_memo_serve():
+    """A continuous IB serve whose distinct targets outnumber a 64-entry
+    sample memo, so warming fills it and later misses evict."""
+    simulator, requests, rate = _ib_simulator(
+        FleetConfig(num_chips=2, batch_policy="continuous"),
+        num_requests=400)
+    simulator.runtime.sampler._memo.capacity = 64
+    assert len({r.target_vertex for r in requests}) > 64
+    return simulator.run(requests, rate)
+
+
+@pytest.mark.parametrize("serve", [
+    pytest.param(_small_memo_serve, id="small-memo"),
+    pytest.param(lambda: run_serving(
+        dataset="IB", num_requests=300, popularity_skew=1.2,
+        config=FleetConfig(num_chips=2, sharding=ShardingConfig(
+            num_shards=2, partitioner="hash", halo_cache_mb=0.25))),
+        id="sharded"),
+    pytest.param(lambda: run_serving(
+        dataset="IB", num_requests=300, utilization_target=1.2,
+        config=FleetConfig(fleet_spec=fleet_spec_for_mix("mixed", 5),
+                           dispatch="shape-aware", max_batch_size=16,
+                           cache_size=0)),
+        id="heterogeneous"),
+])
+def test_warming_samples_leaves_the_report_unchanged(serve, monkeypatch):
+    """The same serve with the sample warm-up a no-op exports the same
+    JSON, byte for byte."""
+    def cold_serve():
+        clear_probe_cache()
+        clear_workloads_cache()
+        return _digest(serve())
+
+    warmed = cold_serve()
+    monkeypatch.setattr(SubgraphSampler, "warm_samples",
+                        lambda self, *args, **kwargs: 0)
+    assert cold_serve() == warmed
+
+
+def test_a_continuous_serve_extracts_in_at_most_two_calls(monkeypatch):
+    """One call signs the run's targets and one extracts them: a batch
+    that extracts its own misses would add a call per batch."""
+    simulator, requests, rate = _ib_simulator(
+        FleetConfig(num_chips=2, batch_policy="continuous"))
+    calls = []
+    extract_fresh_many = SubgraphSampler.extract_fresh_many
+
+    def counted(self, *args, **kwargs):
+        calls.append(len(args[0]))
+        return extract_fresh_many(self, *args, **kwargs)
+
+    monkeypatch.setattr(SubgraphSampler, "extract_fresh_many", counted)
+    report = simulator.run(requests, rate)
+    assert report.completed == len(requests)
+    assert len(calls) <= 2
