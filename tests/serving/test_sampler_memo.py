@@ -77,13 +77,22 @@ def _twins(memo_size, policy="targeted"):
     return delta, twins
 
 
+def _assert_same_sample(sample, want):
+    """Bit for bit: ids, CSR arrays, their dtypes and read-only flags."""
+    assert sample.target_vertex == want.target_vertex
+    for got, ref in ((sample.vertex_ids, want.vertex_ids),
+                     (sample.graph.csr.indptr, want.graph.csr.indptr),
+                     (sample.graph.csr.indices, want.graph.csr.indices)):
+        assert got.dtype == ref.dtype
+        assert got.flags.writeable == ref.flags.writeable
+        assert np.array_equal(got, ref)
+    assert not sample.vertex_ids.flags.writeable
+
+
 def _assert_same_samples(batched, sequential):
     assert len(batched) == len(sequential)
     for a, b in zip(batched, sequential):
-        assert a.target_vertex == b.target_vertex
-        assert np.array_equal(a.vertex_ids, b.vertex_ids)
-        assert np.array_equal(a.graph.csr.indptr, b.graph.csr.indptr)
-        assert np.array_equal(a.graph.csr.indices, b.graph.csr.indices)
+        _assert_same_sample(a, b)
 
 
 @settings(max_examples=40, deadline=None)
@@ -288,18 +297,6 @@ def test_a_mutable_graph_is_not_warmed():
             sampler.signature(target)
             sampler.extract(target, 1, 2)
     assert _memo_state(warmed) == _memo_state(per_arrival)
-
-
-def _assert_same_sample(sample, want):
-    """Bit for bit: ids, CSR arrays, their dtypes and read-only flags."""
-    assert sample.target_vertex == want.target_vertex
-    for got, ref in ((sample.vertex_ids, want.vertex_ids),
-                     (sample.graph.csr.indptr, want.graph.csr.indptr),
-                     (sample.graph.csr.indices, want.graph.csr.indices)):
-        assert got.dtype == ref.dtype
-        assert got.flags.writeable == ref.flags.writeable
-        assert np.array_equal(got, ref)
-    assert not sample.vertex_ids.flags.writeable
 
 
 @pytest.mark.parametrize("targets,num_hops,fanout", _WARM_CASES)
