@@ -8,11 +8,17 @@ degradation gate:
 
 * ``threshold`` on a ramp: IB, 1,500 requests, 2 chips, up to 6;
 * ``pid`` on a ramp: CR, 1,500 requests, 2 chips, least-loaded, up to 6;
+* ``ewma`` on a ramp with no warm-up, so scale-ups serve at once: CR,
+  1,500 requests, 2 chips, up to 6;
 * ``ewma`` and ``threshold`` with admission and degradation on a loaded,
   continuously batched, streaming IB run (the ``threshold`` one is the CI
   "Traced serve" step's observed run);
 * two tenants (IB and CR) on a ``mixed`` two-chip heterogeneous fleet
-  with ``shape-aware`` dispatch, ``threshold`` and admission.
+  with ``shape-aware`` dispatch, ``threshold`` and admission;
+* the same two tenants on a fixed two-chip fleet whose admission rate is
+  pinned, so each token bucket gets its weight share of that rate;
+* degradation alone on a fixed, overloaded IB fleet: no autoscaler, and
+  the requests no rung fits are served at the bottom rung, never shed.
 
 Each scenario pins the sha256 of its full report JSON and, for a readable
 diff, the report without its per-request records.  When a change
@@ -42,12 +48,13 @@ FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures",
                        "control_reports.json")
 
 
-def _ramp(dataset, utilization, autoscale, seed, **fleet):
+def _ramp(dataset, utilization, autoscale, seed, warmup_s=None, **fleet):
     return lambda: run_serving(
         dataset=dataset, num_requests=1500, arrival="ramp",
         utilization_target=utilization,
         config=FleetConfig(num_chips=2, **fleet),
-        control=ControlConfig(autoscale=autoscale, max_chips=6), seed=seed)
+        control=ControlConfig(autoscale=autoscale, max_chips=6,
+                              warmup_s=warmup_s), seed=seed)
 
 
 def _loaded_streaming(autoscale):
@@ -61,16 +68,19 @@ def _loaded_streaming(autoscale):
         update_rate=0.05)
 
 
-def _two_tenants():
-    return run_multi_tenant(
+def _two_tenants(fleet, control):
+    return lambda: run_multi_tenant(
         [TenantConfig(name="ib", dataset="IB", weight=2.0, num_requests=600),
          TenantConfig(name="cr", dataset="CR", num_requests=400)],
-        FleetConfig(fleet_spec=fleet_spec_for_mix("mixed", 2),
-                    dispatch="shape-aware"),
-        utilization_target=1.6,
-        control=ControlConfig(autoscale="threshold", max_chips=5,
-                              admission=True),
+        fleet, utilization_target=1.6, control=control,
         include_isolation_baseline=False)
+
+
+def _degrade_only():
+    return run_serving(
+        dataset="IB", num_requests=1024, utilization_target=8.0,
+        config=FleetConfig(num_chips=2, cache_size=0),
+        control=ControlConfig(degrade=True))
 
 
 SCENARIOS = {
@@ -78,7 +88,16 @@ SCENARIOS = {
     "cr_pid_ramp": _ramp("CR", 1.2, "pid", 2, dispatch="least-loaded"),
     "ib_ewma_streaming": _loaded_streaming("ewma"),
     "ib_threshold_streaming": _loaded_streaming("threshold"),
-    "two_tenants_mixed": _two_tenants,
+    "two_tenants_mixed": _two_tenants(
+        FleetConfig(fleet_spec=fleet_spec_for_mix("mixed", 2),
+                    dispatch="shape-aware"),
+        ControlConfig(autoscale="threshold", max_chips=5, admission=True)),
+    # the pinned rate is about 0.8x the two tenants' offered rate
+    "two_tenants_pinned_rate": _two_tenants(
+        FleetConfig(num_chips=2),
+        ControlConfig(admission=True, admission_rate_rps=3.0e6)),
+    "cr_ewma_no_warmup": _ramp("CR", 1.2, "ewma", 3, warmup_s=0.0),
+    "ib_degrade_only": _degrade_only,
 }
 
 #: (scale-ups, scale-downs, shed, degraded) of each scenario
@@ -88,6 +107,9 @@ COUNTS = {
     "ib_ewma_streaming": (2, 3, 189, 64),
     "ib_threshold_streaming": (2, 1, 311, 113),
     "two_tenants_mixed": (1, 1, 50, 0),
+    "two_tenants_pinned_rate": (0, 0, 208, 0),
+    "cr_ewma_no_warmup": (2, 3, 0, 0),
+    "ib_degrade_only": (0, 0, 0, 303),
 }
 
 
@@ -160,6 +182,20 @@ def test_a_draining_chip_retires_at_a_completion(reports):
                     and event.time_s > drained_at[event.chip_id]:
                 late.append(event)
     assert late
+
+
+def test_fixed_fleet_and_eager_fixtures_reach_their_branches(reports):
+    """The pinned-rate, no-warm-up and degrade-only scenarios each exist
+    for one control branch no other scenario reaches."""
+    pinned = reports["two_tenants_pinned_rate"].control
+    assert all(acct.shed_rate_limited > 0
+               for acct in pinned.admission.values())
+    eager = reports["cr_ewma_no_warmup"].control
+    assert eager.scale_ups > 0
+    assert not any(event.action == "ready" for event in eager.timeline)
+    degrade_only = reports["ib_degrade_only"].control
+    assert degrade_only.policy == "fixed"
+    assert degrade_only.admission[""].degraded[2] > 0
 
 
 if __name__ == "__main__":
