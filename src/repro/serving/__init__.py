@@ -55,11 +55,9 @@ from .control import (
     AutoscalePolicy,
     ControlConfig,
     ControlObservation,
-    ControlPlane,
     DegradeLevel,
     EWMAPolicy,
     PIDPolicy,
-    TenantBinding,
     ThresholdPolicy,
     TokenBucket,
     build_autoscale_policy,
@@ -217,7 +215,6 @@ __all__ = [
     "OverlapBatcher",
     "ControlConfig",
     "ControlObservation",
-    "ControlPlane",
     "ControlStats",
     "DegradeLevel",
     "EWMAPolicy",
@@ -251,7 +248,6 @@ __all__ = [
     "StreamState",
     "SubgraphSample",
     "SubgraphSampler",
-    "TenantBinding",
     "TenantConfig",
     "TenantRuntime",
     "ThresholdPolicy",

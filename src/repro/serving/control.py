@@ -1,9 +1,8 @@
 """Elastic control plane: autoscaling, admission control, graceful degradation.
 
 The serving fleet (:mod:`repro.serving.fleet`, :mod:`repro.serving.tenancy`)
-is a data plane: it batches, schedules and simulates.  This module is the
-control plane that watches it at a fixed *control interval* and acts through
-three levers:
+is a data plane: it batches, schedules and simulates.  The control plane
+watches it at a fixed *control interval* and acts through three levers:
 
 * **Autoscaling** -- grow or shrink the chip fleet between
   ``min_chips``/``max_chips`` under a pluggable policy
@@ -27,27 +26,25 @@ three levers:
   reported, never hidden.  Under the overlap-aware batch-formation
   policies (:mod:`repro.serving.batching`) the ladder's expected savings
   are damped by the fleet's measured overlap ratio -- work shared with
-  co-batched neighbours cannot be saved twice (see :meth:`ControlPlane.admit`).
+  co-batched neighbours cannot be saved twice (see
+  :meth:`~repro.serving.fleet.FleetScaler.admit`).
 
-The :class:`ControlPlane` is deliberately passive and simulator-agnostic: the
-event loop calls :meth:`ControlPlane.admit` on each arrival and
-:meth:`ControlPlane.tick` once per control interval, and executes the returned
-decisions itself (it owns the chips and the event heap).  Everything is
-deterministic -- the control plane draws no randomness -- so elastic runs
-reproduce bit-for-bit under a fixed seed.
+This module holds the pure parts -- the configuration, the sizing policies,
+the token bucket and the degradation ladder -- which tests drive
+standalone.  The one object that applies them to a run is
+:class:`~repro.serving.fleet.FleetScaler`: it adds and drains chips and
+pushes its own control events, so it lives beside the event loop.
+Everything is deterministic -- nothing here draws randomness -- so elastic
+runs reproduce bit-for-bit under a fixed seed.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional
 
 from .hetero import SCALE_SHAPE_POLICIES
-from .stats import AdmissionStats, ControlSample, ControlStats, ScaleEvent
-
-logger = logging.getLogger("repro.serving.control")
 
 __all__ = [
     "AUTOSCALE_POLICIES",
@@ -62,24 +59,10 @@ __all__ = [
     "ControlConfig",
     "ControlObservation",
     "AdmissionDecision",
-    "TenantBinding",
-    "ControlPlane",
 ]
 
 #: Autoscaling-policy names accepted by the CLI and :func:`build_autoscale_policy`.
 AUTOSCALE_POLICIES = ("threshold", "pid", "ewma")
-
-#: Adaptive defaults, as multiples of the probe-batch service time: the
-#: control loop observes every couple of batches; a commissioned chip warms
-#: up for a few batch times before it serves (weight streaming, cache fill).
-_CONTROL_INTERVAL_SERVICE_MULTIPLE = 2.0
-_WARMUP_SERVICE_MULTIPLE = 4.0
-
-#: Auto-sized token buckets refill at this multiple of the tenant's share of
-#: fleet capacity: the bucket is the *coarse* gate (sustained gross overload),
-#: while the SLO-budget check does the precision shedding/degrading, so the
-#: contract is set above nominal capacity to let bursts through.
-_ADMISSION_AUTO_HEADROOM = 1.5
 
 
 # --------------------------------------------------------------------------- #
@@ -214,7 +197,7 @@ class AutoscalePolicy:
     """Base policy: map an observation to a desired fleet size.
 
     ``desired_chips`` receives ``current`` = active + warming (committed
-    capacity); the plane clamps the answer into ``[min_chips, max_chips]``.
+    capacity); the scaler clamps the answer into ``[min_chips, max_chips]``.
     Policies are stateful (hysteresis counters, integrators, EWMAs) and are
     constructed fresh for every run, which keeps elastic runs deterministic.
     """
@@ -440,232 +423,3 @@ def default_degradation_ladder(num_hops: int, fanout: int,
             level=level, num_hops=hops, fanout=fan,
             cost_scale=_neighborhood_size(hops, fan) / base))
     return ladder
-
-
-@dataclass
-class TenantBinding:
-    """The per-tenant facts the control plane needs: SLO budget, sampling
-    shape (for the degradation ladder) and WFQ weight (for bucket sizing).
-
-    ``capacity_per_chip_rps`` overrides the fleet-wide per-chip request
-    capacity when auto-sizing this tenant's token bucket -- multi-tenant
-    serving passes each tenant's own probe-measured capacity, since request
-    cost varies per (model, dataset).
-    """
-
-    name: str
-    slo_s: float
-    num_hops: int
-    fanout: int
-    weight: float = 1.0
-    capacity_per_chip_rps: Optional[float] = None
-
-
-# --------------------------------------------------------------------------- #
-# The control plane
-# --------------------------------------------------------------------------- #
-class ControlPlane:
-    """Policy state + accounting for one elastic serving run.
-
-    Life cycle: construct from a :class:`ControlConfig`, then the simulator
-    calls :meth:`bind` once it knows its probe-calibrated time scales, then
-    :meth:`admit` per cache-missing arrival and :meth:`tick` per control
-    interval, and finally :meth:`finalize` with the chip roster to close the
-    chip-seconds books.  The plane never touches the event heap or the chips;
-    it only decides.
-    """
-
-    def __init__(self, config: ControlConfig):
-        self.config = config
-        self.policy: Optional[AutoscalePolicy] = None
-        if config.autoscale is not None:
-            self.policy = build_autoscale_policy(config.autoscale,
-                                                 config.policy_params)
-        self.control_interval_s: float = 0.0
-        self.warmup_s: float = 0.0
-        self.stats: Optional[ControlStats] = None
-        self._bindings: Dict[str, TenantBinding] = {}
-        self._buckets: Dict[str, TokenBucket] = {}
-        self._ladders: Dict[str, List[DegradeLevel]] = {}
-
-    # ------------------------------------------------------------------ #
-    def bind(self, bindings: Sequence[TenantBinding], initial_chips: int,
-             probe_service_s: float, capacity_per_chip_rps: float) -> None:
-        """Resolve adaptive time scales, buckets and ladders for this run."""
-        cfg = self.config
-        self.control_interval_s = cfg.control_interval_s \
-            if cfg.control_interval_s is not None \
-            else _CONTROL_INTERVAL_SERVICE_MULTIPLE * probe_service_s
-        self.warmup_s = cfg.warmup_s if cfg.warmup_s is not None \
-            else _WARMUP_SERVICE_MULTIPLE * probe_service_s
-        total_weight = sum(b.weight for b in bindings)
-        self._bindings = {b.name: b for b in bindings}
-        # bucket auto-sizing targets the biggest fleet the run can hold:
-        # the autoscaler's ceiling when armed, else the fixed fleet size
-        ceiling_chips = cfg.max_chips if cfg.autoscale is not None \
-            else initial_chips
-        for binding in bindings:
-            share = binding.weight / total_weight if total_weight > 0 else 1.0
-            if cfg.admission:
-                if cfg.admission_rate_rps is not None:
-                    rate = cfg.admission_rate_rps * share
-                else:
-                    capacity = binding.capacity_per_chip_rps \
-                        if binding.capacity_per_chip_rps is not None \
-                        else capacity_per_chip_rps
-                    rate = capacity * ceiling_chips * share \
-                        * _ADMISSION_AUTO_HEADROOM
-                self._buckets[binding.name] = TokenBucket(
-                    max(rate, 1e-9), cfg.admission_burst)
-            if cfg.degrade:
-                self._ladders[binding.name] = default_degradation_ladder(
-                    binding.num_hops, binding.fanout, cfg.max_degrade_level)
-        self.stats = ControlStats(
-            policy=self.policy.name if self.policy else "fixed",
-            min_chips=cfg.min_chips,
-            max_chips=cfg.max_chips,
-            control_interval_s=self.control_interval_s,
-            warmup_s=self.warmup_s,
-            initial_chips=initial_chips,
-            admission={b.name: AdmissionStats(tenant=b.name)
-                       for b in bindings},
-        )
-
-    # ------------------------------------------------------------------ #
-    # Admission / degradation
-    # ------------------------------------------------------------------ #
-    def admit(self, tenant: str, now_s: float, est_delay_s: float,
-              est_service_s: float,
-              overlap_ratio: float = 0.0) -> AdmissionDecision:
-        """Gate one cache-missing arrival.
-
-        ``est_delay_s`` is the data plane's current queueing-delay estimate,
-        ``est_service_s`` its full-fidelity service-cost estimate for this
-        request (both seconds).  Order of checks: token bucket (rate
-        policing, never degradable -- a tenant over its contracted rate is
-        shed outright), then the SLO-budget test, resolved by degradation
-        when armed.
-
-        ``overlap_ratio`` is the data plane's measured fused-subgraph dedup
-        ratio (see :class:`~repro.serving.stats.BatchingStats`); the loop
-        passes it only under the overlap-aware formation policies, 0.0
-        otherwise.  It *damps* the ladder's expected savings: a rung that
-        halves the fanout shrinks a request's standalone neighbourhood by
-        ``cost_scale``, but the fraction of that neighbourhood already
-        shared with co-batched requests (``overlap_ratio``) was never going
-        to be paid for again anyway, so the effective scale is
-        ``overlap + (1 - overlap) * cost_scale``.  Without the damping an
-        overlap-aware fleet would systematically over-promise degradation
-        savings and admit requests it then serves late.
-        """
-        decision = self._decide(tenant, now_s, est_delay_s, est_service_s,
-                                overlap_ratio)
-        if not decision.admitted or decision.level > 0:
-            logger.debug("admit %s t=%.6f: %s", tenant or "<default>",
-                         now_s, decision.reason)
-        return decision
-
-    def _decide(self, tenant: str, now_s: float, est_delay_s: float,
-                est_service_s: float,
-                overlap_ratio: float) -> AdmissionDecision:
-        acct = self.stats.admission[tenant]
-        acct.offered += 1
-        cfg = self.config
-        bucket = self._buckets.get(tenant)
-        if bucket is not None and not bucket.try_acquire(now_s):
-            acct.shed_rate_limited += 1
-            return AdmissionDecision(admitted=False, reason="rate-limited")
-        budget_s = self._bindings[tenant].slo_s * cfg.admission_slo_margin
-        if est_delay_s + est_service_s <= budget_s:
-            acct.admitted += 1
-            return AdmissionDecision(admitted=True)
-        overlap = min(max(overlap_ratio, 0.0), 1.0)
-
-        def effective_scale(rung: DegradeLevel) -> float:
-            return overlap + (1.0 - overlap) * rung.cost_scale
-
-        # over budget: try the ladder, cheapest-acceptable-fidelity first
-        for rung in self._ladders.get(tenant, ()):
-            scale = effective_scale(rung)
-            if est_delay_s + scale * est_service_s <= budget_s:
-                acct.admitted += 1
-                acct.degraded[rung.level] = acct.degraded.get(rung.level, 0) + 1
-                return AdmissionDecision(
-                    admitted=True, level=rung.level, num_hops=rung.num_hops,
-                    fanout=rung.fanout, cost_scale=scale,
-                    reason="degraded")
-        if cfg.admission:
-            acct.shed_overload += 1
-            return AdmissionDecision(admitted=False, reason="overload")
-        ladder = self._ladders.get(tenant)
-        if ladder:
-            # degrade-only mode never sheds: serve the cheapest fidelity
-            rung = ladder[-1]
-            acct.admitted += 1
-            acct.degraded[rung.level] = acct.degraded.get(rung.level, 0) + 1
-            return AdmissionDecision(
-                admitted=True, level=rung.level, num_hops=rung.num_hops,
-                fanout=rung.fanout, cost_scale=effective_scale(rung),
-                reason="degraded")
-        acct.admitted += 1
-        return AdmissionDecision(admitted=True)
-
-    # ------------------------------------------------------------------ #
-    # Autoscaling
-    # ------------------------------------------------------------------ #
-    def tick(self, obs: ControlObservation) -> int:
-        """Record one control-interval observation; return the clamped fleet
-        target (active + warming) the policy wants."""
-        cfg = self.config
-        current = obs.active_chips + obs.warming_chips
-        if self.policy is None:
-            # no autoscaler armed: the fleet size is fixed, never clamp it
-            desired = current
-        else:
-            desired = self.policy.desired_chips(obs, current)
-            desired = max(cfg.min_chips, min(cfg.max_chips, desired))
-        self.stats.samples.append(ControlSample(
-            time_s=obs.now_s,
-            active=obs.active_chips,
-            warming=obs.warming_chips,
-            draining=obs.draining_chips,
-            desired_chips=desired,
-            queue_depth=obs.queue_depth,
-            arrival_rate_rps=obs.arrival_rate_rps,
-            utilization=obs.utilization,
-            est_queue_delay_s=obs.est_queue_delay_s,
-            violations=obs.violations,
-            shed=obs.shed,
-        ))
-        return desired
-
-    def record_event(self, time_s: float, action: str, chip_id: int,
-                     active: int, warming: int, draining: int) -> None:
-        """Append one fleet-shape change to the timeline."""
-        self.stats.timeline.append(ScaleEvent(
-            time_s=time_s, action=action, chip_id=chip_id,
-            active=active, warming=warming, draining=draining))
-        logger.debug("scale %s chip=%d t=%.6f (active=%d warming=%d "
-                     "draining=%d)", action, chip_id, time_s, active,
-                     warming, draining)
-
-    # ------------------------------------------------------------------ #
-    def finalize(self, end_s: float, chips: Sequence[object]) -> ControlStats:
-        """Close the chip-seconds books over the full roster (incl. retired).
-
-        ``chips`` are the fleet's ``Chip`` objects (duck-typed: ``state``,
-        ``added_s``, ``ready_s``, ``retired_s`` and ``stats``).
-        """
-        total = 0.0
-        warmup_total = 0.0
-        for chip in chips:
-            retired = chip.retired_s if chip.retired_s is not None else end_s
-            provisioned = max(0.0, retired - chip.added_s)
-            chip.stats.provisioned_s = provisioned
-            total += provisioned
-            warmup_total += max(0.0, min(chip.ready_s, retired) - chip.added_s)
-        self.stats.chip_seconds_s = total
-        self.stats.warmup_chip_seconds_s = warmup_total
-        self.stats.final_chips = sum(
-            1 for c in chips if c.state in ("active", "warming"))
-        return self.stats

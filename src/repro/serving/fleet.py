@@ -58,10 +58,11 @@ its estimated fused service time, so chip-time (not batch count) is what
 gets shared in proportion to tenant weights.
 
 With a :class:`~repro.serving.control.ControlConfig` armed the fleet becomes
-*elastic*: chips move through a warming -> active -> draining -> retired
-lifecycle under the control plane's autoscaling decisions, arrivals pass an
-admission/degradation gate before batching, and the report carries the
-scaling timeline plus chip-seconds accounting.
+*elastic*: one :class:`FleetScaler` is the run's control plane.  Chips move
+through a warming -> active -> draining -> retired lifecycle under its
+autoscaling decisions, arrivals pass its admission/degradation gate before
+batching, and the report carries its scaling timeline plus chip-seconds
+accounting.
 """
 
 from __future__ import annotations
@@ -89,7 +90,16 @@ from .batching import (
     resolve_signature_hops,
 )
 from .cache import FeatureCache, LRUCache, charge_features
-from .control import ControlConfig, ControlObservation, ControlPlane, TenantBinding
+from .control import (
+    AdmissionDecision,
+    AutoscalePolicy,
+    ControlConfig,
+    ControlObservation,
+    DegradeLevel,
+    TokenBucket,
+    build_autoscale_policy,
+    default_degradation_ladder,
+)
 from .hetero import (
     DEFAULT_SHAPE,
     BatchProfile,
@@ -102,12 +112,15 @@ from .hetero import (
 from .sampler import SubgraphSampler
 from .sharding import ShardExecutor, ShardingConfig, shard_plan_for
 from .stats import (
+    AdmissionStats,
     BatchingStats,
     ChipStats,
     ConsistencyStats,
+    ControlSample,
     ControlStats,
     HeteroStats,
     RequestRecord,
+    ScaleEvent,
     ServingReport,
     ShardingStats,
     percentile,
@@ -145,6 +158,16 @@ _COST_EWMA_ALPHA = 0.3
 #: SLO is ten service times (queueing + batching headroom over raw service).
 _TIMEOUT_SERVICE_MULTIPLE = 2.0
 _SLO_SERVICE_MULTIPLE = 10.0
+#: The control loop observes every couple of batches; a commissioned chip
+#: warms up for a few batch times before it serves (weight streaming,
+#: cache fill).
+_CONTROL_INTERVAL_SERVICE_MULTIPLE = 2.0
+_WARMUP_SERVICE_MULTIPLE = 4.0
+#: Auto-sized token buckets refill at this multiple of the tenant's share of
+#: fleet capacity: the bucket is the *coarse* gate (sustained gross overload),
+#: while the SLO-budget check does the precision shedding/degrading, so the
+#: contract is set above nominal capacity to let bursts through.
+_ADMISSION_AUTO_HEADROOM = 1.5
 #: Simulated latency of a request answered from the result cache.
 _CACHE_HIT_LATENCY_S = 1e-6
 
@@ -604,15 +627,17 @@ def probe_batch_service_time_s(hw: HyGCNConfig, sampler, model,
 
 
 class FleetScaler:
-    """The event loop's one handle on the elastic control plane.
+    """The elastic control plane of one run.
 
-    Built only on elastic runs, it binds a fresh :class:`ControlPlane` and
-    owns all it observes: the admission backlog, the interval's counters,
-    the busy-time snapshot and the per-request cost EWMA.  The loop calls
-    it at arrivals, cache misses (:meth:`admit`), service starts,
-    completions and the ``_CONTROL`` / ``_CHIP_READY`` events, which the
-    scaler pushes itself.  Scale-downs drain the victim the dispatch stage
-    picks; on a heterogeneous fleet a
+    Built only on elastic runs, from the :class:`ControlConfig` and the
+    runtimes' probe-calibrated time scales, it owns the autoscaling policy,
+    each tenant's token bucket and degradation ladder, the
+    :class:`ControlStats` it fills, and all it observes: the admission
+    backlog, the interval's counters, the busy-time snapshot and the
+    per-request cost EWMA.  The loop calls it at arrivals, cache misses
+    (:meth:`admit`), service starts, completions and the ``_CONTROL`` /
+    ``_CHIP_READY`` events, which the scaler pushes itself.  Scale-downs
+    drain the victim the dispatch stage picks; on a heterogeneous fleet a
     :class:`~repro.serving.hetero.ShapeChooser` picks the shape each
     scale-up adds and each scale-down drains.
     """
@@ -621,6 +646,7 @@ class FleetScaler:
                  chips: List[Chip], runtimes: Sequence[TenantRuntime],
                  shapes: Dict[str, HyGCNConfig], push, drain_victim,
                  t0: float, observe=None):
+        self.config = config
         self.chips = chips
         self._fleet = fleet
         self._runtimes = runtimes
@@ -630,18 +656,50 @@ class FleetScaler:
         # fleet-wide per-request cost EWMA for the sizing policies
         self._cost_per_request_s = float(np.mean(
             [rt.cost_per_request_s for rt in runtimes]))
-        self.control = ControlPlane(config)
-        self.control.bind(
-            [TenantBinding(
-                name=rt.name, slo_s=rt.slo_s,
-                num_hops=rt.config.num_hops, fanout=rt.config.fanout,
-                weight=rt.weight,
-                capacity_per_chip_rps=rt.probe_batch_size
-                / max(rt.probe_service_s, 1e-12))
-             for rt in runtimes],
+        self.policy: Optional[AutoscalePolicy] = None
+        if config.autoscale is not None:
+            self.policy = build_autoscale_policy(config.autoscale,
+                                                 config.policy_params)
+        probe_service_s = min(rt.probe_service_s for rt in runtimes)
+        self.control_interval_s = config.control_interval_s \
+            if config.control_interval_s is not None \
+            else _CONTROL_INTERVAL_SERVICE_MULTIPLE * probe_service_s
+        self.warmup_s = config.warmup_s if config.warmup_s is not None \
+            else _WARMUP_SERVICE_MULTIPLE * probe_service_s
+        # bucket auto-sizing targets the biggest fleet the run can hold:
+        # the autoscaler's ceiling when armed, else the fixed fleet size
+        ceiling_chips = config.max_chips if config.autoscale is not None \
+            else len(chips)
+        total_weight = sum(rt.weight for rt in runtimes)
+        self._buckets: Dict[str, TokenBucket] = {}
+        self._ladders: Dict[str, List[DegradeLevel]] = {}
+        for rt in runtimes:
+            share = rt.weight / total_weight
+            if config.admission:
+                if config.admission_rate_rps is not None:
+                    rate = config.admission_rate_rps * share
+                else:
+                    # each tenant's own probe-measured request capacity
+                    capacity = rt.probe_batch_size \
+                        / max(rt.probe_service_s, 1e-12)
+                    rate = capacity * ceiling_chips * share \
+                        * _ADMISSION_AUTO_HEADROOM
+                self._buckets[rt.name] = TokenBucket(
+                    max(rate, 1e-9), config.admission_burst)
+            if config.degrade:
+                self._ladders[rt.name] = default_degradation_ladder(
+                    rt.config.num_hops, rt.config.fanout,
+                    config.max_degrade_level)
+        self.stats = ControlStats(
+            policy=self.policy.name if self.policy else "fixed",
+            min_chips=config.min_chips,
+            max_chips=config.max_chips,
+            control_interval_s=self.control_interval_s,
+            warmup_s=self.warmup_s,
             initial_chips=len(chips),
-            probe_service_s=min(rt.probe_service_s for rt in runtimes),
-            capacity_per_chip_rps=1.0 / max(self._cost_per_request_s, 1e-12))
+            admission={rt.name: AdmissionStats(tenant=rt.name)
+                       for rt in runtimes},
+        )
         self._shape_chooser: Optional[ShapeChooser] = None
         self._drain_victim = drain_victim    # (active chips) -> Chip
         if len(shapes) > 1:
@@ -656,7 +714,7 @@ class FleetScaler:
         self._arrivals = self._completions = 0
         self._violations = self._shed = 0
         self._busy_snapshot_s = 0.0
-        push(t0 + self.control.control_interval_s, _CONTROL, None)
+        push(t0 + self.control_interval_s, _CONTROL, None)
 
     def counts(self) -> Tuple[int, int, int]:
         """(active, warming, draining) sizes of the current roster."""
@@ -676,21 +734,75 @@ class FleetScaler:
     def admit(self, rt: TenantRuntime, request: Request,
               now: float) -> Optional[Request]:
         """Gate a cache-missing arrival: the request to batch (degraded
-        when the plane says so), or ``None`` when it is shed."""
+        when over its SLO budget), or ``None`` when it is shed.
+
+        Order of checks: the tenant's token bucket (rate policing, never
+        degradable -- a tenant over its contracted rate is shed outright),
+        then the SLO-budget test on the backlog's queueing-delay estimate
+        plus the request's full-fidelity cost, resolved by the cheapest
+        ladder rung that fits when degradation is armed.  Over budget with
+        no rung fitting, admission control sheds; degradation alone never
+        sheds and serves the bottom rung instead.
+
+        Under the overlap-aware formation policies the tenant's measured
+        fused-subgraph dedup ratio *damps* each rung's savings: the
+        fraction of a neighbourhood already shared with co-batched
+        requests was never going to be paid for again, so a rung's
+        effective scale is ``overlap + (1 - overlap) * cost_scale``.
+        Without the damping an overlap-aware fleet would over-promise
+        degradation savings and admit requests it then serves late.
+        """
+        acct = self.stats.admission[rt.name]
+        acct.offered += 1
         schedulable = sum(1 for c in self.chips if c.schedulable)
-        decision = self.control.admit(
-            rt.name, now, self._backlog_cost_s / max(1, schedulable),
-            rt.cost_per_request_s,
-            overlap_ratio=rt.overlap_ewma if rt.overlap_aware else 0.0)
+        delay_s = self._backlog_cost_s / max(1, schedulable)
+        service_s = rt.cost_per_request_s
+        budget_s = rt.slo_s * self.config.admission_slo_margin
+        overlap = min(max(rt.overlap_ewma, 0.0), 1.0) \
+            if rt.overlap_aware else 0.0
+        ladder = self._ladders.get(rt.name, ())
+        bucket = self._buckets.get(rt.name)
+
+        def effective_scale(rung: DegradeLevel) -> float:
+            return overlap + (1.0 - overlap) * rung.cost_scale
+
+        rung: Optional[DegradeLevel] = None
+        if bucket is not None and not bucket.try_acquire(now):
+            acct.shed_rate_limited += 1
+            decision = AdmissionDecision(admitted=False, reason="rate-limited")
+        elif delay_s + service_s <= budget_s:
+            decision = AdmissionDecision(admitted=True)
+        else:
+            # over budget: the first rung whose cost fits, cheapest
+            # acceptable fidelity first
+            rung = next((r for r in ladder if delay_s + effective_scale(r)
+                         * service_s <= budget_s), None)
+            if rung is None and ladder and not self.config.admission:
+                rung = ladder[-1]   # degradation alone never sheds
+            if rung is not None:
+                acct.degraded[rung.level] = acct.degraded.get(rung.level, 0) + 1
+                decision = AdmissionDecision(
+                    admitted=True, level=rung.level, num_hops=rung.num_hops,
+                    fanout=rung.fanout, cost_scale=effective_scale(rung),
+                    reason="degraded")
+            elif self.config.admission:
+                acct.shed_overload += 1
+                decision = AdmissionDecision(admitted=False, reason="overload")
+            else:
+                decision = AdmissionDecision(admitted=True)
+        if decision.reason != "admitted":
+            logger.debug("admit %s t=%.6f: %s", rt.name or "<default>",
+                         now, decision.reason)
         if self._observe is not None:
             self._observe.on_admission(now, rt.name, decision)
         if not decision.admitted:
             self._shed += 1
             return None
-        if decision.level > 0:
-            request = replace(request, degrade_level=decision.level,
-                              degrade_hops=decision.num_hops,
-                              degrade_fanout=decision.fanout)
+        acct.admitted += 1
+        if rung is not None:
+            request = replace(request, degrade_level=rung.level,
+                              degrade_hops=rung.num_hops,
+                              degrade_fanout=rung.fanout)
         cost = rt.cost_per_request_s * decision.cost_scale
         self._request_cost_s[request.request_id] = cost
         self._backlog_cost_s += cost
@@ -715,14 +827,16 @@ class FleetScaler:
             self.retire(chip, now)
 
     def tick(self, now: float, queue_depth: int, rearm: bool) -> None:
-        """One control interval: observe, decide, resize, reset the
-        interval's counters and (while the run goes on) re-arm."""
+        """One control interval: observe, ask the policy for a fleet size
+        (active + warming) clamped into the band, record the sample,
+        resize, reset the interval's counters and (while the run goes on)
+        re-arm."""
         active, warming, draining = self.counts()
         busy_total_s = sum(c.stats.busy_s for c in self.chips)
-        interval_s = self.control.control_interval_s
+        interval_s = self.control_interval_s
         utilization = (busy_total_s - self._busy_snapshot_s) \
             / (interval_s * max(1, active))
-        target = self.control.tick(ControlObservation(
+        obs = ControlObservation(
             now_s=now,
             interval_s=interval_s,
             active_chips=active,
@@ -738,6 +852,25 @@ class FleetScaler:
             cost_per_request_s=self._cost_per_request_s,
             # the tightest tenant SLO anchors the fleet delay signal
             slo_s=min(rt.slo_s for rt in self._runtimes),
+        )
+        target = active + warming
+        # without an autoscaler the fleet size is fixed and never clamped
+        if self.policy is not None:
+            target = max(self.config.min_chips, min(
+                self.config.max_chips,
+                self.policy.desired_chips(obs, target)))
+        self.stats.samples.append(ControlSample(
+            time_s=now,
+            active=active,
+            warming=warming,
+            draining=draining,
+            desired_chips=target,
+            queue_depth=queue_depth,
+            arrival_rate_rps=obs.arrival_rate_rps,
+            utilization=obs.utilization,
+            est_queue_delay_s=obs.est_queue_delay_s,
+            violations=self._violations,
+            shed=self._shed,
         ))
         self.scale_to(target, now)
         self._busy_snapshot_s = busy_total_s
@@ -747,12 +880,31 @@ class FleetScaler:
             self._push(now + interval_s, _CONTROL, None)
 
     def finalize(self, end_s: float) -> ControlStats:
-        return self.control.finalize(end_s, self.chips)
+        """Close the chip-seconds books over the full roster, retired
+        chips included."""
+        total = 0.0
+        warmup_total = 0.0
+        for chip in self.chips:
+            retired = chip.retired_s if chip.retired_s is not None else end_s
+            provisioned = max(0.0, retired - chip.added_s)
+            chip.stats.provisioned_s = provisioned
+            total += provisioned
+            warmup_total += max(0.0, min(chip.ready_s, retired) - chip.added_s)
+        self.stats.chip_seconds_s = total
+        self.stats.warmup_chip_seconds_s = warmup_total
+        self.stats.final_chips = sum(
+            1 for c in self.chips if c.state in ("active", "warming"))
+        return self.stats
 
     def _record(self, now: float, action: str, chip: Chip) -> None:
+        """Append one fleet-shape change to the timeline."""
         active, warming, draining = self.counts()
-        self.control.record_event(now, action, chip.chip_id,
-                                  active, warming, draining)
+        self.stats.timeline.append(ScaleEvent(
+            time_s=now, action=action, chip_id=chip.chip_id,
+            active=active, warming=warming, draining=draining))
+        logger.debug("scale %s chip=%d t=%.6f (active=%d warming=%d "
+                     "draining=%d)", action, chip.chip_id, now, active,
+                     warming, draining)
         if self._observe is not None:
             self._observe.on_scale_event(now, action, chip.chip_id,
                                          active, warming, draining)
@@ -785,8 +937,8 @@ class FleetScaler:
             chip = Chip(len(self.chips), hw, self._fleet.feature_cache_size,
                         shape=shape)
             chip.added_s = now
-            chip.ready_s = now + self.control.warmup_s
-            if self.control.warmup_s > 0:
+            chip.ready_s = now + self.warmup_s
+            if self.warmup_s > 0:
                 chip.state = "warming"
                 self._push(chip.ready_s, _CHIP_READY, chip)
             else:

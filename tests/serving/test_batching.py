@@ -11,10 +11,12 @@ never violates its budgets.
 """
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from _fake_fleet import fake_runtime, fake_scaler
 from repro.graphs.graph import Graph
 from repro.serving import (
     ALL_BATCH_POLICIES,
@@ -34,7 +36,7 @@ from repro.serving import (
     estimate_jaccard,
     run_serving,
 )
-from repro.serving.control import ControlConfig, ControlPlane, TenantBinding
+from repro.serving.control import ControlConfig
 from repro.serving.fleet import ServingSimulator
 from repro.graphs.datasets import load_dataset
 from repro.models.model_zoo import build_model
@@ -444,20 +446,23 @@ class TestRegistry:
     def test_admit_damps_degradation_by_overlap(self):
         """With high measured overlap the ladder's savings shrink, so a
         request that a zero-overlap fleet would degrade gets shed."""
-        def plane():
-            p = ControlPlane(ControlConfig(admission=True, degrade=True,
-                                           admission_rate_rps=1e9,
-                                           admission_slo_margin=1.0))
-            p.bind([TenantBinding(name="", slo_s=1.0, num_hops=2, fanout=8)],
-                   initial_chips=1, probe_service_s=0.1,
-                   capacity_per_chip_rps=10.0)
-            return p
-        # delay 0, service 1.6: full fidelity misses the 1.0 budget; level-1
-        # (cost_scale ~0.6) fits it -- unless overlap damping is applied
-        undamped = plane().admit("", 0.0, 0.0, 1.6, overlap_ratio=0.0)
-        assert undamped.admitted and undamped.level == 1
-        damped = plane().admit("", 0.0, 0.0, 1.6, overlap_ratio=0.9)
-        assert damped.level != 1
+        config = ControlConfig(admission=True, degrade=True,
+                               admission_rate_rps=1e9,
+                               admission_slo_margin=1.0)
+
+        def admit(overlap_ratio):
+            runtime = fake_runtime(slo_s=1.0, cost_per_request_s=1.6,
+                                   overlap_ewma=overlap_ratio,
+                                   overlap_aware=True)
+            scaler = fake_scaler(config, [SimpleNamespace(schedulable=True)],
+                                 runtime)
+            return scaler.admit(runtime, _req(0, 0.0), 0.0)
+        # no backlog, service 1.6: full fidelity misses the 1.0 budget;
+        # level-1 (cost_scale ~0.6) fits it -- unless overlap damping is
+        # applied
+        undamped = admit(0.0)
+        assert undamped is not None and undamped.degrade_level == 1
+        assert admit(0.9) is None
 
 
 # --------------------------------------------------------------------------- #

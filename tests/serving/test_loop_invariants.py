@@ -8,13 +8,14 @@ are the ones the repo benchmark gates each repetition on
 (:func:`perfbench.harness.check_report`).  Chip time is conserved too:
 the chips that start batches are busy for exactly the service time of
 the batches they served, completion minus service start summed over
-distinct batches.  Formed batches must also stay
-whole: none outgrows ``max_batch_size`` (late joins included) or is split
-across chips or service starts.  An observed run (span/metrics hub plus
-request capture) must report exactly what an unobserved rerun reports,
-capture every offered request and update, and count every completion and
-cache hit once.  Hypothesis drives the laws over small runs of every
-option the loop branches on.
+distinct batches, and on a multi-tenant run the tenants' contended
+service, total service and weight shares each sum to one.  Formed
+batches must also stay whole: none outgrows ``max_batch_size`` (late
+joins included) or is split across chips or service starts.  An observed
+run (span/metrics hub plus request capture) must report exactly what an
+unobserved rerun reports, capture every offered request and update, and
+count every completion and cache hit once.  Hypothesis drives the laws
+over small runs of every option the loop branches on.
 """
 
 import pytest
@@ -174,3 +175,18 @@ def test_a_sharded_group_conserves_busy_time_on_its_leader():
     member = report.chips[1].busy_s
     assert 0 < member <= report.makespan_s
     assert busy + member > service
+
+
+def test_wfq_shares_sum_to_one():
+    """The fairness table's three shares each split the whole: contended
+    service, total service and configured weight."""
+    report = run_multi_tenant(
+        [TenantConfig(name="a", dataset="IB", weight=2.0, num_requests=400),
+         TenantConfig(name="b", dataset="CR", num_requests=300)],
+        FleetConfig(num_chips=2), include_isolation_baseline=False)
+    for share in (lambda name: report.service_share(name, contended=True),
+                  lambda name: report.service_share(name, contended=False),
+                  report.weight_share):
+        shares = [share(name) for name in report.tenants]
+        assert len(shares) == 2 and all(s > 0 for s in shares)
+        assert sum(shares) == pytest.approx(1.0, rel=1e-12, abs=0.0)

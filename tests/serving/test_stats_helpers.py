@@ -1,7 +1,7 @@
 """Unit tests for the small helpers in :mod:`repro.serving.stats`.
 
 ``percentile`` and ``timeline_text`` feed every report table and CLI plot,
-and ``ControlPlane.finalize`` closes the chip-seconds books that the
+and ``FleetScaler.finalize`` closes the chip-seconds books that the
 autoscaling cost/benefit headline rests on -- so their edge cases (empty
 inputs, single samples, warm-up clipping) get pinned here directly instead
 of only through end-to-end runs.
@@ -9,12 +9,8 @@ of only through end-to-end runs.
 
 import pytest
 
-from repro.serving import (
-    ControlConfig,
-    ControlPlane,
-    TenantBinding,
-    percentile,
-)
+from _fake_fleet import fake_runtime, fake_scaler
+from repro.serving import ControlConfig, percentile
 from repro.serving.stats import ControlSample, ControlStats
 
 
@@ -81,16 +77,13 @@ class _FakeChip:
 
 
 class TestFinalizeChipSeconds:
-    def _plane(self):
-        plane = ControlPlane(ControlConfig(autoscale="threshold",
-                                           min_chips=1, max_chips=4))
-        binding = TenantBinding(name="", slo_s=1.0, num_hops=2, fanout=8)
-        plane.bind([binding], initial_chips=2, probe_service_s=0.01,
-                   capacity_per_chip_rps=100.0)
-        return plane
+    @staticmethod
+    def _finalize(chips, end_s):
+        config = ControlConfig(autoscale="threshold", min_chips=1,
+                               max_chips=4)
+        return fake_scaler(config, chips, fake_runtime()).finalize(end_s)
 
     def test_books_cover_warmup_and_retirement(self):
-        plane = self._plane()
         chips = [
             # ready at t=1, never retired: provisioned to end, 1s of warm-up
             _FakeChip("active", added_s=0.0, ready_s=1.0),
@@ -99,7 +92,7 @@ class TestFinalizeChipSeconds:
             # retired mid-warm-up: warm-up clipped to the 1s it existed
             _FakeChip("retired", added_s=7.0, ready_s=9.0, retired_s=8.0),
         ]
-        stats = plane.finalize(end_s=10.0, chips=chips)
+        stats = self._finalize(chips, end_s=10.0)
         assert stats.chip_seconds_s == pytest.approx(10.0 + 4.0 + 1.0)
         assert stats.warmup_chip_seconds_s == pytest.approx(1.0 + 1.0 + 1.0)
         assert stats.final_chips == 1
@@ -107,10 +100,9 @@ class TestFinalizeChipSeconds:
         assert chips[1].stats.provisioned_s == pytest.approx(4.0)
 
     def test_warming_chips_count_toward_final_fleet(self):
-        plane = self._plane()
         chips = [_FakeChip("active", 0.0, 0.5),
                  _FakeChip("warming", 9.0, 11.0)]
-        stats = plane.finalize(end_s=10.0, chips=chips)
+        stats = self._finalize(chips, end_s=10.0)
         assert stats.final_chips == 2
         # the warming chip's warm-up is clipped at end-of-run
         assert stats.warmup_chip_seconds_s == pytest.approx(0.5 + 1.0)
