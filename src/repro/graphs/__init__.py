@@ -1,7 +1,6 @@
 """Graph substrate: data structures, synthetic datasets, dataset partitioners, sampling."""
 
-from .graph import CSCMatrix, CSRMatrix, Graph, GraphStats, merge_graphs
-from .csc import CSCGraph, graphs_equal, to_csc
+from .graph import CSCMatrix, CSRMatrix, Graph, graphs_equal
 from .delta import DeltaGraph
 from .generators import (
     community_graph,
@@ -15,15 +14,11 @@ from .sampling import NeighborSampler, SamplingConfig, sample_graph
 from .io import export_edge_list, import_edge_list, load_graph, save_graph
 
 __all__ = [
-    "CSCGraph",
     "CSCMatrix",
     "CSRMatrix",
     "DeltaGraph",
     "Graph",
     "graphs_equal",
-    "to_csc",
-    "GraphStats",
-    "merge_graphs",
     "community_graph",
     "erdos_renyi_graph",
     "grid_graph",

@@ -9,9 +9,9 @@ average degree and feature length, which are the properties the accelerator's
 behaviour depends on.  The per-experiment effect of the scaling is recorded in
 ``EXPERIMENTS.md``.
 
-Datasets come back as :class:`~repro.graphs.csc.CSCGraph` (via the
-generators), so the in-neighbour ``colptr``/``row`` arrays the samplers run
-on are built once, up front.
+Datasets come back as :class:`~repro.graphs.graph.Graph` objects, which
+store the in-neighbour ``colptr``/``row`` arrays the samplers run on: they
+are built once, up front, with one sort.
 """
 
 from __future__ import annotations

@@ -20,9 +20,11 @@ and stamps the affected vertex with it, which consumers (the serving
 sampler's memo invalidation, the consistency tracker) query with
 :meth:`dirty_since` and :meth:`mutation_versions`.
 
-The arrays read back are bit-for-bit those of a ``CSCGraph`` rebuilt from
-scratch at the same version: sources ascend within each column, matching
-what :class:`~repro.graphs.graph.CSRMatrix` construction produces.  Feature
+The arrays read back are bit-for-bit those of a
+:class:`~repro.graphs.graph.Graph` rebuilt from scratch at the same
+version: sources ascend within each column, as every CSC construction
+sorts them.  The inherited out-neighbour CSR view is built on read, like
+any graph's, and dropped by every structural mutation.  Feature
 rows written or created since the last read of ``features`` wait in a
 per-vertex row log (one row per vertex, the latest); the next read folds
 them into a fresh matrix, which becomes the one the following read
@@ -46,8 +48,7 @@ from typing import Dict, Optional, Set, Tuple
 
 import numpy as np
 
-from .csc import CSCGraph
-from .graph import CSCMatrix, CSRMatrix, Graph
+from .graph import CSCMatrix, Graph
 
 __all__ = ["DeltaGraph"]
 
@@ -101,7 +102,7 @@ class DeltaGraph(Graph):
         #: for a vertex that still carries its base features; grows with
         #: the vertex count
         self._feature_versions = np.zeros(self.num_vertices, dtype=np.int64)
-        self._csr_cache: Optional[CSRMatrix] = None
+        self._csr = None
         self._csc_cache: Optional[CSCMatrix] = None
 
     # ------------------------------------------------------------------ #
@@ -222,7 +223,7 @@ class DeltaGraph(Graph):
         self.version += 1
         self._mutation_versions[vertex] = self.version
         if structure:
-            self._csr_cache = None
+            self._csr = None
             self._csc_cache = None
         if self.compact_every and self.pending_mutations >= self.compact_every:
             self.compact()
@@ -266,12 +267,6 @@ class DeltaGraph(Graph):
         return int(self._features.shape[1])
 
     @property
-    def csr(self) -> CSRMatrix:
-        if self._csr_cache is None:
-            self._csr_cache = self.csc._csr.transpose()
-        return self._csr_cache
-
-    @property
     def csc(self) -> CSCMatrix:
         if self._csc_cache is None:
             self._csc_cache = CSCMatrix(self._colptr, self._row,
@@ -281,17 +276,10 @@ class DeltaGraph(Graph):
     def in_neighbors(self, v: int) -> np.ndarray:
         return self._row[self._colptr[v]:self._colptr[v + 1]]
 
-    def as_csc(self) -> CSCGraph:
-        """A frozen :class:`CSCGraph` of the current snapshot (copies the
-        arrays, so it owns them outright)."""
-        return CSCGraph(self._colptr.copy(), self._row.copy(),
-                        self.features.copy(), name=self.name)
-
     def with_features(self, features: np.ndarray,
-                      name: Optional[str] = None) -> CSCGraph:
+                      name: Optional[str] = None) -> Graph:
         """Frozen snapshot structure with a different feature matrix."""
-        return CSCGraph(self._colptr, self._row, features,
-                        name=name or self.name)
+        return Graph(self.csc, features, name=name or self.name)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

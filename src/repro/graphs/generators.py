@@ -16,7 +16,6 @@ from typing import Optional
 
 import numpy as np
 
-from .csc import to_csc
 from .graph import Graph
 
 __all__ = [
@@ -54,11 +53,11 @@ def erdos_renyi_graph(
     mask = src != dst
     pairs = np.stack([src[mask], dst[mask]], axis=1)[:target_undirected]
     edges = [(int(u), int(v)) for u, v in pairs]
-    return to_csc(Graph.from_edge_list(
+    return Graph.from_edge_list(
         edges, num_vertices,
         features=_features(num_vertices, feature_length, rng),
         undirected=True, name=name,
-    ))
+    )
 
 
 def power_law_graph(
@@ -111,11 +110,11 @@ def power_law_graph(
     # which would make the interval/shard sparsity artificially regular.
     perm = rng.permutation(num_vertices)
     relabelled = perm[unique_pairs]
-    return to_csc(Graph.from_edge_list(
+    return Graph.from_edge_list(
         relabelled, num_vertices,
         features=_features(num_vertices, feature_length, rng),
         undirected=True, name=name,
-    ))
+    )
 
 
 def community_graph(
@@ -160,11 +159,11 @@ def community_graph(
             edges.append((int(u), int(v)))
     if not edges:
         edges = [(0, 1)]
-    return to_csc(Graph.from_edge_list(
+    return Graph.from_edge_list(
         edges, num_vertices,
         features=_features(num_vertices, feature_length, rng),
         undirected=True, name=name,
-    ))
+    )
 
 
 def grid_graph(side: int, feature_length: int, seed: int = 0, name: str = "grid") -> Graph:
@@ -181,11 +180,11 @@ def grid_graph(side: int, feature_length: int, seed: int = 0, name: str = "grid"
             if r + 1 < side:
                 edges.append((v, v + side))
     rng = np.random.default_rng(seed)
-    return to_csc(Graph.from_edge_list(
+    return Graph.from_edge_list(
         edges, num_vertices,
         features=_features(num_vertices, feature_length, rng),
         undirected=True, name=name,
-    ))
+    )
 
 
 def star_graph(num_leaves: int, feature_length: int, seed: int = 0, name: str = "star") -> Graph:
@@ -198,8 +197,8 @@ def star_graph(num_leaves: int, feature_length: int, seed: int = 0, name: str = 
         raise ValueError("num_leaves must be >= 1")
     edges = [(0, leaf) for leaf in range(1, num_leaves + 1)]
     rng = np.random.default_rng(seed)
-    return to_csc(Graph.from_edge_list(
+    return Graph.from_edge_list(
         edges, num_leaves + 1,
         features=_features(num_leaves + 1, feature_length, rng),
         undirected=True, name=name,
-    ))
+    )

@@ -2,44 +2,21 @@
 
 The accelerator consumes graphs in compressed sparse column (CSC) format --
 the paper's interval/shard partitioning (Section 4.3.2) is defined directly on
-the CSC layout -- while the workload models and baselines mostly iterate over
-the compressed sparse row (CSR) view.  :class:`Graph` keeps both views in sync
-and exposes the per-vertex feature matrix ``X`` that GCN layers operate on.
-Its :attr:`Graph.colptr` / :attr:`Graph.row` arrays are the in-neighbour CSC
-layout the samplers run on (see ``docs/core.md``).
+the CSC layout -- so :class:`Graph` stores its in-neighbour CSC adjacency
+(:attr:`Graph.colptr` / :attr:`Graph.row`, the arrays the samplers and the
+engines run on; see ``docs/core.md``) plus the per-vertex feature matrix
+``X`` that GCN layers operate on.  The out-neighbour CSR view is built on
+first read, for the few readers that walk out-edges (the locality
+partitioner, graph export, the readout construction).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["CSRMatrix", "CSCMatrix", "Graph", "GraphStats", "RowViewGraph"]
-
-
-@dataclass(frozen=True)
-class GraphStats:
-    """Summary statistics for a graph, mirroring the columns of Table 4."""
-
-    num_vertices: int
-    num_edges: int
-    feature_length: int
-    avg_degree: float
-    max_degree: int
-    storage_bytes: int
-
-    def as_dict(self) -> dict:
-        """Return the statistics as a plain dictionary (useful for reports)."""
-        return {
-            "num_vertices": self.num_vertices,
-            "num_edges": self.num_edges,
-            "feature_length": self.feature_length,
-            "avg_degree": self.avg_degree,
-            "max_degree": self.max_degree,
-            "storage_bytes": self.storage_bytes,
-        }
+__all__ = ["CSRMatrix", "CSCMatrix", "Graph", "RowViewGraph", "graphs_equal"]
 
 
 class CSRMatrix:
@@ -203,10 +180,18 @@ class CSCMatrix:
     This is the input format HyGCN consumes directly (Section 4.3.2): no
     explicit preprocessing is needed to derive vertex intervals and edge
     shards because columns are already grouped by destination vertex.
+    Stored as the CSR of the transposed structure.
     """
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray, num_rows: int):
         self._csr = CSRMatrix(indptr, indices, num_rows)
+
+    @classmethod
+    def _of(cls, transposed: CSRMatrix) -> "CSCMatrix":
+        """Trusted wrap of the CSR of the transposed structure."""
+        self = cls.__new__(cls)
+        self._csr = transposed
+        return self
 
     @property
     def indptr(self) -> np.ndarray:
@@ -240,48 +225,77 @@ class CSCMatrix:
         """Return the in-degree of every vertex."""
         return self._csr.degrees()
 
+    def block(self, start: int, stop: int) -> "CSCMatrix":
+        """The diagonal block of rows and columns ``[start, stop)``
+        (trusted like :meth:`CSRMatrix.block`)."""
+        return CSCMatrix._of(self._csr.block(start, stop))
+
     def to_dense(self) -> np.ndarray:
         """Dense ``(num_rows, num_cols)`` adjacency with ``A[src, dst] = 1``."""
         return self._csr.to_dense().T
 
+    def to_csr(self) -> CSRMatrix:
+        """The out-neighbour CSR of the same structure (one transpose)."""
+        return self._csr.transpose()
+
     @classmethod
     def from_csr(cls, csr: CSRMatrix) -> "CSCMatrix":
         """Derive the CSC view of a CSR adjacency (transpose of structure)."""
-        transposed = csr.transpose()
-        return cls(transposed.indptr, transposed.indices, csr.num_cols)
+        return cls._of(csr.transpose())
+
+    @classmethod
+    def from_arrays(cls, rows: np.ndarray, cols: np.ndarray, num_rows: int,
+                    num_cols: Optional[int] = None,
+                    deduplicate: bool = True) -> "CSCMatrix":
+        """Trusted constructor from parallel source ``rows`` / destination
+        ``cols`` arrays: one sort on the (destination, source) key, as
+        :meth:`CSRMatrix.from_arrays` sorts on (row, column)."""
+        num_cols = num_rows if num_cols is None else num_cols
+        return cls._of(CSRMatrix.from_arrays(cols, rows, num_cols, num_rows,
+                                             deduplicate=deduplicate))
 
 
 class Graph:
-    """An attributed graph: adjacency structure plus a vertex feature matrix.
+    """An attributed graph: in-neighbour CSC adjacency plus a feature matrix.
 
     Parameters
     ----------
-    csr:
-        Out-neighbour adjacency.  For the undirected graphs used in the paper
-        the structure is symmetric, so CSR rows double as in-neighbour lists.
+    csc:
+        In-neighbour adjacency: column ``v`` holds the sources of ``v``'s
+        in-edges.  For the undirected graphs used in the paper the
+        structure is symmetric, so columns double as out-neighbour lists.
     features:
         ``(num_vertices, feature_length)`` float matrix ``X``.
     name:
         Optional dataset name for reporting.
     """
 
-    def __init__(self, csr: CSRMatrix, features: np.ndarray, name: str = "graph"):
+    def __init__(self, csc: CSCMatrix, features: np.ndarray, name: str = "graph"):
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2:
             raise ValueError("features must be a 2-D matrix")
-        if features.shape[0] != csr.num_rows:
+        if features.shape[0] != csc.num_cols:
             raise ValueError(
                 f"feature rows ({features.shape[0]}) do not match vertex count "
-                f"({csr.num_rows})"
+                f"({csc.num_cols})"
             )
-        self.csr = csr
+        self.csc = csc
         self.features = features
         self.name = name
-        self._csc: Optional[CSCMatrix] = None
+        self._csr: Optional[CSRMatrix] = None
 
     # ------------------------------------------------------------------ #
     # Construction helpers
     # ------------------------------------------------------------------ #
+    @classmethod
+    def from_csr(cls, csr: CSRMatrix, features: np.ndarray,
+                 name: str = "graph") -> "Graph":
+        """Build a graph from its out-neighbour CSR adjacency (kept as the
+        graph's CSR view)."""
+        graph = cls(CSCMatrix.from_csr(csr), features, name=name)
+        graph._csr = csr
+        return graph
+
     @classmethod
     def from_edge_list(
         cls,
@@ -297,33 +311,35 @@ class Graph:
         edge_array = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         if undirected and edge_array.size:
             edge_array = np.vstack([edge_array, edge_array[:, ::-1]])
-        csr = CSRMatrix.from_edges(edge_array, num_vertices)
+        # (dst, src) pairs: the CSR of the transposed structure is the CSC
+        csc = CSCMatrix._of(CSRMatrix.from_edges(edge_array[:, ::-1],
+                                                 num_vertices))
         if features is None:
             rng = np.random.default_rng(seed)
             features = rng.standard_normal((num_vertices, feature_length))
-        return cls(csr, features, name=name)
+        return cls(csc, features, name=name)
 
     # ------------------------------------------------------------------ #
     # Views and basic properties
     # ------------------------------------------------------------------ #
     @property
     def num_vertices(self) -> int:
-        return self.csr.num_rows
+        return self.csc.num_cols
 
     @property
     def num_edges(self) -> int:
-        return self.csr.nnz
+        return self.csc.nnz
 
     @property
     def feature_length(self) -> int:
         return int(self.features.shape[1])
 
     @property
-    def csc(self) -> CSCMatrix:
-        """Lazily derived CSC view (destination-major adjacency)."""
-        if self._csc is None:
-            self._csc = CSCMatrix.from_csr(self.csr)
-        return self._csc
+    def csr(self) -> CSRMatrix:
+        """Out-neighbour CSR view, built on first read."""
+        if self._csr is None:
+            self._csr = self.csc.to_csr()
+        return self._csr
 
     @property
     def colptr(self) -> np.ndarray:
@@ -342,7 +358,7 @@ class Graph:
         return self.csr.row(v)
 
     def in_neighbors(self, v: int) -> np.ndarray:
-        """In-neighbours of vertex ``v`` derived from the CSC view."""
+        """In-neighbours of vertex ``v``."""
         return self.csc.column(v)
 
     def degree(self, v: int) -> int:
@@ -355,33 +371,7 @@ class Graph:
 
     def with_features(self, features: np.ndarray, name: Optional[str] = None) -> "Graph":
         """Return a new graph sharing this structure but with different features."""
-        return Graph(self.csr, features, name=name or self.name)
-
-    # ------------------------------------------------------------------ #
-    # Statistics / storage accounting
-    # ------------------------------------------------------------------ #
-    def storage_bytes(self, feature_bytes: int = 4, index_bytes: int = 4) -> int:
-        """Approximate on-disk/in-memory footprint, matching Table 4 accounting.
-
-        Storage is dominated by the feature matrix (``V x F`` values) plus the
-        edge array; the paper reports single-precision features.
-        """
-        feature_storage = self.num_vertices * self.feature_length * feature_bytes
-        edge_storage = self.num_edges * index_bytes
-        offset_storage = (self.num_vertices + 1) * index_bytes
-        return int(feature_storage + edge_storage + offset_storage)
-
-    def stats(self) -> GraphStats:
-        """Compute :class:`GraphStats` for this graph."""
-        degs = self.degrees()
-        return GraphStats(
-            num_vertices=self.num_vertices,
-            num_edges=self.num_edges,
-            feature_length=self.feature_length,
-            avg_degree=float(degs.mean()) if len(degs) else 0.0,
-            max_degree=int(degs.max()) if len(degs) else 0,
-            storage_bytes=self.storage_bytes(),
-        )
+        return Graph(self.csc, features, name=name or self.name)
 
     def adjacency_dense(self) -> np.ndarray:
         """Dense adjacency matrix ``A`` with ``A[u, v] = 1`` for edge (u, v)."""
@@ -404,14 +394,14 @@ class RowViewGraph(Graph):
     array: a mutating graph's array is a snapshot per version.
     """
 
-    def __init__(self, csr: CSRMatrix, base: Graph, vertex_ids: np.ndarray,
+    def __init__(self, csc: CSCMatrix, base: Graph, vertex_ids: np.ndarray,
                  name: str = "graph"):
-        if len(vertex_ids) != csr.num_rows:
+        if len(vertex_ids) != csc.num_cols:
             raise ValueError(f"vertex ids ({len(vertex_ids)}) do not match "
-                             f"vertex count ({csr.num_rows})")
-        self.csr, self.base, self.vertex_ids = csr, base, vertex_ids
+                             f"vertex count ({csc.num_cols})")
+        self.csc, self.base, self.vertex_ids = csc, base, vertex_ids
         self.name = name
-        self._csc: Optional[CSCMatrix] = None
+        self._csr: Optional[CSRMatrix] = None
 
     @property
     def features(self) -> np.ndarray:
@@ -422,25 +412,14 @@ class RowViewGraph(Graph):
         return self.base.feature_length
 
 
-def merge_graphs(graphs: Sequence[Graph], name: str = "merged") -> Graph:
-    """Assemble several graphs into one disjoint union.
-
-    The paper assembles 128 randomly selected small graphs into one large graph
-    before processing multi-graph datasets (Section 5.1); this helper performs
-    that assembly.
-    """
-    if not graphs:
-        raise ValueError("merge_graphs requires at least one graph")
-    feature_length = graphs[0].feature_length
-    for g in graphs:
-        if g.feature_length != feature_length:
-            raise ValueError("all graphs must share the same feature length")
-    offsets = np.cumsum([0] + [g.num_vertices for g in graphs])
-    edges = []
-    for offset, g in zip(offsets[:-1], graphs):
-        for v in range(g.num_vertices):
-            for u in g.neighbors(v):
-                edges.append((v + offset, int(u) + offset))
-    features = np.vstack([g.features for g in graphs])
-    csr = CSRMatrix.from_edges(edges, int(offsets[-1]))
-    return Graph(csr, features, name=name)
+def graphs_equal(a: Graph, b: Graph) -> bool:
+    """Structural + feature equality: the same CSC arrays and the same
+    feature matrix, however either graph was built.  This is the equality
+    the round-trip property tests and the differential suite assert."""
+    return (
+        a.num_vertices == b.num_vertices
+        and np.array_equal(a.colptr, b.colptr)
+        and np.array_equal(a.row, b.row)
+        and a.features.shape == b.features.shape
+        and np.array_equal(a.features, b.features)
+    )

@@ -55,7 +55,7 @@ def load_graph(path: PathLike) -> Graph:
             raise ValueError(f"unsupported graph archive version: {metadata.get('version')}")
         csr = CSRMatrix(archive["indptr"], archive["indices"],
                         num_cols=metadata["num_vertices"])
-        return Graph(csr, archive["features"], name=metadata["name"])
+        return Graph.from_csr(csr, archive["features"], name=metadata["name"])
 
 
 def export_edge_list(graph: Graph, path: PathLike, header: bool = True) -> Path:

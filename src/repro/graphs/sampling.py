@@ -18,7 +18,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .graph import CSRMatrix, Graph
+from .graph import CSCMatrix, Graph
 
 __all__ = ["SamplingConfig", "NeighborSampler", "sample_graph"]
 
@@ -91,7 +91,8 @@ class NeighborSampler:
         gathered in one vectorized shot, and :meth:`sample_neighbors` runs
         only for the vertices whose kept count is below their in-degree, in
         ascending vertex order -- exactly the vertices whose selection draws
-        from the shared RNG.
+        from the shared RNG.  The sampled CSC is built with one sort on the
+        (destination, source) key.
         """
         cfg = self.config
         if not cfg.enabled:
@@ -116,10 +117,10 @@ class NeighborSampler:
             kept = self.sample_neighbors(row[colptr[v]:colptr[v + 1]])
             src_parts.append(kept)
             dst_parts.append(np.full(len(kept), v, dtype=np.int64))
-        csr = CSRMatrix.from_arrays(np.concatenate(src_parts),
+        csc = CSCMatrix.from_arrays(np.concatenate(src_parts),
                                     np.concatenate(dst_parts), num_vertices,
                                     deduplicate=False)
-        return Graph(csr, graph.features, name=f"{graph.name}[sampled]")
+        return Graph(csc, graph.features, name=f"{graph.name}[sampled]")
 
     def sampled_degree_map(self, graph: Graph) -> Dict[int, int]:
         """Per-vertex sampled in-degree without materialising the graph."""

@@ -120,7 +120,7 @@ def _graph_from_dense(adjacency: np.ndarray, features: np.ndarray, name: str,
         edges = [(0, 1)]
     csr = CSRMatrix.from_edges(edges, n) if edges else \
         CSRMatrix.from_edges([], max(n, 1))
-    return Graph(csr, features, name=name)
+    return Graph.from_csr(csr, features, name=name)
 
 
 def build_diffpool(

@@ -65,4 +65,4 @@ def add_readout_vertex(graph: Graph) -> Graph:
         edges.append((src, n))          # every vertex feeds the readout vertex
     csr = CSRMatrix.from_edges(edges, n + 1, deduplicate=False)
     features = np.vstack([graph.features, np.zeros((1, graph.feature_length))])
-    return Graph(csr, features, name=f"{graph.name}[readout]")
+    return Graph.from_csr(csr, features, name=f"{graph.name}[readout]")

@@ -77,14 +77,14 @@ root of a call in one pass per hop, as HyGCN's Sampler treats a batch of
 vertices as one unit of work: frontier expansion is ``colptr``/``row``
 slicing over all roots at once, local ids come from one stable grouping of
 fused ``root * num_vertices + v`` keys per hop (hop 1 needs none), and one
-block-diagonal CSR built for the whole call is sliced into the per-root
-samples.  A lone extraction is the one-root call of the same core.  The
+block-diagonal CSC built for the whole call (one sort on the (destination,
+source) key) is sliced into the per-root samples.  A lone extraction is the one-root call of the same core.  The
 batch call sites -- ``fuse_requests``, ``fused_size`` and the streaming
 consistency check -- fetch their memo misses through
 :meth:`SubgraphSampler.extract_many`, which replays the memo traffic of
 sequential :meth:`SubgraphSampler.extract` calls exactly.  ``fuse`` and
 ``fused_size`` have no per-sample loop either: they work on the samples'
-concatenated ``(vertex_ids, indptr, indices)``.
+concatenated ``(vertex_ids, colptr, row)``.  No serve builds a CSR.
 ``tests/graphs/test_csc_equivalence.py`` checks every output bit for bit
 against the scalar reference oracle.
 """
@@ -96,7 +96,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
-from ..graphs.graph import CSRMatrix, Graph, RowViewGraph
+from ..graphs.graph import CSCMatrix, Graph, RowViewGraph
 from .cache import LRUCache
 
 __all__ = ["SubgraphSample", "SubgraphSampler", "estimate_jaccard",
@@ -444,7 +444,7 @@ class SubgraphSampler:
           every key's first occurrence with one stable argsort of the seen
           keys followed by the hop's keys;
         * a stable sort by root turns discovery order into one
-          block-diagonal CSR for the whole call, sliced into the per-root
+          block-diagonal CSC for the whole call, sliced into the per-root
           subgraphs.
         """
         self._sync()
@@ -561,13 +561,13 @@ class SubgraphSampler:
         vertex_ids.setflags(write=False)
         # edges are unique by construction: each vertex is a frontier vertex
         # once, and its kept in-neighbours are distinct
-        csr = CSRMatrix.from_arrays(src, dst, count, deduplicate=False)
+        csc = CSCMatrix.from_arrays(src, dst, count, deduplicate=False)
         name = self.graph.name
         samples = []
         start = 0
         for target, stop in zip(targets, ends):
             graph = RowViewGraph(
-                csr if num_roots == 1 else csr.block(start, stop),
+                csc if num_roots == 1 else csc.block(start, stop),
                 self.graph, vertex_ids[start:stop],
                 name=f"{name}[v{target}]")
             samples.append(SubgraphSample(target_vertex=target, graph=graph))
@@ -776,8 +776,9 @@ class SubgraphSampler:
         id space -- the fused subgraph HyGCN's aggregation engine benefits
         from when co-batched neighbourhoods intersect.  Local ids follow
         first-seen order over ``samples`` (deterministic for a deterministic
-        sample order).  The samples' CSRs are stacked, not walked: every
-        edge is mapped in a few passes over their concatenated arrays.  The
+        sample order).  The samples' CSCs are stacked, not walked: every
+        edge is mapped in a few passes over their concatenated arrays, and
+        one sort on the (destination, source) key builds the fused CSC.  The
         fused graph sets ``memoize_workloads = False``: fusions are unique
         per dispatch, so a workload-memo entry would only push out entries
         of single-sample graphs, which repeat.
@@ -786,28 +787,28 @@ class SubgraphSampler:
             raise ValueError("fuse requires at least one sample")
         self._sync()
         # the samples' arrays, each concatenated once: position p of
-        # ``vertex_ids`` is row p of the stacked sample CSRs
-        csrs = [sample.graph.csr for sample in samples]
+        # ``vertex_ids`` is column p of the stacked sample CSCs
+        cscs = [sample.graph.csc for sample in samples]
         vertex_ids = np.concatenate([sample.vertex_ids for sample in samples])
         first = self._first_seen(vertex_ids)
         order = vertex_ids[first]
-        # fused local id of every stacked row: the rank of its vertex's
+        # fused local id of every stacked column: the rank of its vertex's
         # first occurrence among all first occurrences
         local = (first.cumsum() - 1)[self._pos_lut[vertex_ids]]
-        indptr = np.concatenate([csr.indptr for csr in csrs])
-        num_rows = np.array([csr.num_rows for csr in csrs])
-        # sample i's indptr ends at ends[i]; its last entry is its edge count
-        ends = np.cumsum(num_rows + 1)
-        # row degrees: the diffs across sample junctions belong to no row
-        degrees = np.delete(np.diff(indptr), ends[:-1] - 1)
-        # column indices are sample-local rows: shift each by the first
-        # stacked row of its sample
-        first_row = np.cumsum(num_rows) - num_rows
-        cols = np.concatenate([csr.indices for csr in csrs]) \
-            + first_row.repeat(indptr[ends - 1])
-        csr = CSRMatrix.from_arrays(local.repeat(degrees), local[cols],
+        colptr = np.concatenate([csc.indptr for csc in cscs])
+        num_cols = np.array([csc.num_cols for csc in cscs])
+        # sample i's colptr ends at ends[i]; its last entry is its edge count
+        ends = np.cumsum(num_cols + 1)
+        # in-degrees: the diffs across sample junctions belong to no column
+        degrees = np.delete(np.diff(colptr), ends[:-1] - 1)
+        # row indices are sample-local columns: shift each by the first
+        # stacked column of its sample
+        first_col = np.cumsum(num_cols) - num_cols
+        rows = np.concatenate([csc.indices for csc in cscs]) \
+            + first_col.repeat(colptr[ends - 1])
+        csc = CSCMatrix.from_arrays(local[rows], local.repeat(degrees),
                                     order.size)
         order.setflags(write=False)
-        fused = RowViewGraph(csr, self.graph, order, name=name)
+        fused = RowViewGraph(csc, self.graph, order, name=name)
         fused.memoize_workloads = False
         return fused

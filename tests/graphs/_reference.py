@@ -61,7 +61,7 @@ def extract(graph: Graph, target: int, num_hops: int, fanout: int,
             break
     csr = CSRMatrix.from_edges(edges, len(order))
     features = graph.features[np.asarray(order, dtype=np.int64)]
-    return tuple(order), Graph(csr, features, name=f"{graph.name}[v{target}]")
+    return tuple(order), Graph.from_csr(csr, features, name=f"{graph.name}[v{target}]")
 
 
 def signature(vertices: Sequence[int], mult: np.ndarray,
@@ -96,7 +96,7 @@ def fuse(features: np.ndarray, samples: Sequence[Sample]) -> Graph:
                 edges.append((local_of[vertices[v_local]],
                               local_of[vertices[u]]))
     csr = CSRMatrix.from_edges(edges, len(order))
-    return Graph(csr, features[np.asarray(order, dtype=np.int64)])
+    return Graph.from_csr(csr, features[np.asarray(order, dtype=np.int64)])
 
 
 def sample_graph(sampler, graph: Graph) -> Graph:
@@ -109,4 +109,4 @@ def sample_graph(sampler, graph: Graph) -> Graph:
         kept = sampler.sample_neighbors(graph.in_neighbors(v))
         edges.extend((int(u), v) for u in kept)
     csr = CSRMatrix.from_edges(edges, graph.num_vertices, deduplicate=False)
-    return Graph(csr, graph.features, name=f"{graph.name}[sampled]")
+    return Graph.from_csr(csr, graph.features, name=f"{graph.name}[sampled]")

@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graphs import (
+    CSCMatrix,
     DeltaGraph,
     Graph,
     NeighborSampler,
@@ -50,7 +51,7 @@ def _graph(kind, seed, layout):
     """A generator graph, CSC-built or as its plain-``Graph`` twin."""
     graph = GENERATORS[kind](seed)
     if layout == "plain":
-        graph = Graph(graph.csr, graph.features, name=graph.name)
+        graph = Graph.from_csr(graph.csr, graph.features, name=graph.name)
     return graph
 
 
@@ -112,6 +113,7 @@ def test_extract_fresh_many_matches_reference(data, kind, layout, num_hops,
         assert np.array_equal(sample.graph.csr.indptr, expected.csr.indptr)
         assert np.array_equal(sample.graph.csr.indices, expected.csr.indices)
         assert sample.graph.csr.num_cols == expected.csr.num_cols
+        _assert_csc_of(sample.graph, expected.csr)
         assert sample.graph.name == expected.name
 
 
@@ -139,6 +141,7 @@ def test_kept_phase_prefixes_match_reference_across_calls(seed, calls):
                                   expected.csr.indptr)
             assert np.array_equal(sample.graph.csr.indices,
                                   expected.csr.indices)
+            _assert_csc_of(sample.graph, expected.csr)
 
 
 @pytest.mark.parametrize("roots", [[-1], [0, -1], [3, 500], [500]])
@@ -151,9 +154,18 @@ def test_extract_fresh_many_rejects_out_of_range_roots(roots):
         sampler.extract_fresh(roots[-1])
 
 
+def _assert_csc_of(graph, csr):
+    """The engine reads the CSC arrays: pin them bit for bit, since a CSR
+    built from them would hide a wrong order inside a column."""
+    csc = CSCMatrix.from_csr(csr)
+    assert (np.array_equal(graph.colptr, csc.indptr)
+            and np.array_equal(graph.row, csc.indices))
+
+
 def _assert_same_graph(a, b):
     assert np.array_equal(a.csr.indptr, b.csr.indptr)
     assert np.array_equal(a.csr.indices, b.csr.indices)
+    _assert_csc_of(a, b.csr)
     assert np.array_equal(a.features, b.features)
 
 
@@ -233,7 +245,7 @@ def test_serve_report_json_identical():
         load_dataset.cache_clear()
         graph = load_dataset("IB", seed=0)
         if layout == "plain":
-            graph = Graph(graph.csr, graph.features, name=graph.name)
+            graph = Graph.from_csr(graph.csr, graph.features, name=graph.name)
         model = build_model("GCN", input_length=graph.feature_length)
         simulator = ServingSimulator(
             graph, model, FleetConfig(batch_policy="overlap"),

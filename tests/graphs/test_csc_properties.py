@@ -1,10 +1,11 @@
 """Property-based invariants of the array-native CSC core.
 
-A :class:`~repro.graphs.csc.CSCGraph` is three contiguous arrays with a
+A :class:`~repro.graphs.graph.Graph` is three contiguous arrays with a
 handful of structural invariants (``colptr`` monotone and consistent with
 ``row``, per-column sources canonically sorted, features row-aligned).
-Rather than enumerating cases by hand, these tests drive ``to_csc`` and
-the samplers with a seeded random corpus of edge lists --
+Rather than enumerating cases by hand, these tests drive
+``Graph.from_edge_list``, its ``Graph.from_csr`` twin and the samplers
+with a seeded random corpus of edge lists --
 including the degenerate shapes (empty graphs, isolated vertices,
 self-loops) that array code tends to get wrong at the boundaries -- and
 assert the invariants hold for every member.  ``hypothesis`` generates
@@ -17,14 +18,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs import CSCGraph, Graph, graphs_equal, to_csc
+from repro.graphs import Graph, graphs_equal
 from repro.serving.sampler import SubgraphSampler
 
 
 def _edge_list_graphs(draw_edges, num_vertices, undirected, seed):
     graph = Graph.from_edge_list(draw_edges, num_vertices, feature_length=4,
                                  undirected=undirected, seed=seed)
-    return graph, to_csc(graph)
+    return Graph.from_csr(graph.csr, graph.features), graph
 
 
 @st.composite
@@ -66,15 +67,13 @@ def test_csc_structural_invariants(pair):
 @given(random_graphs())
 def test_csc_round_trip(pair):
     graph, csc = pair
-    # Graph -> CSCGraph preserves the graph and its derived CSC arrays
+    # a CSR-built graph and its CSC-built twin have the same arrays
     assert graphs_equal(csc, graph)
     assert np.array_equal(csc.csr.indptr, graph.csr.indptr)
     assert np.array_equal(csc.csr.indices, graph.csr.indices)
     assert np.array_equal(csc.colptr, graph.colptr)
     assert np.array_equal(csc.row, graph.row)
-    assert csc.features is graph.features  # the shim shares, never copies
-    # to_csc is idempotent: already-CSC graphs come back as-is
-    assert to_csc(csc) is csc
+    assert csc.features is graph.features  # the twin shares, never copies
 
 
 @settings(max_examples=30, deadline=None)
@@ -98,7 +97,7 @@ def test_sampling_diverges_across_seeds():
     """Different sampler seeds must be able to produce different samples."""
     graph = Graph.from_edge_list([(i, 0) for i in range(1, 64)], 64,
                                  feature_length=4, undirected=False)
-    csc = to_csc(graph)
+    csc = graph
     samples = {
         tuple(SubgraphSampler(csc, num_hops=1, fanout=4, seed=s)
               .extract(0).vertex_ids.tolist())
@@ -108,7 +107,7 @@ def test_sampling_diverges_across_seeds():
 
 
 def test_empty_graph():
-    csc = to_csc(Graph.from_edge_list([], 3, feature_length=4))
+    csc = Graph.from_edge_list([], 3, feature_length=4)
     assert csc.num_edges == 0
     assert np.array_equal(csc.colptr, np.zeros(4, dtype=np.int64))
     assert csc.row.size == 0
@@ -118,7 +117,7 @@ def test_empty_graph():
 
 
 def test_isolated_vertex():
-    csc = to_csc(Graph.from_edge_list([(0, 1)], 3, feature_length=4))
+    csc = Graph.from_edge_list([(0, 1)], 3, feature_length=4)
     assert np.diff(csc.colptr)[2] == 0
     assert csc.in_neighbors(2).size == 0
     sample = SubgraphSampler(csc, num_hops=2, fanout=4).extract(2)
@@ -126,8 +125,8 @@ def test_isolated_vertex():
 
 
 def test_self_loop():
-    csc = to_csc(Graph.from_edge_list([(0, 0), (0, 1)], 2, feature_length=4,
-                                      undirected=False))
+    csc = Graph.from_edge_list([(0, 0), (0, 1)], 2, feature_length=4,
+                               undirected=False)
     assert 0 in csc.in_neighbors(0)
     sample = SubgraphSampler(csc, num_hops=3, fanout=4).extract(0)
     # the self-loop must not re-add the target or loop forever
@@ -137,16 +136,16 @@ def test_self_loop():
 
 
 def test_single_vertex_graph():
-    csc = to_csc(Graph.from_edge_list([], 1, feature_length=4))
+    csc = Graph.from_edge_list([], 1, feature_length=4)
     sample = SubgraphSampler(csc, num_hops=2, fanout=2).extract(0)
     assert sample.vertex_ids.tolist() == [0]
-    assert isinstance(csc, CSCGraph)
+    assert isinstance(csc, Graph)
 
 
 def test_with_features_stays_csc():
-    csc = to_csc(Graph.from_edge_list([(0, 1), (1, 2)], 3, feature_length=4))
+    csc = Graph.from_edge_list([(0, 1), (1, 2)], 3, feature_length=4)
     refit = csc.with_features(np.ones((3, 2)))
-    assert isinstance(refit, CSCGraph)
+    assert isinstance(refit, Graph)
     assert np.array_equal(refit.colptr, csc.colptr)
     assert np.array_equal(refit.row, csc.row)
     assert refit.feature_length == 2

@@ -13,13 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs import DeltaGraph, to_csc
+from repro.graphs import DeltaGraph
 from repro.graphs.generators import power_law_graph
 from repro.serving.sampler import SubgraphSampler
 
 
 def _base():
-    return to_csc(power_law_graph(40, 160, feature_length=6, seed=5))
+    return power_law_graph(40, 160, feature_length=6, seed=5)
 
 
 def _absent_edge(delta):

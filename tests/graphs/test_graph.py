@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.graphs import CSRMatrix, CSCMatrix, Graph, merge_graphs
+from repro.graphs import CSRMatrix, CSCMatrix, Graph
 
 
 def triangle_graph(feature_length=4):
@@ -98,33 +98,14 @@ class TestGraph:
     def test_feature_shape_validation(self):
         csr = CSRMatrix.from_edges([(0, 1)], num_rows=2)
         with pytest.raises(ValueError):
-            Graph(csr, np.zeros((3, 4)))
+            Graph.from_csr(csr, np.zeros((3, 4)))
         with pytest.raises(ValueError):
-            Graph(csr, np.zeros(2))
+            Graph.from_csr(csr, np.zeros(2))
 
     def test_in_neighbors_match_neighbors_for_undirected(self):
         g = triangle_graph()
         for v in range(g.num_vertices):
             assert sorted(g.in_neighbors(v)) == sorted(g.neighbors(v))
-
-    def test_stats(self):
-        g = triangle_graph(feature_length=8)
-        stats = g.stats()
-        assert stats.num_vertices == 3
-        assert stats.num_edges == 6
-        assert stats.feature_length == 8
-        assert stats.avg_degree == pytest.approx(2.0)
-        assert stats.max_degree == 2
-        assert stats.storage_bytes > 0
-        assert set(stats.as_dict()) == {
-            "num_vertices", "num_edges", "feature_length",
-            "avg_degree", "max_degree", "storage_bytes",
-        }
-
-    def test_storage_accounting(self):
-        g = triangle_graph(feature_length=10)
-        expected = 3 * 10 * 4 + 6 * 4 + 4 * 4
-        assert g.storage_bytes() == expected
 
     def test_with_features_shares_structure(self):
         g = triangle_graph()
@@ -138,30 +119,3 @@ class TestGraph:
         np.testing.assert_array_equal(dense, dense.T)
         assert dense.sum() == g.num_edges
 
-
-class TestMergeGraphs:
-    def test_merge_counts(self):
-        g1 = triangle_graph()
-        g2 = triangle_graph()
-        merged = merge_graphs([g1, g2])
-        assert merged.num_vertices == 6
-        assert merged.num_edges == 12
-
-    def test_merge_keeps_components_disjoint(self):
-        g1 = triangle_graph()
-        g2 = triangle_graph()
-        merged = merge_graphs([g1, g2])
-        for v in range(3):
-            assert all(u < 3 for u in merged.neighbors(v))
-        for v in range(3, 6):
-            assert all(u >= 3 for u in merged.neighbors(v))
-
-    def test_merge_requires_matching_feature_length(self):
-        g1 = triangle_graph(feature_length=4)
-        g2 = triangle_graph(feature_length=8)
-        with pytest.raises(ValueError):
-            merge_graphs([g1, g2])
-
-    def test_merge_empty_list_rejected(self):
-        with pytest.raises(ValueError):
-            merge_graphs([])

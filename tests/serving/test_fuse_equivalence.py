@@ -18,7 +18,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from _fuse_reference import reference_fuse, reference_fused_size
-from repro.graphs import DeltaGraph, power_law_graph
+from repro.graphs import CSCMatrix, DeltaGraph, power_law_graph
 from repro.serving import SubgraphSampler
 
 NUM_VERTICES = 160
@@ -81,5 +81,10 @@ def test_fuse_matches_per_sample_loop(batch):
     np.testing.assert_array_equal(fused.csr.indptr, csr.indptr)
     np.testing.assert_array_equal(fused.csr.indices, csr.indices)
     assert fused.csr.num_cols == csr.num_cols == vertex_ids.size
+    # the engine reads the CSC arrays: a CSR built from them would hide a
+    # wrong order inside a column
+    csc = CSCMatrix.from_csr(csr)
+    assert (np.array_equal(fused.colptr, csc.indptr)
+            and np.array_equal(fused.row, csc.indices))
     assert sampler.fused_size(shapes) == \
         reference_fused_size(sampler.extract_many(shapes))

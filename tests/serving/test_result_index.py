@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs import DeltaGraph, to_csc
+from repro.graphs import DeltaGraph
 from repro.graphs.generators import power_law_graph
 from repro.serving.cache import LRUCache
 from repro.serving.sampler import SubgraphSampler
@@ -102,7 +102,7 @@ def test_merge_drops_popped_and_repeated_codes():
 # Whole stream states: batched registration vs the per-request oracle
 # --------------------------------------------------------------------------- #
 def _twin_states(policy, seed, memo_size, cache_size):
-    base = to_csc(power_law_graph(24, 90, feature_length=4, seed=seed))
+    base = power_law_graph(24, 90, feature_length=4, seed=seed)
     states = []
     for cls in (StreamState, ReferenceStreamState):
         graph = DeltaGraph(base, compact_every=5)
@@ -197,7 +197,7 @@ def test_index_is_never_pruned_so_a_stale_pair_drops_a_result(cls):
     still dropped when ``lost`` mutates: the key stays logged under every
     vertex of every sample it was registered with.  The reference and
     the array index drop it alike."""
-    base = to_csc(power_law_graph(30, 150, feature_length=4, seed=2))
+    base = power_law_graph(30, 150, feature_length=4, seed=2)
     graph = DeltaGraph(base)
     sampler = SubgraphSampler(graph, num_hops=1, fanout=2, seed=1)
     target, src, lost = _absent_edge_dropping_a_vertex(graph, sampler)

@@ -1,7 +1,7 @@
 """Differential consistency suite for streaming graph updates.
 
 :class:`~repro.graphs.delta.DeltaGraph` claims its lazily materialised
-snapshot is bit-for-bit the arrays a :class:`~repro.graphs.csc.CSCGraph`
+snapshot is bit-for-bit the arrays a :class:`~repro.graphs.graph.Graph`
 rebuilt from scratch at the same version would carry -- before *and* after
 compaction -- and :class:`~repro.serving.streaming.StreamState` claims its
 targeted invalidation keeps every derived cache coherent while queries are
@@ -37,8 +37,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs import DeltaGraph, graphs_equal, load_dataset, to_csc
-from repro.graphs.csc import CSCGraph
+from repro.graphs import (CSCMatrix, DeltaGraph, Graph, graphs_equal,
+                          load_dataset)
 from repro.graphs.generators import power_law_graph
 from repro.serving.cache import FeatureCache, LRUCache, charge_features
 from repro.serving.fleet import FleetConfig, run_serving
@@ -63,7 +63,7 @@ class ReferenceGraph:
     must still land on exactly these arrays.
     """
 
-    def __init__(self, base: CSCGraph):
+    def __init__(self, base: Graph):
         self.edges = set()
         for dst in range(base.num_vertices):
             for src in base.row[base.colptr[dst]:base.colptr[dst + 1]]:
@@ -82,7 +82,7 @@ class ReferenceGraph:
     def write_features(self, vertex, row):
         self.features[int(vertex)] = np.asarray(row, dtype=np.float64).copy()
 
-    def build(self) -> CSCGraph:
+    def build(self) -> Graph:
         n = len(self.features)
         columns = [[] for _ in range(n)]
         for src, dst in self.edges:
@@ -93,8 +93,8 @@ class ReferenceGraph:
             sources = sorted(columns[dst])
             colptr[dst + 1] = colptr[dst] + len(sources)
             rows.extend(sources)
-        return CSCGraph(colptr, np.asarray(rows, dtype=np.int64),
-                        np.vstack(self.features), name="rebuilt")
+        return Graph(CSCMatrix(colptr, np.asarray(rows, dtype=np.int64), n),
+                     np.vstack(self.features), name="rebuilt")
 
 
 def _apply_op(delta: DeltaGraph, ref: ReferenceGraph, op, rng):
@@ -125,7 +125,7 @@ def _apply_op(delta: DeltaGraph, ref: ReferenceGraph, op, rng):
     return True
 
 
-def _assert_samplers_agree(delta: DeltaGraph, rebuilt: CSCGraph,
+def _assert_samplers_agree(delta: DeltaGraph, rebuilt: Graph,
                            live: SubgraphSampler, targets):
     """The memoising sampler on the mutating graph must be bit-identical
     to a cold sampler on the from-scratch rebuild.
@@ -140,7 +140,7 @@ def _assert_samplers_agree(delta: DeltaGraph, rebuilt: CSCGraph,
     assert np.array_equal(delta.colptr, rebuilt.colptr)
     assert np.array_equal(delta.row, rebuilt.row)
     assert np.array_equal(delta.features, rebuilt.features)
-    assert graphs_equal(delta.as_csc(), rebuilt)
+    assert graphs_equal(delta, rebuilt)
     samples_live, samples_cold = [], []
     for target in targets:
         a = live.extract(target)
@@ -194,8 +194,8 @@ def test_random_interleavings_match_from_scratch_rebuild(script):
     compactions, the delta overlay and a targeted-invalidation sampler are
     bit-for-bit indistinguishable from rebuilding everything from scratch."""
     seed, num_vertices, num_edges, ops, compact_every = script
-    base = to_csc(power_law_graph(num_vertices, num_edges, feature_length=4,
-                                  seed=seed))
+    base = power_law_graph(num_vertices, num_edges, feature_length=4,
+                           seed=seed)
     delta = DeltaGraph(base, compact_every=compact_every)
     ref = ReferenceGraph(base)
     live = SubgraphSampler(delta, num_hops=2, fanout=4, seed=seed)
@@ -226,7 +226,7 @@ def test_compaction_is_invisible_mid_stream():
     """Auto-compaction (compact_every) at arbitrary points must never be
     observable through the sampler -- same arrays, same samples, same
     version trajectory as the never-compacting twin."""
-    base = to_csc(power_law_graph(30, 90, feature_length=4, seed=7))
+    base = power_law_graph(30, 90, feature_length=4, seed=7)
     eager = DeltaGraph(base, compact_every=2)
     never = DeltaGraph(base, compact_every=0)
     rng = np.random.default_rng(11)
@@ -260,7 +260,7 @@ class _FakeChip:
 
 
 def _stream_state(policy, *, with_result_cache=True, chips=0, seed=3):
-    base = to_csc(power_law_graph(24, 80, feature_length=4, seed=seed))
+    base = power_law_graph(24, 80, feature_length=4, seed=seed)
     delta = DeltaGraph(base)
     sampler = SubgraphSampler(delta, num_hops=2, fanout=4, seed=seed)
     stream = UpdateStream(events=(), policy=policy)

@@ -24,7 +24,8 @@ def test_examples_directory_contents():
     assert {"quickstart.py", "citation_classification.py",
             "recommendation_inference.py", "design_space_exploration.py",
             "online_serving.py", "multi_tenant_serving.py",
-            "elastic_serving.py", "hetero_fleet.py"} <= names
+            "elastic_serving.py", "hetero_fleet.py", "sharded_serving.py",
+            "traced_serving.py"} <= names
     assert (EXAMPLES_DIR / "tenants.json").exists()
     assert (EXAMPLES_DIR / "fleet.json").exists()
 
@@ -53,6 +54,33 @@ def test_hetero_fleet_example_runs(capsys):
     assert "chip-shape presets" in out
     assert "per-shape utilization" in out
     assert "seconds-per-fused-vertex" in out
+
+
+def test_sharded_serving_example_runs(capsys, tmp_path):
+    module = load_example("sharded_serving.py")
+    module.main(out_dir=str(tmp_path))
+    out = capsys.readouterr().out
+    assert "locality beats hash on both edge-cut and p99" in out
+    assert "--shards 1 identical to the unsharded report: True" in out
+
+
+def test_traced_serving_example_runs(capsys, tmp_path):
+    module = load_example("traced_serving.py")
+    module.main(num_requests=96, out_dir=str(tmp_path))
+    out = capsys.readouterr().out
+    assert "trace report: 96 requests" in out
+    assert "traced run identical to untraced run: True" in out
+    assert (tmp_path / "serve_trace.json").exists()
+    assert (tmp_path / "serve_metrics.jsonl").exists()
+
+
+def test_online_serving_example_runs(capsys):
+    module = load_example("online_serving.py")
+    module.main(num_requests=96)
+    out = capsys.readouterr().out
+    assert "served 96 requests on 4 chips" in out
+    assert "dispatch-policy comparison (identical traffic)" in out
+    assert "result-cache effect" in out
 
 
 def test_quickstart_runs(capsys):
