@@ -78,9 +78,10 @@ vertices as one unit of work: frontier expansion is ``colptr``/``row``
 slicing over all roots at once, local ids come from one stable grouping of
 fused ``root * num_vertices + v`` keys per hop (hop 1 needs none), and one
 block-diagonal CSC built for the whole call (one sort on the (destination,
-source) key) is sliced into the per-root samples.  A lone extraction is the one-root call of the same core.  The
-batch call sites -- ``fuse_requests``, ``fused_size`` and the streaming
-consistency check -- fetch their memo misses through
+source) key) is sliced into the per-root samples.  A lone extraction is
+the one-root call of the same core.  The batch call sites --
+``fuse_requests``, ``fused_size`` and the streaming consistency check --
+fetch their memo misses through
 :meth:`SubgraphSampler.extract_many`, which replays the memo traffic of
 sequential :meth:`SubgraphSampler.extract` calls exactly.  ``fuse`` and
 ``fused_size`` have no per-sample loop either: they work on the samples'
