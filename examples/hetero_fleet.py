@@ -81,7 +81,7 @@ def main(num_requests: int = 160) -> None:
     print_table([aware.hetero.summary()],
                 title="shape-aware run: dispatch accounting")
     print("learned seconds-per-fused-vertex (tenant/shape|bucket):")
-    for key, rate in sorted(aware.hetero.rates.items()):
+    for key, rate in sorted(aware.hetero.rates_s_per_vertex.items()):
         print(f"  {key:40s} {rate * 1e9:8.2f} ns/vertex")
 
 

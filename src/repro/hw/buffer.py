@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
+from ..counters import Summable
+
 __all__ = ["BufferStats", "ScratchpadBuffer", "DoubleBuffer", "PingPongBuffer"]
 
 KIB = 1024
@@ -20,8 +22,8 @@ MIB = 1024 * 1024
 
 
 @dataclass
-class BufferStats:
-    """Access counters for one on-chip buffer."""
+class BufferStats(Summable):
+    """Access counters for one on-chip buffer (:meth:`merge` sums two)."""
 
     reads: int = 0
     writes: int = 0
@@ -36,16 +38,6 @@ class BufferStats:
     @property
     def total_bytes(self) -> int:
         return self.bytes_read + self.bytes_written
-
-    def merge(self, other: "BufferStats") -> "BufferStats":
-        """Return the element-wise sum of two counters."""
-        return BufferStats(
-            reads=self.reads + other.reads,
-            writes=self.writes + other.writes,
-            bytes_read=self.bytes_read + other.bytes_read,
-            bytes_written=self.bytes_written + other.bytes_written,
-            overflow_events=self.overflow_events + other.overflow_events,
-        )
 
 
 class ScratchpadBuffer:

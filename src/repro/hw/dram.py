@@ -34,6 +34,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..counters import Summable
+
 __all__ = ["HBMConfig", "DRAMStats", "HBMModel", "StreamTransfers"]
 
 
@@ -68,8 +70,9 @@ class HBMConfig:
 
 
 @dataclass
-class DRAMStats:
-    """Aggregate statistics over a sequence of serviced requests."""
+class DRAMStats(Summable):
+    """Aggregate statistics over a sequence of serviced requests
+    (:meth:`merge` sums two phases executed back to back)."""
 
     requests: int = 0
     bytes_transferred: int = 0
@@ -96,18 +99,6 @@ class DRAMStats:
             return 0.0
         peak = config.peak_bandwidth_bytes_per_cycle * cycles
         return min(1.0, self.bytes_transferred / peak)
-
-    def merge(self, other: "DRAMStats") -> "DRAMStats":
-        """Combine stats from two phases executed back to back."""
-        return DRAMStats(
-            requests=self.requests + other.requests,
-            bytes_transferred=self.bytes_transferred + other.bytes_transferred,
-            row_hits=self.row_hits + other.row_hits,
-            row_misses=self.row_misses + other.row_misses,
-            busy_cycles=self.busy_cycles + other.busy_cycles,
-            total_channel_cycles=self.total_channel_cycles + other.total_channel_cycles,
-            energy_pj=self.energy_pj + other.energy_pj,
-        )
 
 
 #: Contiguous off-chip transfers of one stream: ``(stream, byte addresses,

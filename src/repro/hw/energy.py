@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional
 
+from ..counters import Summable
+
 __all__ = ["EnergyParams", "EnergyBreakdown", "EnergyModel"]
 
 
@@ -45,8 +47,9 @@ class EnergyParams:
 
 
 @dataclass
-class EnergyBreakdown:
-    """Energy per architectural component, in picojoules."""
+class EnergyBreakdown(Summable):
+    """Energy per architectural component, in picojoules (:meth:`merge`
+    sums two breakdowns, e.g. across layers)."""
 
     aggregation_compute_pj: float = 0.0
     aggregation_buffers_pj: float = 0.0
@@ -87,18 +90,6 @@ class EnergyBreakdown:
             "dram": self.dram_pj / total,
             "static": self.static_pj / total,
         }
-
-    def merge(self, other: "EnergyBreakdown") -> "EnergyBreakdown":
-        """Sum two breakdowns (e.g. across layers)."""
-        return EnergyBreakdown(
-            aggregation_compute_pj=self.aggregation_compute_pj + other.aggregation_compute_pj,
-            aggregation_buffers_pj=self.aggregation_buffers_pj + other.aggregation_buffers_pj,
-            combination_compute_pj=self.combination_compute_pj + other.combination_compute_pj,
-            combination_buffers_pj=self.combination_buffers_pj + other.combination_buffers_pj,
-            coordinator_buffers_pj=self.coordinator_buffers_pj + other.coordinator_buffers_pj,
-            dram_pj=self.dram_pj + other.dram_pj,
-            static_pj=self.static_pj + other.static_pj,
-        )
 
 
 class EnergyModel:

@@ -36,7 +36,6 @@ from .batcher import (
     SizeCappedBatcher,
     SLOAwareBatcher,
     TimeoutBatcher,
-    build_batcher,
 )
 from .batching import (
     ALL_BATCH_POLICIES,
@@ -261,7 +260,6 @@ __all__ = [
     "WorkloadConfig",
     "build_autoscale_policy",
     "build_batch_policy",
-    "build_batcher",
     "bursty_arrival_times",
     "clear_probe_cache",
     "clear_shard_plan_cache",

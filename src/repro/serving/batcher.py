@@ -50,10 +50,10 @@ __all__ = [
     "SizeCappedBatcher",
     "TimeoutBatcher",
     "SLOAwareBatcher",
-    "build_batcher",
 ]
 
-#: Flush-trigger policy names accepted by the CLI and :func:`build_batcher`.
+#: Flush-trigger policy names accepted by the CLI and
+#: :func:`~repro.serving.batching.build_batch_policy`.
 #: The batch *formation* policies (``fifo`` / ``overlap`` / ``continuous``)
 #: live in :data:`repro.serving.batching.BATCH_POLICIES`.
 BATCHING_POLICIES = ("size", "timeout", "slo")
@@ -311,23 +311,3 @@ class SLOAwareBatcher(Batcher):
         budget = max(0.0, self.slo_s - self.safety_factor * self.service_estimate_s)
         return self._pending[0].arrival_time_s + budget
 
-
-def build_batcher(policy: str, max_batch_size: int = 32, timeout_s: float = 5e-4,
-                  slo_s: float = 2e-3, tenant: str = "") -> Batcher:
-    """Construct the flush-trigger batcher named by ``policy``.
-
-    Only the :data:`BATCHING_POLICIES` trio lives here; the formation
-    policies (``fifo`` / ``overlap`` / ``continuous``) are built by
-    :func:`repro.serving.batching.build_batch_policy`, which falls back to
-    this function for the trio.  ``timeout_s`` / ``slo_s`` are seconds.
-    """
-    if policy == "size":
-        return SizeCappedBatcher(max_batch_size=max_batch_size, tenant=tenant)
-    if policy == "timeout":
-        return TimeoutBatcher(max_batch_size=max_batch_size, timeout_s=timeout_s,
-                              tenant=tenant)
-    if policy == "slo":
-        return SLOAwareBatcher(max_batch_size=max_batch_size, slo_s=slo_s,
-                               tenant=tenant)
-    raise ValueError(f"unknown batching policy {policy!r}; "
-                     f"choose from {BATCHING_POLICIES}")

@@ -52,8 +52,9 @@ from .batcher import (
     BATCHING_POLICIES,
     Batch,
     Batcher,
+    SizeCappedBatcher,
+    SLOAwareBatcher,
     TimeoutBatcher,
-    build_batcher,
 )
 from .sampler import estimate_jaccard
 from .workload import Request
@@ -387,20 +388,23 @@ def build_batch_policy(policy: str, max_batch_size: int = 32,
                        join_window_s: Optional[float] = None,
                        staleness_s: Optional[float] = None,
                        tenant: str = "") -> Batcher:
-    """Construct the batcher named by ``policy`` -- any of the six.
-
-    The flush-trigger trio (:data:`~repro.serving.batcher.BATCHING_POLICIES`)
-    delegates to :func:`~repro.serving.batcher.build_batcher`; the formation
-    trio (:data:`BATCH_POLICIES`) is built here.  ``overlap`` and
+    """Construct the batcher named by ``policy`` -- any of the six: the
+    flush-trigger trio (:data:`~repro.serving.batcher.BATCHING_POLICIES`)
+    or the formation trio (:data:`BATCH_POLICIES`).  ``overlap`` and
     ``continuous`` require ``signature_fn``.  ``join_window_s`` defaults to
     ``timeout_s`` (a batch accepts joins for about as long as it was
     allowed to form) and ``staleness_s`` to half of ``slo_s`` (joins stop
     while the oldest member still has half its budget for queueing and
     service); all times in seconds.
     """
-    if policy in BATCHING_POLICIES:
-        return build_batcher(policy, max_batch_size=max_batch_size,
-                             timeout_s=timeout_s, slo_s=slo_s, tenant=tenant)
+    if policy == "size":
+        return SizeCappedBatcher(max_batch_size=max_batch_size, tenant=tenant)
+    if policy == "timeout":
+        return TimeoutBatcher(max_batch_size=max_batch_size, timeout_s=timeout_s,
+                              tenant=tenant)
+    if policy == "slo":
+        return SLOAwareBatcher(max_batch_size=max_batch_size, slo_s=slo_s,
+                               tenant=tenant)
     if policy == "fifo":
         return FIFOBatcher(max_batch_size=max_batch_size, timeout_s=timeout_s,
                            tenant=tenant)

@@ -23,13 +23,17 @@ from typing import Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
+from ..counters import CounterBlock
+
 __all__ = ["CacheStats", "FeatureCache", "LRUCache", "charge_features",
            "charge_halo"]
 
 
 @dataclass
-class CacheStats:
+class CacheStats(CounterBlock):
     """Counters accumulated over the lifetime of one cache."""
+
+    DERIVED = ("hit_rate",)
 
     hits: int = 0
     misses: int = 0
@@ -44,15 +48,6 @@ class CacheStats:
     def hit_rate(self) -> float:
         """Fraction of lookups answered from the cache (0 when never used)."""
         return self.hits / self.lookups if self.lookups else 0.0
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "insertions": self.insertions,
-            "evictions": self.evictions,
-            "hit_rate": self.hit_rate,
-        }
 
 
 class LRUCache:

@@ -172,6 +172,26 @@ _ADMISSION_AUTO_HEADROOM = 1.5
 _CACHE_HIT_LATENCY_S = 1e-6
 
 
+def _validate_tenant_knobs(cfg) -> None:
+    """Check the per-tenant serving knobs a :class:`FleetConfig` and a
+    :class:`~repro.serving.tenancy.TenantConfig` both carry."""
+    if cfg.batch_policy not in ALL_BATCH_POLICIES:
+        raise ValueError(f"batch_policy must be one of {ALL_BATCH_POLICIES}, "
+                         f"got {cfg.batch_policy!r}")
+    if cfg.max_batch_size < 1:
+        raise ValueError("max_batch_size must be >= 1")
+    if cfg.num_hops < 0:
+        raise ValueError("num_hops must be >= 0")
+    if cfg.fanout < 1:
+        raise ValueError("fanout must be >= 1")
+    if cfg.batch_timeout_s is not None and cfg.batch_timeout_s <= 0:
+        raise ValueError("batch_timeout_s must be positive when set")
+    if cfg.slo_s is not None and cfg.slo_s <= 0:
+        raise ValueError("slo_s must be positive when set")
+    if cfg.cache_size < 0:
+        raise ValueError("cache_size must be >= 0")
+
+
 @dataclass(frozen=True)
 class FleetConfig:
     """Structural and policy parameters of the serving deployment.
@@ -238,23 +258,11 @@ class FleetConfig:
         if self.dispatch not in DISPATCH_POLICIES:
             raise ValueError(f"dispatch must be one of {DISPATCH_POLICIES}, "
                              f"got {self.dispatch!r}")
-        if self.batch_policy not in ALL_BATCH_POLICIES:
-            raise ValueError(f"batch_policy must be one of {ALL_BATCH_POLICIES}, "
-                             f"got {self.batch_policy!r}")
-        if self.max_batch_size < 1:
-            raise ValueError("max_batch_size must be >= 1")
-        if self.num_hops < 0:
-            raise ValueError("num_hops must be >= 0")
-        if self.fanout < 1:
-            raise ValueError("fanout must be >= 1")
+        _validate_tenant_knobs(self)
         if not 0 <= self.reuse_discount < 1:
             raise ValueError("reuse_discount must be in [0, 1)")
-        if self.cache_size < 0 or self.feature_cache_size < 0:
-            raise ValueError("cache sizes must be >= 0")
-        if self.batch_timeout_s is not None and self.batch_timeout_s <= 0:
-            raise ValueError("batch_timeout_s must be positive when set")
-        if self.slo_s is not None and self.slo_s <= 0:
-            raise ValueError("slo_s must be positive when set")
+        if self.feature_cache_size < 0:
+            raise ValueError("feature_cache_size must be >= 0")
         if self.overlap_k is not None and self.overlap_k < 0:
             raise ValueError("overlap_k must be >= 0 when set")
         if not 0.0 <= self.min_overlap <= 1.0:

@@ -32,6 +32,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..counters import CounterBlock
 from ..graphs.datasets import load_dataset
 from ..models.model_zoo import build_model
 from .fleet import FleetConfig, ServingSimulator, clear_probe_cache, run_serving
@@ -48,7 +49,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class LoadPoint:
+class LoadPoint(CounterBlock):
     """One measured point on the rate axis."""
 
     rate_rps: float
@@ -62,18 +63,6 @@ class LoadPoint:
 
     def meets(self, slo_target: float) -> bool:
         return self.attainment >= slo_target
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "rate_rps": self.rate_rps,
-            "attainment": self.attainment,
-            "p50_s": self.p50_s,
-            "p95_s": self.p95_s,
-            "p99_s": self.p99_s,
-            "throughput_rps": self.throughput_rps,
-            "completed": self.completed,
-            "offered": self.offered,
-        }
 
     @classmethod
     def from_report(cls, rate_rps: float,
@@ -330,8 +319,8 @@ def run_loadtest(config: Optional[LoadTestConfig] = None,
             "bracketed": result.bracketed,
             "iterations": result.iterations,
             "slo_s": slo_s[0] if slo_s else 0.0,
-            "knee_point": knee_point.to_dict() if knee_point else None,
-            "points": [p.to_dict() for p in result.points],
+            "knee_point": knee_point.as_dict() if knee_point else None,
+            "points": [p.as_dict() for p in result.points],
         })
     report.wall_time_s = time.perf_counter() - started
     return report

@@ -29,7 +29,11 @@ the late-join counters of continuous batching (see
 
 Both report classes serialize to plain JSON-compatible dicts via
 ``to_dict()``, which is what ``python -m repro serve --json`` emits so that
-benchmark harnesses never scrape the human-formatted tables.
+benchmark harnesses never scrape the human-formatted tables.  Every counter
+block above is a :class:`~repro.counters.CounterBlock`: its export is its
+dataclass fields, then its named ``DERIVED`` values, so each field list is
+written once.  Records export as their fields plus ``latency_s``, and the
+keys both reports share come from one ``_FleetTotals`` export.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from ..counters import CounterBlock
 from .cache import CacheStats
 
 __all__ = ["percentile", "chip_utilization_rows", "shape_utilization_rows",
@@ -97,7 +102,7 @@ class RequestRecord:
 
 
 @dataclass
-class ChipStats:
+class ChipStats(CounterBlock):
     """Aggregate accounting of one simulated accelerator instance.
 
     ``provisioned_s`` is filled by elastic runs: the chip-seconds this chip
@@ -130,19 +135,6 @@ class ChipStats:
         serving window for fixed-fleet chips)."""
         span = self.provisioned_s if self.provisioned_s is not None else makespan_s
         return min(1.0, self.busy_s / span) if span > 0 else 0.0
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "chip_id": self.chip_id,
-            "shape": self.shape,
-            "busy_s": self.busy_s,
-            "batches_served": self.batches_served,
-            "requests_served": self.requests_served,
-            "vertices_simulated": self.vertices_simulated,
-            "feature_lookups": self.feature_lookups,
-            "feature_hits": self.feature_hits,
-            "provisioned_s": self.provisioned_s,
-        }
 
 
 def chip_utilization_rows(chips: Sequence["ChipStats"],
@@ -208,7 +200,7 @@ def shape_utilization_rows(chips: Sequence["ChipStats"],
 # Batch-formation accounting (overlap-aware / continuous batching)
 # --------------------------------------------------------------------------- #
 @dataclass
-class BatchingStats:
+class BatchingStats(CounterBlock):
     """Aggregate batch-formation accounting of one serving run.
 
     ``naive_vertices`` sums every batched request's *standalone* sampled
@@ -222,6 +214,8 @@ class BatchingStats:
     count continuous-batching join attempts (always zero elsewhere).
     Cache-hit requests never reach a batch and are invisible here.
     """
+
+    DERIVED = ("mean_batch_size", "overlap_ratio", "dedup_saved_vertices")
 
     policy: str = "fifo"
     batches: int = 0
@@ -266,26 +260,12 @@ class BatchingStats:
             "late_join_rejects": self.late_join_rejects,
         }
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "policy": self.policy,
-            "batches": self.batches,
-            "batched_requests": self.batched_requests,
-            "mean_batch_size": self.mean_batch_size,
-            "fused_vertices": self.fused_vertices,
-            "naive_vertices": self.naive_vertices,
-            "overlap_ratio": self.overlap_ratio,
-            "dedup_saved_vertices": self.dedup_saved_vertices,
-            "late_joins": self.late_joins,
-            "late_join_rejects": self.late_join_rejects,
-        }
-
 
 # --------------------------------------------------------------------------- #
 # Sharded-execution accounting (multi-chip groups, repro.serving.sharding)
 # --------------------------------------------------------------------------- #
 @dataclass
-class ShardingStats:
+class ShardingStats(CounterBlock):
     """Aggregate sharded-execution accounting of one serving run.
 
     Attached to a report only when the fleet runs as a chip group
@@ -304,6 +284,8 @@ class ShardingStats:
     report's records at finalisation so the sharded tail is readable from
     this one block.
     """
+
+    DERIVED = ("edge_cut_fraction", "halo_hit_rate", "load_imbalance")
 
     num_shards: int
     partitioner: str
@@ -372,32 +354,6 @@ class ShardingStats:
             "p99_ms": round(self.p99_s * 1e3, 4),
         }
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "num_shards": self.num_shards,
-            "partitioner": self.partitioner,
-            "edge_cut": self.edge_cut,
-            "num_edges": self.num_edges,
-            "edge_cut_fraction": self.edge_cut_fraction,
-            "halo_vertices": self.halo_vertices,
-            "size_imbalance": self.size_imbalance,
-            "sharded_batches": self.sharded_batches,
-            "sub_batches": self.sub_batches,
-            "halo_lookups": self.halo_lookups,
-            "halo_hits": self.halo_hits,
-            "halo_hit_rate": self.halo_hit_rate,
-            "halo_bytes_moved": self.halo_bytes_moved,
-            "halo_bytes_saved": self.halo_bytes_saved,
-            "exchange_s": self.exchange_s,
-            "gather_s": self.gather_s,
-            "shard_busy_s": list(self.shard_busy_s),
-            "shard_requests": list(self.shard_requests),
-            "load_imbalance": self.load_imbalance,
-            "p50_s": self.p50_s,
-            "p95_s": self.p95_s,
-            "p99_s": self.p99_s,
-        }
-
 
 # --------------------------------------------------------------------------- #
 # Streaming-update accounting (mutating graphs, repro.serving.streaming)
@@ -408,7 +364,7 @@ def _empty_invalidations() -> Dict[str, int]:
 
 
 @dataclass
-class ConsistencyStats:
+class ConsistencyStats(CounterBlock):
     """Streaming-update and differential-consistency accounting of one run.
 
     Attached to a report only when the run served a mutating graph
@@ -430,6 +386,9 @@ class ConsistencyStats:
     baseline; ``p99_inflation`` then prices what invalidation churn cost
     the tail.
     """
+
+    DERIVED = ("updates_applied", "total_invalidations", "stale_serves",
+               "mean_stale_version_lag", "p99_inflation")
 
     policy: str = "targeted"
     budget_versions: int = 0
@@ -499,45 +458,12 @@ class ConsistencyStats:
             row["p99_inflation_x"] = round(inflation, 3)
         return row
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "policy": self.policy,
-            "budget_versions": self.budget_versions,
-            "updates_offered": self.updates_offered,
-            "updates_applied": self.updates_applied,
-            "edge_updates": self.edge_updates,
-            "feature_updates": self.feature_updates,
-            "vertex_updates": self.vertex_updates,
-            "noop_updates": self.noop_updates,
-            "final_version": self.final_version,
-            "compactions": self.compactions,
-            "invalidations": dict(self.invalidations),
-            "total_invalidations": self.total_invalidations,
-            "checks": self.checks,
-            "stale_results": self.stale_results,
-            "stale_features": self.stale_features,
-            "stale_halo": self.stale_halo,
-            "stale_samples": self.stale_samples,
-            "stale_signatures": self.stale_signatures,
-            "shard_plan_misses": self.shard_plan_misses,
-            "stale_serves": self.stale_serves,
-            "stale_version_lag_sum": self.stale_version_lag_sum,
-            "stale_version_lag_max": self.stale_version_lag_max,
-            "mean_stale_version_lag": self.mean_stale_version_lag,
-            "stale_seconds_sum": self.stale_seconds_sum,
-            "stale_seconds_max": self.stale_seconds_max,
-            "stale_beyond_budget": self.stale_beyond_budget,
-            "p99_s": self.p99_s,
-            "baseline_p99_s": self.baseline_p99_s,
-            "p99_inflation": self.p99_inflation,
-        }
-
 
 # --------------------------------------------------------------------------- #
 # Heterogeneous-fleet accounting (chip shapes, shape-aware dispatch)
 # --------------------------------------------------------------------------- #
 @dataclass
-class HeteroStats:
+class HeteroStats(CounterBlock):
     """Shape-aware dispatch accounting of one heterogeneous serving run.
 
     Attached to a report only when the run had something shape-shaped to
@@ -558,17 +484,20 @@ class HeteroStats:
     same EWMA rates the dispatcher learns -- which is what makes it cheap
     enough to compute on every batch.
 
-    ``rates`` is the final ``"shape|bucket" -> seconds-per-fused-vertex``
-    snapshot of the scorer (single-tenant) or the union over tenants'
-    scorers keyed ``"tenant/shape|bucket"`` (multi-tenant).
+    ``rates_s_per_vertex`` is the final ``"shape|bucket" ->
+    seconds-per-fused-vertex`` snapshot of the scorer (single-tenant) or the
+    union over tenants' scorers keyed ``"tenant/shape|bucket"``
+    (multi-tenant).
     """
+
+    DERIVED = ("scored_fraction",)
 
     shape_counts: Dict[str, int] = field(default_factory=dict)
     dispatch_policy: str = ""
     scored_batches: int = 0
     fallback_batches: int = 0
     misdispatch_s: float = 0.0
-    rates: Dict[str, float] = field(default_factory=dict)
+    rates_s_per_vertex: Dict[str, float] = field(default_factory=dict)
 
     def finalize(self, chip_shapes: Sequence[str], scorers: Dict) -> None:
         """Count the roster's chips per shape and snapshot each tenant's
@@ -577,8 +506,8 @@ class HeteroStats:
             self.shape_counts[shape] = self.shape_counts.get(shape, 0) + 1
         for name, scorer in scorers.items():
             prefix = f"{name}/" if name else ""
-            self.rates.update({prefix + key: rate for key, rate
-                               in scorer.snapshot().items()})
+            self.rates_s_per_vertex.update(
+                {prefix + key: rate for key, rate in scorer.snapshot().items()})
 
     @property
     def scored_fraction(self) -> float:
@@ -597,23 +526,12 @@ class HeteroStats:
             "misdispatch_ms": round(self.misdispatch_s * 1e3, 4),
         }
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "shape_counts": dict(sorted(self.shape_counts.items())),
-            "dispatch_policy": self.dispatch_policy,
-            "scored_batches": self.scored_batches,
-            "fallback_batches": self.fallback_batches,
-            "scored_fraction": self.scored_fraction,
-            "misdispatch_s": self.misdispatch_s,
-            "rates_s_per_vertex": dict(sorted(self.rates.items())),
-        }
-
 
 # --------------------------------------------------------------------------- #
 # Control-plane accounting (autoscaling, admission, degradation)
 # --------------------------------------------------------------------------- #
 @dataclass(frozen=True)
-class ScaleEvent:
+class ScaleEvent(CounterBlock):
     """One fleet-shape change: a chip was added, warmed up, drained or retired.
 
     ``active``/``warming``/``draining`` are the fleet composition *after* the
@@ -627,19 +545,9 @@ class ScaleEvent:
     warming: int
     draining: int
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "time_s": self.time_s,
-            "action": self.action,
-            "chip_id": self.chip_id,
-            "active": self.active,
-            "warming": self.warming,
-            "draining": self.draining,
-        }
-
 
 @dataclass(frozen=True)
-class ControlSample:
+class ControlSample(CounterBlock):
     """One control-interval observation plus the policy's sizing decision."""
 
     time_s: float
@@ -654,30 +562,18 @@ class ControlSample:
     violations: int
     shed: int
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "time_s": self.time_s,
-            "active": self.active,
-            "warming": self.warming,
-            "draining": self.draining,
-            "desired_chips": self.desired_chips,
-            "queue_depth": self.queue_depth,
-            "arrival_rate_rps": self.arrival_rate_rps,
-            "utilization": self.utilization,
-            "est_queue_delay_s": self.est_queue_delay_s,
-            "violations": self.violations,
-            "shed": self.shed,
-        }
-
 
 @dataclass
-class AdmissionStats:
+class AdmissionStats(CounterBlock):
     """Per-tenant admission-control outcome counters.
 
     ``offered`` counts requests that reached the admission gate (result-cache
     hits are answered before the gate and never appear here).  ``admitted``
-    includes degraded admissions; ``degraded`` maps ladder level to count.
+    includes degraded admissions; ``degraded`` maps ladder level to count
+    (exported with sorted string keys).
     """
+
+    DERIVED = ("shed", "shed_rate", "degraded_total")
 
     tenant: str = ""
     offered: int = 0
@@ -703,21 +599,13 @@ class AdmissionStats:
         return self.degraded_total / self.admitted if self.admitted else 0.0
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "tenant": self.tenant,
-            "offered": self.offered,
-            "admitted": self.admitted,
-            "shed_rate_limited": self.shed_rate_limited,
-            "shed_overload": self.shed_overload,
-            "shed": self.shed,
-            "shed_rate": self.shed_rate,
-            "degraded": {str(k): v for k, v in sorted(self.degraded.items())},
-            "degraded_total": self.degraded_total,
-        }
+        out = super().as_dict()
+        out["degraded"] = {str(k): v for k, v in sorted(self.degraded.items())}
+        return out
 
 
 @dataclass
-class ControlStats:
+class ControlStats(CounterBlock):
     """Everything the elastic control plane did during one run.
 
     The cost/benefit headline is ``chip_seconds_s`` (provisioned chip time,
@@ -726,6 +614,8 @@ class ControlStats:
     violations while holding fewer chip-seconds than a fixed ``max_chips``
     fleet.
     """
+
+    DERIVED = ("peak_chips", "scale_ups", "scale_downs")
 
     policy: str
     min_chips: int
@@ -836,30 +726,17 @@ class ControlStats:
                          f"delay={s.est_queue_delay_s * 1e3:8.3f}ms")
         return "\n".join(lines)
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "policy": self.policy,
-            "min_chips": self.min_chips,
-            "max_chips": self.max_chips,
-            "control_interval_s": self.control_interval_s,
-            "warmup_s": self.warmup_s,
-            "initial_chips": self.initial_chips,
-            "final_chips": self.final_chips,
-            "peak_chips": self.peak_chips,
-            "scale_ups": self.scale_ups,
-            "scale_downs": self.scale_downs,
-            "chip_seconds_s": self.chip_seconds_s,
-            "warmup_chip_seconds_s": self.warmup_chip_seconds_s,
-            "timeline": [e.as_dict() for e in self.timeline],
-            "samples": [s.as_dict() for s in self.samples],
-            "admission": {name: a.as_dict()
-                          for name, a in sorted(self.admission.items())},
-        }
+    def as_dict(self) -> Dict[str, object]:
+        out = super().as_dict()
+        out["admission"] = {name: a.as_dict()
+                            for name, a in sorted(self.admission.items())}
+        return out
 
 
 class _FleetTotals:
     """Members both report kinds derive alike from their ``completed``,
-    ``makespan_s``, ``num_chips``, ``chips`` and ``control``."""
+    ``makespan_s``, ``num_chips``, ``chips``, ``control``, ``hetero``,
+    ``sharding`` and ``consistency``."""
 
     @property
     def throughput_rps(self) -> float:
@@ -893,6 +770,25 @@ class _FleetTotals:
         """One row per chip shape: roster, load and service share
         (see :func:`shape_utilization_rows`; empty for an empty roster)."""
         return shape_utilization_rows(self.chips, self.makespan_s)
+
+    def _totals_dict(self) -> Dict[str, object]:
+        """The export keys both reports share: counts, chip-seconds and the
+        fleet-wide blocks.  ``consistency`` is absent (not ``None``) on
+        static runs, so pre-streaming exports keep their key set."""
+        payload: Dict[str, object] = {
+            "completed": self.completed,
+            "makespan_s": self.makespan_s,
+            "throughput_rps": self.throughput_rps,
+            "chip_seconds_s": self.chip_seconds_s,
+            "total_busy_s": self.total_busy_s,
+            "chips": [c.as_dict() for c in self.chips],
+            "control": self.control.as_dict() if self.control else None,
+            "hetero": self.hetero.as_dict() if self.hetero else None,
+            "sharding": self.sharding.as_dict() if self.sharding else None,
+        }
+        if self.consistency is not None:
+            payload["consistency"] = self.consistency.as_dict()
+        return payload
 
 
 @dataclass
@@ -1047,9 +943,6 @@ class ServingReport(_FleetTotals):
             "dispatch_policy": self.dispatch_policy,
             "rate_rps": self.rate_rps,
             "slo_s": self.slo_s,
-            "completed": self.completed,
-            "makespan_s": self.makespan_s,
-            "throughput_rps": self.throughput_rps,
             "latency_s": {
                 "p50": self.p50_latency_s,
                 "p95": self.p95_latency_s,
@@ -1062,37 +955,17 @@ class ServingReport(_FleetTotals):
             "slo_violation_rate": self.slo_violation_rate,
             "degraded_requests": self.degraded_requests,
             "degraded_rate": self.degraded_rate,
-            "chip_seconds_s": self.chip_seconds_s,
-            "total_busy_s": self.total_busy_s,
             "avg_in_flight": self.avg_in_flight,
             "max_queue_depth": self.max_queue_depth,
             "cache": self.cache.as_dict(),
-            "chips": [c.as_dict() for c in self.chips],
-            "control": self.control.to_dict() if self.control else None,
             "batching": self.batching.as_dict() if self.batching else None,
-            "hetero": self.hetero.as_dict() if self.hetero else None,
-            "sharding": self.sharding.as_dict() if self.sharding else None,
+            **self._totals_dict(),
         }
-        if self.consistency is not None:
-            payload["consistency"] = self.consistency.as_dict()
         if include_records:
-            payload["records"] = [
-                {
-                    "request_id": r.request_id,
-                    "target_vertex": r.target_vertex,
-                    "arrival_time_s": r.arrival_time_s,
-                    "dispatch_time_s": r.dispatch_time_s,
-                    "service_start_s": r.service_start_s,
-                    "completion_time_s": r.completion_time_s,
-                    "latency_s": r.latency_s,
-                    "cache_hit": r.cache_hit,
-                    "chip_id": r.chip_id,
-                    "batch_id": r.batch_id,
-                    "tenant": r.tenant,
-                    "degrade_level": r.degrade_level,
-                }
-                for r in self.records
-            ]
+            # the record's fields plus its latency: vars(), not asdict(),
+            # which costs an order of magnitude more per record
+            payload["records"] = [dict(vars(r), latency_s=r.latency_s)
+                                  for r in self.records]
         return payload
 
 
@@ -1255,32 +1128,21 @@ class MultiTenantReport(_FleetTotals):
     # ------------------------------------------------------------------ #
     def to_dict(self, include_records: bool = True) -> Dict[str, object]:
         """JSON-compatible dict of the full report (``serve --json``)."""
-        payload: Dict[str, object] = {
+        return {
             "kind": "multi_tenant_report",
             "num_chips": self.num_chips,
             "scheduler": self.scheduler,
             "tenants": list(self.tenants),
             "weights": dict(self.weights),
-            "completed": self.completed,
-            "makespan_s": self.makespan_s,
-            "throughput_rps": self.throughput_rps,
-            "chip_seconds_s": self.chip_seconds_s,
-            "total_busy_s": self.total_busy_s,
             "avg_in_flight": self.avg_in_flight,
             "max_backlog_batches": self.max_backlog_batches,
             "busy_s": dict(self.busy_s),
             "contended_busy_s": dict(self.contended_busy_s),
             "fairness": self.fairness_table(),
             "isolation": self.isolation_table(),
-            "chips": [c.as_dict() for c in self.chips],
-            "control": self.control.to_dict() if self.control else None,
-            "hetero": self.hetero.as_dict() if self.hetero else None,
-            "sharding": self.sharding.as_dict() if self.sharding else None,
+            **self._totals_dict(),
             "reports": {name: rep.to_dict(include_records=include_records)
                         for name, rep in self.reports.items()},
             "solo": {name: rep.to_dict(include_records=False)
                      for name, rep in self.solo.items()},
         }
-        if self.consistency is not None:
-            payload["consistency"] = self.consistency.as_dict()
-        return payload

@@ -400,9 +400,11 @@ class StreamState:
 
     def _invalidate(self, dirty: List[int],
                     feature_writes: List[int]) -> int:
+        if self.policy == "none" or not dirty:
+            return 0
         stats = self.stats
         count = 0
-        if self.policy == "flush" and dirty:
+        if self.policy == "flush":
             if self.result_cache is not None:
                 dropped = len(self.result_cache)
                 self.result_cache.clear()
@@ -415,14 +417,7 @@ class StreamState:
                 cache.clear()
                 stats.invalidations[kind] += dropped
                 count += dropped
-            # the sampler flushes lazily at its next call; force it now so
-            # the drop counters land on this update
-            before = self.sampler.invalidated_samples \
-                + self.sampler.invalidated_signatures
-            self.sampler._sync()
-            count += (self.sampler.invalidated_samples
-                      + self.sampler.invalidated_signatures) - before
-        elif self.policy == "targeted" and dirty:
+        else:  # targeted
             if self.result_cache is not None:
                 for key in self._results.pop(dirty):
                     if self.result_cache.invalidate(key):
@@ -435,12 +430,13 @@ class StreamState:
                     if cache.invalidate(self.tenant, v):
                         stats.invalidations[kind] += 1
                         count += 1
-            before = self.sampler.invalidated_samples \
-                + self.sampler.invalidated_signatures
-            self.sampler._sync()
-            count += (self.sampler.invalidated_samples
-                      + self.sampler.invalidated_signatures) - before
-        return count
+        # the sampler drops its stale entries lazily at its next call; force
+        # it now so the drop counters land on this update
+        sampler = self.sampler
+        before = sampler.invalidated_samples + sampler.invalidated_signatures
+        sampler._sync()
+        return count + (sampler.invalidated_samples
+                        + sampler.invalidated_signatures) - before
 
     def _chip_caches(self) -> List[Tuple[str, object]]:
         """``(kind, cache)`` of every chip-local cache holding feature

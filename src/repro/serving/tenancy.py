@@ -61,7 +61,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 from ..graphs.datasets import DATASETS, load_dataset
 from ..models.model_zoo import MODEL_NAMES, build_model
-from .batching import ALL_BATCH_POLICIES
 from .control import ControlConfig
 from .fleet import (
     FleetConfig,
@@ -73,6 +72,7 @@ from .fleet import (
     _served_graph,
     _stamp_capture,
     _update_events,
+    _validate_tenant_knobs,
     probe_batch_service_time_s,  # noqa: F401 -- kept importable from here
 )
 from .stats import HeteroStats, MultiTenantReport, ServingReport
@@ -164,21 +164,7 @@ class TenantConfig:
                 "per-tenant arrival must be 'poisson', 'bursty' or 'ramp' "
                 "(to replay a captured multi-tenant run, pass the whole "
                 "trace: `serve --tenants ... --replay trace.bin`)")
-        if self.batch_policy not in ALL_BATCH_POLICIES:
-            raise ValueError(f"batch_policy must be one of {ALL_BATCH_POLICIES}, "
-                             f"got {self.batch_policy!r}")
-        if self.max_batch_size < 1:
-            raise ValueError("max_batch_size must be >= 1")
-        if self.num_hops < 0:
-            raise ValueError("num_hops must be >= 0")
-        if self.fanout < 1:
-            raise ValueError("fanout must be >= 1")
-        if self.batch_timeout_s is not None and self.batch_timeout_s <= 0:
-            raise ValueError("batch_timeout_s must be positive when set")
-        if self.slo_s is not None and self.slo_s <= 0:
-            raise ValueError("slo_s must be positive when set")
-        if self.cache_size < 0:
-            raise ValueError("cache_size must be >= 0")
+        _validate_tenant_knobs(self)
 
 
 def load_tenant_specs(source: Union[str, Sequence[Mapping], Mapping]

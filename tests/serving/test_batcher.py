@@ -7,7 +7,7 @@ from repro.serving import (
     SizeCappedBatcher,
     SLOAwareBatcher,
     TimeoutBatcher,
-    build_batcher,
+    build_batch_policy,
 )
 
 
@@ -107,14 +107,14 @@ class TestSLOAwareBatcher:
 
 class TestBuildBatcher:
     def test_builds_every_policy(self):
-        assert build_batcher("size").policy == "size"
-        assert build_batcher("timeout").policy == "timeout"
-        assert build_batcher("slo").policy == "slo"
+        assert build_batch_policy("size").policy == "size"
+        assert build_batch_policy("timeout").policy == "timeout"
+        assert build_batch_policy("slo").policy == "slo"
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
-            build_batcher("greedy")
+            build_batch_policy("greedy")
 
     def test_invalid_size_cap_rejected(self):
         with pytest.raises(ValueError):
-            build_batcher("size", max_batch_size=0)
+            build_batch_policy("size", max_batch_size=0)

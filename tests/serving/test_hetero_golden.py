@@ -155,7 +155,7 @@ def test_fixtures_exercise_the_shape_accounting(reports):
     for hetero in (aware, oblivious):
         assert len(hetero.shape_counts) == 3
         assert hetero.misdispatch_s > 0
-        assert hetero.rates
+        assert hetero.rates_s_per_vertex
     # the second run counts only its own dispatches
     second = reports["cr_mixed_shape_aware_second_run"]
     batches = {r.batch_id for r in second.records if r.batch_id >= 0}

@@ -357,6 +357,16 @@ class TestTenantSpecs:
         with pytest.raises(ValueError):
             TenantConfig(name="x", slo_s=-1)
 
+    @pytest.mark.parametrize("knob, bad", [
+        ("batch_policy", "greedy"), ("max_batch_size", 0), ("num_hops", -1),
+        ("fanout", 0), ("batch_timeout_s", 0.0), ("slo_s", 0.0),
+        ("cache_size", -1)])
+    def test_fleet_and_tenant_reject_the_same_knobs(self, knob, bad):
+        with pytest.raises(ValueError, match=knob):
+            FleetConfig(**{knob: bad})
+        with pytest.raises(ValueError, match=knob):
+            TenantConfig(name="x", **{knob: bad})
+
 
 # --------------------------------------------------------------------------- #
 # CLI integration
